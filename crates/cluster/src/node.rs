@@ -18,8 +18,6 @@
 //! attached to descriptors instead of enforced) and the §7.7 error
 //! injector.
 
-use std::collections::{HashMap, HashSet};
-
 use mitt_device::{
     BlockIo, Disk, DiskSpec, IoClass, IoId, IoIdGen, IoKind, NvramBuffer, ProcessId, Ssd, SsdSpec,
     Started, SubCompletion, SubIoKey,
@@ -28,7 +26,7 @@ use mitt_faults::FaultClock;
 use mitt_oscache::{PageCache, PageCacheConfig};
 use mitt_prof::ProfSink;
 use mitt_sched::{Cfq, CfqConfig, DiskScheduler, Noop};
-use mitt_sim::{Duration, SimRng, SimTime};
+use mitt_sim::{Duration, FastMap, FastSet, SimRng, SimTime};
 use mitt_trace::report::{CACHE_HIT_COUNTER, EBUSY_COUNTER, PREDICT_ERROR_HIST, SUBMIT_COUNTER};
 use mitt_trace::{EventKind, Resource, Subsystem, TraceSink};
 use mitt_tsl::TslSink;
@@ -378,7 +376,7 @@ struct PendingSsd {
 struct SsdStack {
     ssd: Ssd,
     mitt: MittSsd,
-    pending: HashMap<IoId, PendingSsd>,
+    pending: FastMap<IoId, PendingSsd>,
 }
 
 struct CacheStack {
@@ -405,9 +403,9 @@ pub struct Node {
     injector: Option<ErrorInjector>,
     audit_mode: bool,
     disable_bump_cancel: bool,
-    audit_open: HashMap<IoId, OpenAudit>,
+    audit_open: FastMap<IoId, OpenAudit>,
     audit_pairs: Vec<AuditPair>,
-    fill_after_read: HashSet<IoId>,
+    fill_after_read: FastSet<IoId>,
     hop: Duration,
     ebusy_times: Vec<SimTime>,
     trace: TraceSink,
@@ -415,7 +413,7 @@ pub struct Node {
     tsl: TslSink,
     /// Predicted wait of each admitted, traced IO, resolved against the
     /// actual wait at completion to feed the prediction-error histogram.
-    pred_wait: HashMap<IoId, Duration>,
+    pred_wait: FastMap<IoId, Duration>,
 }
 
 impl Node {
@@ -456,7 +454,7 @@ impl Node {
             SsdStack {
                 ssd,
                 mitt,
-                pending: HashMap::new(),
+                pending: FastMap::default(),
             }
         });
         let cache = cfg.cache.map(|c| CacheStack {
@@ -477,15 +475,15 @@ impl Node {
             injector,
             audit_mode: cfg.audit_mode,
             disable_bump_cancel: cfg.disable_bump_cancel,
-            audit_open: HashMap::new(),
+            audit_open: FastMap::default(),
             audit_pairs: Vec::new(),
-            fill_after_read: HashSet::new(),
+            fill_after_read: FastSet::default(),
             hop: cfg.hop,
             ebusy_times: Vec::new(),
             trace: TraceSink::disabled(),
             prof: ProfSink::disabled(),
             tsl: TslSink::disabled(),
-            pred_wait: HashMap::new(),
+            pred_wait: FastMap::default(),
         }
     }
 

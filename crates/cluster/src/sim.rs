@@ -25,8 +25,6 @@
 //!   three are busy (§7.8.1 extension). **MittOsAuto** tunes the deadline
 //!   from EBUSY-rate feedback (§8.1 extension).
 
-use std::collections::HashMap;
-
 use mitt_device::{IoClass, IoId, ProcessId, SubIoKey, GB};
 use mitt_faults::{
     BreakerState, BreakerTransition, CircuitBreaker, FaultClock, FaultKind, FaultPlan,
@@ -34,7 +32,7 @@ use mitt_faults::{
 };
 use mitt_lsm::{GetStep, LsmConfig, LsmEngine};
 use mitt_prof::{GaugeSample, Phase, ProfSink};
-use mitt_sim::{Duration, EventQueue, LatencyRecorder, SimRng, SimTime};
+use mitt_sim::{Duration, EventQueue, FastMap, LatencyRecorder, SimRng, SimTime};
 use mitt_trace::report::{NET_HOP_COUNTER, NET_HOP_FAULTED_COUNTER, NET_HOP_HIST};
 use mitt_trace::{EventKind, Resource, Subsystem, TraceSink, CLUSTER_NODE, DEFAULT_RING_CAPACITY};
 use mitt_tsl::{TslConfig, TslSink};
@@ -585,7 +583,7 @@ struct ClientState {
     tuner: Option<DeadlineTuner>,
     /// Session state for §8.3 monotonic reads: the client's last write
     /// time per key.
-    last_write: HashMap<u64, SimTime>,
+    last_write: FastMap<u64, SimTime>,
 }
 
 /// The cluster simulator.
@@ -597,12 +595,12 @@ pub struct ClusterSim {
     ycsb: YcsbGenerator,
     ops: Vec<OpState>,
     users: Vec<UserReq>,
-    io_ctx: HashMap<(usize, IoId), IoCtx>,
+    io_ctx: FastMap<(usize, IoId), IoCtx>,
     engines: Vec<LsmEngine>,
     btree: Option<BtreePlanner>,
     /// §8.3 replication state: when each (node, key) applied its latest
     /// write. Absent = applied since forever.
-    fresh_at: HashMap<(usize, u64), SimTime>,
+    fresh_at: FastMap<(usize, u64), SimTime>,
     noise_rng: SimRng,
     net_rng: SimRng,
     /// Shared fault clock (disabled on planless runs).
@@ -646,7 +644,7 @@ impl ClusterSim {
                 ewma: vec![0.0; cfg.nodes],
                 qhat: vec![0.0; cfg.nodes],
                 outstanding: vec![0; cfg.nodes],
-                last_write: HashMap::new(),
+                last_write: FastMap::default(),
                 tuner: match cfg.strategy {
                     Strategy::MittOsAuto { initial } => Some(DeadlineTuner::default_p95(initial)),
                     _ => None,
@@ -708,10 +706,10 @@ impl ClusterSim {
             ycsb,
             ops: Vec::new(),
             users: Vec::new(),
-            io_ctx: HashMap::new(),
+            io_ctx: FastMap::default(),
             engines,
             btree,
-            fresh_at: HashMap::new(),
+            fresh_at: FastMap::default(),
             noise_rng,
             net_rng,
             fault_clock,
@@ -820,27 +818,20 @@ impl ClusterSim {
                 }
             }
         }
-        // Noise schedules.
-        let starts: Vec<(usize, usize, usize, SimTime)> = self
-            .cfg
-            .noise
-            .iter()
-            .enumerate()
-            .flat_map(|(stream, ns)| {
-                ns.schedules
-                    .iter()
-                    .enumerate()
-                    .flat_map(move |(node, bursts)| {
-                        bursts
-                            .iter()
-                            .enumerate()
-                            .map(move |(idx, b)| (stream, node, idx, b.start))
-                    })
-            })
-            .collect();
-        for (stream, node, idx, start) in starts {
-            self.q.schedule(start, Ev::NoiseBurst { stream, node, idx });
-        }
+        // Noise schedules: thousands of pre-generated bursts, kept out of
+        // the heap in the calendar's presorted lane.
+        let bursts = self.cfg.noise.iter().enumerate().flat_map(|(stream, ns)| {
+            ns.schedules
+                .iter()
+                .enumerate()
+                .flat_map(move |(node, bursts)| {
+                    bursts
+                        .iter()
+                        .enumerate()
+                        .map(move |(idx, b)| (b.start, Ev::NoiseBurst { stream, node, idx }))
+                })
+        });
+        self.q.preload(bursts);
         // Background streams.
         for (stream, (node, ios)) in self.cfg.background.iter().enumerate() {
             if !ios.is_empty() {

@@ -13,10 +13,8 @@
 //! misclassified population, which the paper reports as <3 ms for disk and
 //! <1 ms for SSD.
 
-use std::collections::HashMap;
-
 use mitt_device::IoId;
-use mitt_sim::{Duration, OnlineStats};
+use mitt_sim::{Duration, FastMap, OnlineStats};
 
 /// One audited in-flight IO.
 #[derive(Debug, Clone, Copy)]
@@ -29,7 +27,7 @@ struct AuditRec {
 /// Tallies prediction accuracy over a run.
 #[derive(Debug, Default)]
 pub struct AccuracyAudit {
-    open: HashMap<IoId, AuditRec>,
+    open: FastMap<IoId, AuditRec>,
     true_pos: u64,
     true_neg: u64,
     false_pos: u64,

@@ -20,12 +20,10 @@
 //! lower-priority ones, and IOs whose tolerable time goes negative are
 //! cancelled with a late EBUSY.
 
-use std::collections::{HashMap, HashSet};
-
 use mitt_device::{BlockIo, IoClass, IoId, ProcessId};
 use mitt_faults::FaultClock;
 use mitt_prof::{Phase, ProfSink};
-use mitt_sim::{Duration, SimTime};
+use mitt_sim::{Duration, FastMap, FastSet, SimTime};
 use mitt_trace::{EventKind, Resource, Subsystem, TraceSink};
 use mitt_tsl::TslSink;
 
@@ -76,13 +74,13 @@ pub struct MittCfq {
     hop: Duration,
     /// Device mirror, as in MittNoop.
     device_free_ns: i64,
-    device_pending: HashMap<IoId, i64>,
+    device_pending: FastMap<IoId, i64>,
     last_tail: u64,
     /// CFQ-queue ledger.
-    queued: HashMap<IoId, QueuedRec>,
-    node_totals: HashMap<(u8, ProcessId), NodeTotal>,
+    queued: FastMap<IoId, QueuedRec>,
+    node_totals: FastMap<(u8, ProcessId), NodeTotal>,
     /// Tolerable-time hash table: bucket (ms) -> deadline IOs in it.
-    tolerable: HashMap<i64, HashSet<IoId>>,
+    tolerable: FastMap<i64, FastSet<IoId>>,
     admitted: u64,
     rejected: u64,
     bumped_total: u64,
@@ -99,11 +97,11 @@ impl MittCfq {
             profile,
             hop,
             device_free_ns: 0,
-            device_pending: HashMap::new(),
+            device_pending: FastMap::default(),
             last_tail: 0,
-            queued: HashMap::new(),
-            node_totals: HashMap::new(),
-            tolerable: HashMap::new(),
+            queued: FastMap::default(),
+            node_totals: FastMap::default(),
+            tolerable: FastMap::default(),
             admitted: 0,
             rejected: 0,
             bumped_total: 0,
@@ -297,7 +295,7 @@ impl MittCfq {
             }
         }
         // Sort by IoId so the cancellation order (and hence the bumped-EBUSY
-        // event order seen by callers) never depends on HashMap layout.
+        // event order seen by callers) never depends on hash-map layout.
         moves.sort_unstable_by_key(|&(id, _, _)| id);
         let mut bumped = Vec::new();
         for (id, old_bucket, new_tol) in moves {

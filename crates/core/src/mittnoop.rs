@@ -15,12 +15,10 @@
 //! other tenants' — the host OS sees them all); IOs without a deadline are
 //! always admitted but still accounted.
 
-use std::collections::HashMap;
-
 use mitt_device::{BlockIo, IoId};
 use mitt_faults::FaultClock;
 use mitt_prof::{Phase, ProfSink};
-use mitt_sim::{Duration, SimTime};
+use mitt_sim::{Duration, FastMap, SimTime};
 use mitt_trace::{EventKind, Resource, Subsystem, TraceSink};
 use mitt_tsl::TslSink;
 
@@ -37,7 +35,7 @@ pub struct MittNoop {
     /// End offset of the last admitted IO: the predicted head position.
     last_tail: u64,
     /// Predicted service of each admitted, not-yet-completed IO.
-    pending: HashMap<IoId, i64>,
+    pending: FastMap<IoId, i64>,
     rejected: u64,
     admitted: u64,
     trace: TraceSink,
@@ -54,7 +52,7 @@ impl MittNoop {
             hop,
             next_free_ns: 0,
             last_tail: 0,
-            pending: HashMap::new(),
+            pending: FastMap::default(),
             rejected: 0,
             admitted: 0,
             trace: TraceSink::disabled(),

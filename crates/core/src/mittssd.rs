@@ -14,12 +14,10 @@
 //! For a striped multi-page request, if *any* sub-page violates the
 //! deadline the whole request is rejected and nothing is submitted.
 
-use std::collections::HashMap;
-
 use mitt_device::{BlockIo, IoId, IoKind, SsdSpec};
 use mitt_faults::FaultClock;
 use mitt_prof::{Phase, ProfSink};
-use mitt_sim::{Duration, SimTime};
+use mitt_sim::{Duration, FastMap, SimTime};
 use mitt_trace::{EventKind, Resource, Subsystem, TraceSink};
 use mitt_tsl::TslSink;
 
@@ -43,7 +41,7 @@ pub struct MittSsd {
     chan_outstanding: Vec<u32>,
     /// Mirror of each chip's append pointer, for program-time prediction.
     append_page: Vec<u32>,
-    pending: HashMap<(IoId, u32), SubRec>,
+    pending: FastMap<(IoId, u32), SubRec>,
     admitted: u64,
     rejected: u64,
     trace: TraceSink,
@@ -66,7 +64,7 @@ impl MittSsd {
             chip_free_ns: vec![0; spec.num_chips()],
             chan_outstanding: vec![0; spec.channels],
             append_page: vec![0; spec.num_chips()],
-            pending: HashMap::new(),
+            pending: FastMap::default(),
             admitted: 0,
             rejected: 0,
             trace: TraceSink::disabled(),

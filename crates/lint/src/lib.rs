@@ -13,7 +13,7 @@
 //! |------|---------|
 //! | D001 | wall-clock use (`Instant`, `SystemTime`) outside this crate |
 //! | D002 | ambient entropy (`rand::`, `thread_rng`, ...) outside `simcore::rng` |
-//! | D003 | order-dependent `HashMap`/`HashSet` iteration in non-test code |
+//! | D003 | order-dependent `HashMap`/`HashSet`/`FastMap`/`FastSet` iteration in non-test code |
 //! | D004 | `thread::sleep`/`std::process`/`env::var` in simulation crates |
 //! | R001 | `unwrap()`/`expect()` in library code of simcore/core/sched/device |
 //! | S001 | undocumented `pub` items in simcore/core |

@@ -631,6 +631,14 @@ const ITER_METHODS: [&str; 7] = [
     "drain",
 ];
 
+/// Hash-container type names: std's, and `mitt_sim::hash`'s deterministic
+/// aliases (whose iteration order is just as unspecified).
+const HASH_CONTAINERS: [&str; 4] = ["HashMap", "HashSet", "FastMap", "FastSet"];
+
+fn is_hash_container(t: &Token) -> bool {
+    HASH_CONTAINERS.iter().any(|n| t.is(n))
+}
+
 /// Integer types whose `+=` accumulation is order-insensitive.
 const INT_TYPES: [&str; 12] = [
     "i8", "i16", "i32", "i64", "i128", "isize", "u8", "u16", "u32", "u64", "u128", "usize",
@@ -747,8 +755,9 @@ fn d003_trigger(ctx: &Ctx<'_>, i: usize, names: &[String]) -> Option<(usize, Str
     None
 }
 
-/// Collects identifiers bound to `HashMap`/`HashSet` in this file: typed
-/// bindings/fields (`name: HashMap<...>`), inferred constructor bindings
+/// Collects identifiers bound to a hash container ([`HASH_CONTAINERS`]) in
+/// this file: typed bindings/fields (`name: HashMap<...>`), inferred
+/// constructor bindings
 /// (`let name = HashMap::new()`), and bindings of calls to local functions
 /// declared to return a hash container (`let name = build_index()`).
 fn hash_container_names(ctx: &Ctx<'_>) -> Vec<String> {
@@ -761,7 +770,7 @@ fn hash_container_names(ctx: &Ctx<'_>) -> Vec<String> {
     };
     for i in 0..toks.len() {
         let t = &toks[i];
-        if !(t.is("HashMap") || t.is("HashSet")) {
+        if !is_hash_container(t) {
             continue;
         }
         // `name: [&][mut] HashMap<` (field, param, or ascribed let).
@@ -778,7 +787,8 @@ fn hash_container_names(ctx: &Ctx<'_>) -> Vec<String> {
                 push_unique(&mut names, &toks[j - 2].text);
             }
         }
-        // `let [mut] name = HashMap::new()` / `::with_capacity` / `::default`.
+        // `let [mut] name = HashMap::new()` / `::with_capacity` /
+        // `FastMap::default()`.
         if toks.get(i + 1).map(|n| n.is_punct("::")).unwrap_or(false)
             && i >= 2
             && toks[i - 1].is_punct("=")
@@ -810,8 +820,8 @@ fn hash_container_names(ctx: &Ctx<'_>) -> Vec<String> {
     names
 }
 
-/// Names of functions declared in this file whose signature returns a
-/// `HashMap`/`HashSet`, directly or wrapped (`Option<HashMap<..>>`,
+/// Names of functions declared in this file whose signature returns a hash
+/// container, directly or wrapped (`Option<HashMap<..>>`,
 /// `&HashMap<..>`). Token-based, so rustfmt-wrapped signatures just work.
 fn hash_returning_fns(ctx: &Ctx<'_>) -> Vec<String> {
     let toks = ctx.toks();
@@ -830,11 +840,7 @@ fn hash_returning_fns(ctx: &Ctx<'_>) -> Vec<String> {
             }
         }
         let Some(arrow) = arrow else { continue };
-        if toks[arrow..sig_end]
-            .iter()
-            .any(|t| t.is("HashMap") || t.is("HashSet"))
-            && !fns.contains(&f.name)
-        {
+        if toks[arrow..sig_end].iter().any(is_hash_container) && !fns.contains(&f.name) {
             fns.push(f.name.clone());
         }
     }
@@ -849,7 +855,7 @@ impl<'a> Ctx<'a> {
 
 /// True when the statement `[s, e]` ends in an order-insensitive sink:
 /// `count`/`sum`/`product`, argument-free `min()`/`max()`, `any(`/`all(`,
-/// any `.sort*`, or a collect into a `HashSet`/`HashMap`/`BTreeMap`.
+/// any `.sort*`, or a collect into a hash container or a `BTreeMap`.
 fn stmt_has_order_insensitive_sink(ctx: &Ctx<'_>, s: usize, e: usize) -> bool {
     let toks = ctx.toks();
     for i in s..=e.min(toks.len().saturating_sub(1)) {
@@ -869,7 +875,7 @@ fn stmt_has_order_insensitive_sink(ctx: &Ctx<'_>, s: usize, e: usize) -> bool {
                 && ctx.matches(i + 2, &["::", "<"])
                 && toks
                     .get(i + 4)
-                    .map(|t| t.is("HashSet") || t.is("HashMap") || t.is("BTreeMap"))
+                    .map(|t| is_hash_container(t) || t.is("BTreeMap"))
                     .unwrap_or(false));
         if insensitive {
             return true;

@@ -281,6 +281,34 @@ fn d003_exempts_collect_then_sort_across_statements() {
 }
 
 #[test]
+fn d003_sees_fast_hash_containers() {
+    // `mitt_sim::hash`'s deterministic aliases still iterate in an
+    // unspecified order: typed fields, params and `::default()` bindings
+    // are all tracked.
+    let src = "struct S { m: FastMap<u64, u64>, out: Vec<u64> }\n\
+               impl S { fn f(&mut self) { for (k, _) in &self.m { self.out.push(*k); } } }\n";
+    assert_eq!(lint_rules("cluster", src), vec![Rule::D003]);
+    let src = "fn f(s: &FastSet<u64>) -> Vec<u64> { s.iter().copied().collect() }\n";
+    assert_eq!(lint_rules("core", src), vec![Rule::D003]);
+    let src = "fn f() -> Vec<u64> {\n\
+               let m = FastMap::default();\n\
+               m.keys().copied().collect()\n\
+               }\n";
+    assert_eq!(lint_rules("lsm", src), vec![Rule::D003]);
+    // Collect-then-sort is order-free, exactly as for `HashMap`.
+    let src = "fn f(m: &FastMap<u64, u64>) {\n\
+               let mut all: Vec<u64> = m.keys().copied().collect();\n\
+               all.sort_unstable();\n\
+               }\n";
+    assert!(lint_rules("oscache", src).is_empty());
+    // So is a collect into another hash container.
+    let src = "fn f(m: &HashMap<u64, u64>) -> FastSet<u64> {\n\
+               m.keys().copied().collect::<FastSet<u64>>()\n\
+               }\n";
+    assert!(lint_rules("core", src).is_empty());
+}
+
+#[test]
 fn d003_exempts_commutative_integer_accumulation() {
     let src = "struct S { m: HashMap<u64, i64> }\n\
                impl S { fn f(&self) -> i64 {\n\

@@ -1,6 +1,8 @@
 //! The LSM engine: memtable, leveled tables, table cache, compaction.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
+
+use mitt_sim::FastMap;
 
 use crate::sstable::{SsTable, TableId, BLOCK_SIZE, INDEX_SIZE};
 
@@ -140,13 +142,13 @@ pub struct LsmEngine {
     /// by key range and non-overlapping.
     levels: Vec<Vec<SsTable>>,
     /// Keys captured by each L0 table (from its flush).
-    l0_keys: HashMap<TableId, BTreeSet<u64>>,
+    l0_keys: FastMap<TableId, BTreeSet<u64>>,
     memtable: BTreeSet<u64>,
     memtable_bytes: u64,
     /// Keys whose residence level changed since preload (flush/compact).
-    overrides: HashMap<u64, u8>,
+    overrides: FastMap<u64, u8>,
     /// Table cache: table id -> LRU stamp.
-    cache: HashMap<TableId, u64>,
+    cache: FastMap<TableId, u64>,
     cache_stamp: u64,
     next_table: u64,
     alloc_cursor: u64,
@@ -163,11 +165,11 @@ impl LsmEngine {
         assert!(cfg.keyspace > 0, "empty keyspace");
         let mut engine = LsmEngine {
             levels: vec![Vec::new(); cfg.levels as usize + 1],
-            l0_keys: HashMap::new(),
+            l0_keys: FastMap::default(),
             memtable: BTreeSet::new(),
             memtable_bytes: 0,
-            overrides: HashMap::new(),
-            cache: HashMap::new(),
+            overrides: FastMap::default(),
+            cache: FastMap::default(),
             cache_stamp: 0,
             next_table: 0,
             alloc_cursor: 0,

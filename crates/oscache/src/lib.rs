@@ -25,9 +25,9 @@
 //! assert!(cache.addrcheck(0, 8192).contended);
 //! ```
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
-use mitt_sim::{Duration, SimRng};
+use mitt_sim::{Duration, FastMap, FastSet, SimRng};
 
 /// Result of checking one page's residency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,11 +81,11 @@ impl Default for PageCacheConfig {
 pub struct PageCache {
     cfg: PageCacheConfig,
     /// page -> LRU stamp.
-    pages: HashMap<u64, u64>,
+    pages: FastMap<u64, u64>,
     /// LRU stamp -> page (oldest first).
     order: BTreeMap<u64, u64>,
     /// Pages that have ever been resident.
-    ever_resident: HashSet<u64>,
+    ever_resident: FastSet<u64>,
     stamp: u64,
     hits: u64,
     misses: u64,
@@ -96,9 +96,9 @@ impl PageCache {
     pub fn new(cfg: PageCacheConfig) -> Self {
         PageCache {
             cfg,
-            pages: HashMap::new(),
+            pages: FastMap::default(),
             order: BTreeMap::new(),
-            ever_resident: HashSet::new(),
+            ever_resident: FastSet::default(),
             stamp: 0,
             hits: 0,
             misses: 0,
@@ -174,7 +174,7 @@ impl PageCache {
         let check = self.addrcheck(offset, len);
         if check.resident {
             self.hits += 1;
-            // (Named `spanned`, not `pages`: the `pages` field is a HashMap
+            // (Named `spanned`, not `pages`: the `pages` field is a FastMap
             // and shadowing its name trips the D003 iteration lint.)
             let spanned: Vec<u64> = self.pages_of(offset, len).collect();
             for page in spanned {
@@ -218,7 +218,7 @@ impl PageCache {
     pub fn swap_out_fraction(&mut self, fraction: f64, rng: &mut SimRng) -> usize {
         let n = ((self.pages.len() as f64) * fraction.clamp(0.0, 1.0)) as usize;
         let mut all: Vec<u64> = self.pages.keys().copied().collect();
-        all.sort_unstable(); // HashMap order is nondeterministic; fix it.
+        all.sort_unstable(); // Hash-map order is unspecified; fix it.
         rng.shuffle(&mut all);
         for &page in all.iter().take(n) {
             if let Some(stamp) = self.pages.remove(&page) {

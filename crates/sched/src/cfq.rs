@@ -14,12 +14,12 @@
 //! burst — the exact hazard that forces MittCFQ to re-check accepted IOs
 //! via its tolerable-time table.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use mitt_device::{BlockIo, Disk, FinishedIo, IoClass, IoId, NoInflight, ProcessId};
 use mitt_faults::FaultClock;
 use mitt_prof::{Phase, ProfSink};
-use mitt_sim::SimTime;
+use mitt_sim::{FastMap, SimTime};
 use mitt_trace::{EventKind, Subsystem, TraceSink};
 use mitt_tsl::TslSink;
 
@@ -87,7 +87,7 @@ pub struct Cfq {
     cfg: CfqConfig,
     trees: [Tree; 3],
     /// IoId -> (tree index, owner, offset): exact location for O(1) cancel.
-    index: HashMap<IoId, (usize, ProcessId, u64)>,
+    index: FastMap<IoId, (usize, ProcessId, u64)>,
     in_device: usize,
     trace: TraceSink,
     faults: FaultClock,
@@ -101,7 +101,7 @@ impl Cfq {
         Cfq {
             cfg,
             trees: Default::default(),
-            index: HashMap::new(),
+            index: FastMap::default(),
             in_device: 0,
             trace: TraceSink::disabled(),
             faults: FaultClock::disabled(),
@@ -198,6 +198,14 @@ impl Cfq {
     pub fn in_device(&self) -> usize {
         self.in_device
     }
+
+    /// Publishes the `sched.queued` gauge. Counting walks every tree's
+    /// round-robin queue, so it runs only when tracing is on.
+    fn gauge_queued(&self) {
+        if self.trace.is_enabled() {
+            self.trace.gauge("sched.queued", self.queued() as i64);
+        }
+    }
 }
 
 impl DiskScheduler for Cfq {
@@ -229,7 +237,7 @@ impl DiskScheduler for Cfq {
             node.queue.insert((io.offset, io.id), io);
         }
         let out = self.dispatch(disk, now);
-        self.trace.gauge("sched.queued", self.queued() as i64);
+        self.gauge_queued();
         out
     }
 
@@ -244,7 +252,7 @@ impl DiskScheduler for Cfq {
         self.in_device = self.in_device.saturating_sub(1);
         let mut out = self.dispatch(disk, now);
         out.started = started.or(out.started);
-        self.trace.gauge("sched.queued", self.queued() as i64);
+        self.gauge_queued();
         Ok((finished, out))
     }
 

@@ -6,6 +6,8 @@
 //!
 //! - [`SimTime`] / [`Duration`]: nanosecond-resolution virtual time.
 //! - [`EventQueue`]: the event calendar with a deterministic tie-break.
+//! - [`FastMap`] / [`FastSet`] ([`hash`]): deterministic, fast-hashing maps
+//!   for the per-IO state keyed by integers.
 //! - [`SimRng`]: a seedable, forkable xoshiro256** PRNG, plus the
 //!   distributions ([`dist`]) used by workload and noise generators.
 //! - [`LatencyRecorder`] and friends ([`stats`]): exact percentile/CDF
@@ -21,6 +23,7 @@
 
 pub mod digest;
 pub mod dist;
+pub mod hash;
 pub mod queue;
 pub mod rng;
 pub mod stats;
@@ -28,7 +31,8 @@ pub mod time;
 
 pub use digest::Fnv1a;
 pub use dist::Distribution;
-pub use queue::{EventId, EventQueue};
+pub use hash::{FastMap, FastSet};
+pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use stats::{reduction_pct, LatencyRecorder, OnlineStats, P2Quantile, TimeHistogram};
 pub use time::{Duration, SimTime};

@@ -38,36 +38,6 @@ proptest! {
         prop_assert_eq!(popped, (0..n).collect::<Vec<_>>());
     }
 
-    /// Cancelling an arbitrary subset never delivers a cancelled event and
-    /// always delivers the rest.
-    #[test]
-    fn cancellation_is_exact(
-        times in prop::collection::vec(0u64..10_000, 1..100),
-        cancel_mask in prop::collection::vec(any::<bool>(), 1..100),
-    ) {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| q.schedule(SimTime::from_nanos(t), i))
-            .collect();
-        let mut cancelled = Vec::new();
-        for (i, id) in ids.iter().enumerate() {
-            if *cancel_mask.get(i).unwrap_or(&false) {
-                q.cancel(*id);
-                cancelled.push(i);
-            }
-        }
-        let mut delivered = Vec::new();
-        while let Some((_, e)) = q.pop() {
-            delivered.push(e);
-        }
-        for c in &cancelled {
-            prop_assert!(!delivered.contains(c));
-        }
-        prop_assert_eq!(delivered.len() + cancelled.len(), times.len());
-    }
-
     /// Quantiles are monotone in q and bounded by min/max.
     #[test]
     fn quantiles_are_monotone(samples in prop::collection::vec(0u64..10_000_000, 2..300)) {

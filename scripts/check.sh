@@ -4,8 +4,9 @@
 # are deny-level, so this doubles as the warning gate), the mitt-lint
 # determinism/invariant scan, the test suite (which itself re-runs the
 # lint via tests/lint.rs and the double-run digest check via
-# tests/determinism.rs), the mitt-trace unit tests, and a traced-run
-# smoke test that exports a Chrome trace and validates it as JSON.
+# tests/determinism.rs), the mitt-trace unit tests, the perf benchmark's
+# smoke test, and a traced-run smoke test that exports a Chrome trace and
+# validates it as JSON.
 #
 # Usage: scripts/check.sh   (from anywhere inside the repo)
 set -eu
@@ -53,6 +54,14 @@ cargo test -q
 
 echo "== cargo test -q -p mitt-trace"
 cargo test -q -p mitt-trace
+
+echo "== perf smoke (the benchmark declared in BENCHMARK.json)"
+# perf is a package of its own, so the workspace test run above skips it.
+# Its smoke test runs every workload at tiny size, runs the self-checks
+# (every op completes, MittOS issues EBUSY and beats Base at p99) and
+# checks the metric names against BENCHMARK.json: an engine change that
+# breaks the benchmark's use of the simulator API fails here.
+cargo test -q --offline --manifest-path crates/bench/src/bin/perf/Cargo.toml
 
 echo "== trace_run smoke (Chrome trace export)"
 trace_out="$(mktemp /tmp/trace_run.XXXXXX.json)"

@@ -473,6 +473,66 @@ fn tsl_export_and_flight_dumps_are_byte_identical_across_runs() {
     }
 }
 
+/// Run digests pinned at a known-good commit. The double-run tests above
+/// only compare two runs of the same build, so a change that alters
+/// behaviour but stays deterministic passes them; these constants catch it.
+/// An engine change that claims "same behaviour" must leave every one of
+/// them untouched.
+///
+/// To regenerate after a deliberate behaviour change, run
+/// `cargo test --test determinism golden -- --nocapture`: the failure
+/// message lists every run's current digest in this table's format.
+const GOLDEN_DIGESTS: [(&str, u64); 7] = [
+    ("config/base/21", 0x218c0b21de18c9c0),
+    ("config/mittos/21", 0xad50989445b3df27),
+    ("ssd_config/23", 0x396929dd2f56f4a3),
+    ("lsm_config/24", 0xba7c0752704e9515),
+    ("faulted_config/26", 0xd2377d93699c377e),
+    ("chaos_config+tsl/34", 0xdd80e2c86b8268ae),
+    ("chrome_export/config/25", 0x3225449ab1abe32b),
+];
+
+fn golden_run_digests() -> Vec<(&'static str, u64)> {
+    let mittos = Strategy::MittOs {
+        deadline: Duration::from_millis(15),
+    };
+    let digest_of = |cfg: ExperimentConfig| {
+        let mut h = Fnv1a::new();
+        fold_result(&mut h, &run_experiment(cfg));
+        h.finish()
+    };
+    let mut chaos = chaos_config(34);
+    chaos.tsl = Some(TslConfig::default());
+    let traced = run_experiment(config(25, mittos.clone()));
+    let mut export = Fnv1a::new();
+    export.write_str(&traced.trace.export_chrome_json());
+    export.write_str(&traced.trace.report_text());
+    vec![
+        ("config/base/21", digest_of(config(21, Strategy::Base))),
+        ("config/mittos/21", digest_of(config(21, mittos))),
+        ("ssd_config/23", digest_of(ssd_config(23))),
+        ("lsm_config/24", digest_of(lsm_config(24))),
+        ("faulted_config/26", digest_of(faulted_config(26))),
+        ("chaos_config+tsl/34", digest_of(chaos)),
+        ("chrome_export/config/25", export.finish()),
+    ]
+}
+
+#[test]
+fn golden_digests_are_unchanged() {
+    let got = golden_run_digests();
+    let table: String = got
+        .iter()
+        .map(|(name, d)| format!("    (\"{name}\", {d:#018x}),\n"))
+        .collect();
+    let pinned: Vec<(&str, u64)> = GOLDEN_DIGESTS.to_vec();
+    assert_eq!(
+        pinned, got,
+        "run digests drifted from the pinned goldens; if the behaviour change \
+         is deliberate, replace GOLDEN_DIGESTS with:\n{table}"
+    );
+}
+
 #[test]
 fn different_seed_different_digest() {
     // Sanity check that the digest actually covers the run: if it never
