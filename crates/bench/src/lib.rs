@@ -21,8 +21,9 @@
 //! ```
 //!
 //! `MITT_OPS=<n>` scales user requests per client down for smoke runs.
-//! Criterion micro-benches (`cargo bench`) cover the §4 overhead claims:
-//! O(1)/O(P) prediction cost, addrcheck cost, scheduler and device ops.
+//! The §4 overhead claims (O(1)/O(P) prediction cost, addrcheck cost,
+//! scheduler and device ops) are measured by the layer drivers of the
+//! `perf` benchmark (`crates/bench/src/bin/perf`, run with `--trace 1`).
 
 pub mod flags;
 pub mod progress;

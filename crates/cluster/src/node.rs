@@ -22,17 +22,15 @@ use mitt_device::{
     BlockIo, Disk, DiskSpec, IoClass, IoId, IoIdGen, IoKind, NvramBuffer, ProcessId, Ssd, SsdSpec,
     Started, SubCompletion, SubIoKey,
 };
-use mitt_faults::FaultClock;
+use mitt_faults::NodeCtx;
 use mitt_oscache::{PageCache, PageCacheConfig};
-use mitt_prof::ProfSink;
 use mitt_sched::{Cfq, CfqConfig, DiskScheduler, Noop};
 use mitt_sim::{Duration, FastMap, FastSet, SimRng, SimTime};
 use mitt_trace::report::{CACHE_HIT_COUNTER, EBUSY_COUNTER, PREDICT_ERROR_HIST, SUBMIT_COUNTER};
-use mitt_trace::{EventKind, Resource, Subsystem, TraceSink};
-use mitt_tsl::TslSink;
+use mitt_trace::{EventKind, Resource, Subsystem};
 use mittos::{
-    decide, profile_disk, profile_ssd, CacheVerdict, Decision, DiskProfile, ErrorInjector,
-    MittCache, MittCfq, MittNoop, MittSsd, Slo, ADDRCHECK_COST,
+    admit, profile_disk, profile_ssd, Admission, CacheVerdict, Decision, DiskPredictor,
+    DiskProfile, ErrorInjector, MittCache, MittCfq, MittNoop, MittSsd, Slo, ADDRCHECK_COST,
 };
 
 use crate::cpu::{CpuConfig, CpuModel};
@@ -305,64 +303,10 @@ pub struct AuditPair {
     pub deadline: Duration,
 }
 
-enum DiskMitt {
-    Noop(MittNoop),
-    Cfq(MittCfq),
-}
-
-impl DiskMitt {
-    /// The admission-path wait estimate (distorted by any active
-    /// `PredictorBias` fault).
-    fn predicted_wait(&self, io: &BlockIo, now: SimTime) -> Duration {
-        match self {
-            DiskMitt::Noop(m) => m.distorted_wait(now),
-            DiskMitt::Cfq(m) => m.distorted_wait(io.class, io.priority, io.owner, now),
-        }
-    }
-
-    fn account(&mut self, io: &BlockIo, now: SimTime) -> Vec<IoId> {
-        match self {
-            DiskMitt::Noop(m) => {
-                m.account(io, now);
-                Vec::new()
-            }
-            DiskMitt::Cfq(m) => m.account(io, now),
-        }
-    }
-
-    fn on_dispatch(&mut self, id: IoId, now: SimTime) {
-        if let DiskMitt::Cfq(m) = self {
-            m.on_dispatch(id, now);
-        }
-    }
-
-    /// SLO-attribution context of a rejection decided at `now`.
-    fn attribution(&self, now: SimTime) -> (Resource, u64) {
-        match self {
-            DiskMitt::Noop(m) => m.attribution(now),
-            DiskMitt::Cfq(m) => m.attribution(now),
-        }
-    }
-
-    fn on_complete(&mut self, id: IoId, actual_service: Duration) {
-        match self {
-            DiskMitt::Noop(m) => m.on_complete(id, actual_service),
-            DiskMitt::Cfq(m) => m.on_complete(id, actual_service),
-        }
-    }
-
-    fn on_cancel(&mut self, id: IoId) {
-        match self {
-            DiskMitt::Noop(m) => m.on_cancel(id),
-            DiskMitt::Cfq(m) => m.on_cancel(id),
-        }
-    }
-}
-
 struct DiskStack {
     disk: Disk,
     sched: Box<dyn DiskScheduler>,
-    mitt: DiskMitt,
+    mitt: Box<dyn DiskPredictor>,
     nvram: Option<NvramBuffer>,
     profile: DiskProfile,
 }
@@ -391,6 +335,41 @@ struct OpenAudit {
     would_reject: bool,
 }
 
+/// What the node does with a predictor's raw verdict on a deadline IO:
+/// §7.6 audit mode records it and admits anyway; §7.7 error injection may
+/// flip it.
+struct Policy {
+    audit_mode: bool,
+    /// Audited IOs awaiting their actual wait.
+    open: FastMap<IoId, OpenAudit>,
+    injector: Option<ErrorInjector>,
+}
+
+impl Policy {
+    fn apply(&mut self, io: &BlockIo, raw: Decision) -> Decision {
+        let Some(deadline) = io.deadline else {
+            return raw;
+        };
+        if self.audit_mode {
+            self.open.insert(
+                io.id,
+                OpenAudit {
+                    predicted_wait: raw.predicted_wait(),
+                    deadline,
+                    would_reject: !raw.is_admit(),
+                },
+            );
+            return Decision::Admit {
+                predicted_wait: raw.predicted_wait(),
+            };
+        }
+        match &mut self.injector {
+            Some(inj) => inj.apply(raw),
+            None => raw,
+        }
+    }
+}
+
 /// One storage node.
 pub struct Node {
     /// Node index within the cluster.
@@ -400,17 +379,12 @@ pub struct Node {
     cache: Option<CacheStack>,
     cpu: Option<CpuModel>,
     ids: IoIdGen,
-    injector: Option<ErrorInjector>,
-    audit_mode: bool,
+    policy: Policy,
     disable_bump_cancel: bool,
-    audit_open: FastMap<IoId, OpenAudit>,
     audit_pairs: Vec<AuditPair>,
     fill_after_read: FastSet<IoId>,
-    hop: Duration,
     ebusy_times: Vec<SimTime>,
-    trace: TraceSink,
-    prof: ProfSink,
-    tsl: TslSink,
+    ctx: NodeCtx,
     /// Predicted wait of each admitted, traced IO, resolved against the
     /// actual wait at completion to feed the prediction-error histogram.
     pred_wait: FastMap<IoId, Duration>,
@@ -428,14 +402,14 @@ impl Node {
             let profile = profile_disk(&mut scratch, d.profile_samples, &mut prof_rng)
                 .expect("scratch disk is idle and exclusively owned");
             let disk = Disk::new(d.spec.clone(), rng.fork());
-            let (sched, mitt): (Box<dyn DiskScheduler>, DiskMitt) = match d.sched {
+            let (sched, mitt): (Box<dyn DiskScheduler>, Box<dyn DiskPredictor>) = match d.sched {
                 SchedKind::Noop => (
                     Box::new(Noop::new()),
-                    DiskMitt::Noop(MittNoop::new(profile, cfg.hop)),
+                    Box::new(MittNoop::new(profile, cfg.hop)),
                 ),
                 SchedKind::Cfq(ref c) => (
                     Box::new(Cfq::new(c.clone())),
-                    DiskMitt::Cfq(MittCfq::new(profile, cfg.hop)),
+                    Box::new(MittCfq::new(profile, cfg.hop)),
                 ),
             };
             DiskStack {
@@ -472,110 +446,37 @@ impl Node {
             cache,
             cpu: cfg.cpu.map(CpuModel::new),
             ids: IoIdGen::new(),
-            injector,
-            audit_mode: cfg.audit_mode,
+            policy: Policy {
+                audit_mode: cfg.audit_mode,
+                open: FastMap::default(),
+                injector,
+            },
             disable_bump_cancel: cfg.disable_bump_cancel,
-            audit_open: FastMap::default(),
             audit_pairs: Vec::new(),
             fill_after_read: FastSet::default(),
-            hop: cfg.hop,
             ebusy_times: Vec::new(),
-            trace: TraceSink::disabled(),
-            prof: ProfSink::disabled(),
-            tsl: TslSink::disabled(),
+            ctx: NodeCtx::disabled(),
             pred_wait: FastMap::default(),
         }
     }
 
-    /// Attaches a trace sink, tagging every event with this node's id and
-    /// propagating node-scoped handles to the predictors, the scheduler
-    /// and the disk so the whole stack records into one ring.
-    pub fn set_trace(&mut self, sink: &TraceSink) {
-        let sink = sink.for_node(self.id as u32);
+    /// Attaches the run's handles, tagged with this node's id, and hands
+    /// them to the scheduler, both devices and the cache check, so the
+    /// whole stack records into one ring. The predictors take none: the
+    /// shared admission path instruments their decisions from here.
+    pub fn set_ctx(&mut self, ctx: &NodeCtx) {
+        let ctx = ctx.for_node(self.id as u32);
         if let Some(ds) = &mut self.disk {
-            match &mut ds.mitt {
-                DiskMitt::Noop(m) => m.set_trace(sink.clone()),
-                DiskMitt::Cfq(m) => m.set_trace(sink.clone()),
-            }
-            ds.sched.set_trace(sink.clone());
-            ds.disk.set_trace(sink.clone());
+            ds.sched.set_ctx(ctx.clone());
+            ds.disk.set_ctx(ctx.clone());
         }
         if let Some(ss) = &mut self.ssd {
-            ss.mitt.set_trace(sink.clone());
+            ss.ssd.set_ctx(ctx.clone());
         }
         if let Some(cs) = &mut self.cache {
-            cs.mitt.set_trace(sink.clone());
+            cs.mitt.set_ctx(ctx.clone());
         }
-        self.trace = sink;
-    }
-
-    /// Attaches an engine profiling sink, fanning shared handles into the
-    /// predictors, the scheduler and both device models (mirroring
-    /// [`Node::set_trace`]). Profiling is pure observation: it must not
-    /// consume RNG draws or reorder events (digest-neutrality).
-    pub fn set_prof(&mut self, sink: &ProfSink) {
-        if let Some(ds) = &mut self.disk {
-            match &mut ds.mitt {
-                DiskMitt::Noop(m) => m.set_prof(sink.clone()),
-                DiskMitt::Cfq(m) => m.set_prof(sink.clone()),
-            }
-            ds.sched.set_prof(sink.clone());
-            ds.disk.set_prof(sink.clone());
-        }
-        if let Some(ss) = &mut self.ssd {
-            ss.ssd.set_prof(sink.clone());
-            ss.mitt.set_prof(sink.clone());
-        }
-        if let Some(cs) = &mut self.cache {
-            cs.mitt.set_prof(sink.clone());
-        }
-        self.prof = sink.clone();
-    }
-
-    /// Attaches a windowed-timeline sink, tagging it with this node's id
-    /// and fanning node-scoped handles into the predictors, the scheduler
-    /// and both devices (mirroring [`Node::set_trace`]). Timeline rollups
-    /// are pure observation: no events, no RNG (digest-neutrality).
-    pub fn set_tsl(&mut self, sink: &TslSink) {
-        let sink = sink.for_node(self.id as u32);
-        if let Some(ds) = &mut self.disk {
-            match &mut ds.mitt {
-                DiskMitt::Noop(m) => m.set_tsl(sink.clone()),
-                DiskMitt::Cfq(m) => m.set_tsl(sink.clone()),
-            }
-            ds.sched.set_tsl(sink.clone());
-            ds.disk.set_tsl(sink.clone());
-        }
-        if let Some(ss) = &mut self.ssd {
-            ss.ssd.set_tsl(sink.clone());
-            ss.mitt.set_tsl(sink.clone());
-        }
-        if let Some(cs) = &mut self.cache {
-            cs.mitt.set_tsl(sink.clone());
-        }
-        self.tsl = sink;
-    }
-
-    /// Attaches a fault clock, tagging it with this node's id and fanning
-    /// node-scoped handles into the devices, the scheduler and the
-    /// predictors (mirroring [`Node::set_trace`]).
-    pub fn set_faults(&mut self, clock: &FaultClock) {
-        let clock = clock.for_node(self.id as u32);
-        if let Some(ds) = &mut self.disk {
-            match &mut ds.mitt {
-                DiskMitt::Noop(m) => m.set_faults(clock.clone()),
-                DiskMitt::Cfq(m) => m.set_faults(clock.clone()),
-            }
-            ds.sched.set_faults(clock.clone());
-            ds.disk.set_faults(clock.clone());
-        }
-        if let Some(ss) = &mut self.ssd {
-            ss.ssd.set_faults(clock.clone());
-            ss.mitt.set_faults(clock.clone());
-        }
-        if let Some(cs) = &mut self.cache {
-            cs.mitt.set_faults(clock);
-        }
+        self.ctx = ctx;
     }
 
     /// Runs pre-IO request-handler CPU work; returns when the IO can start.
@@ -596,8 +497,8 @@ impl Node {
 
     /// Submits a read through the MittOS stack.
     pub fn submit_read(&mut self, req: &ReadReq, now: SimTime) -> Submission {
-        self.prof.io_submitted();
-        self.trace.count(SUBMIT_COUNTER, 1);
+        self.ctx.prof.io_submitted();
+        self.ctx.trace.count(SUBMIT_COUNTER, 1);
         // mmap/addrcheck path: consult the page cache first.
         if req.via_cache {
             if let Some(cs) = &mut self.cache {
@@ -606,8 +507,8 @@ impl Node {
                     CacheVerdict::Hit => {
                         cs.cache.access(req.offset, req.len);
                         let latency = cs.cache.config().hit_latency + ADDRCHECK_COST;
-                        self.trace.count(CACHE_HIT_COUNTER, 1);
-                        self.trace.emit(
+                        self.ctx.trace.count(CACHE_HIT_COUNTER, 1);
+                        self.ctx.trace.emit(
                             now,
                             Subsystem::Node,
                             EventKind::CacheHit {
@@ -622,22 +523,13 @@ impl Node {
                     }
                     CacheVerdict::Busy { refill } => {
                         let resource = cs.mitt.attribution(now);
-                        self.ebusy_times.push(now);
-                        self.trace.count(EBUSY_COUNTER, 1);
-                        self.trace.emit(
-                            now,
-                            Subsystem::Node,
-                            EventKind::Reject {
-                                io: req.offset,
-                                predicted_wait: Duration::MAX,
-                            },
-                        );
                         // MittCache emits no Predict event, so the
                         // attribution carries no predicted wait either.
-                        self.emit_attribution(
+                        self.reject(
                             req.offset,
-                            resource,
                             Duration::MAX,
+                            Duration::MAX,
+                            resource,
                             refill.len() as u64,
                             now,
                         );
@@ -680,7 +572,7 @@ impl Node {
         if let Some(d) = req.deadline {
             io = io.with_deadline(d);
         }
-        self.trace.emit(
+        self.ctx.trace.emit(
             now,
             Subsystem::Node,
             EventKind::Submit {
@@ -698,261 +590,161 @@ impl Node {
         }
     }
 
-    /// Records a predictor decision: the `predict` event plus the
-    /// subsystem's admit/reject counter. The *raw* verdict is recorded,
-    /// so audit mode and error injection do not distort predictor stats.
-    fn emit_predict(
-        &mut self,
-        sub: Subsystem,
-        io: &BlockIo,
-        wait: Duration,
-        admit: bool,
-        now: SimTime,
-    ) {
-        if !self.trace.is_enabled() {
-            return;
-        }
-        self.trace.emit(
-            now,
-            sub,
-            EventKind::Predict {
-                io: io.id.0,
-                predicted_wait: wait,
-                deadline: io.deadline,
-                admitted: admit,
-            },
-        );
-        let counter = if admit {
-            sub.admit_counter()
-        } else {
-            sub.reject_counter()
-        };
-        self.trace.count(counter, 1);
-    }
-
-    /// Emits the SLO-attribution companion of a Reject: one `Attribution`
-    /// event directly after the Reject in the ring (consumers pair them by
-    /// order) plus the per-resource counter. No-op when untraced.
-    fn emit_attribution(
+    /// Returns EBUSY for `io`: the node-level `Reject` event reporting
+    /// `wait`, directly followed by its SLO-attribution companion carrying
+    /// `attributed` (consumers pair them by order), plus the EBUSY and
+    /// per-resource counters.
+    fn reject(
         &mut self,
         io: u64,
+        wait: Duration,
+        attributed: Duration,
         resource: Resource,
-        predicted_wait: Duration,
         detail: u64,
         now: SimTime,
     ) {
-        if !self.trace.is_enabled() {
-            return;
-        }
-        self.trace.emit(
+        self.ebusy_times.push(now);
+        self.ctx.trace.count(EBUSY_COUNTER, 1);
+        self.ctx.trace.emit(
+            now,
+            Subsystem::Node,
+            EventKind::Reject {
+                io,
+                predicted_wait: wait,
+            },
+        );
+        self.ctx.trace.emit(
             now,
             Subsystem::Node,
             EventKind::Attribution {
                 io,
                 resource,
-                predicted_wait,
+                predicted_wait: attributed,
                 detail,
             },
         );
-        self.trace.count(resource.counter(), 1);
+        self.ctx.trace.count(resource.counter(), 1);
     }
 
-    /// Applies the audit/injection policy to a raw decision; returns the
-    /// final decision.
-    fn policy(&mut self, io: &BlockIo, raw: Decision) -> Decision {
-        if io.deadline.is_none() {
-            return raw;
-        }
-        if self.audit_mode {
-            let deadline = io.deadline.expect("checked above");
-            self.audit_open.insert(
-                io.id,
-                OpenAudit {
-                    predicted_wait: raw.predicted_wait(),
-                    deadline,
-                    would_reject: !raw.is_admit(),
-                },
-            );
-            return Decision::Admit {
-                predicted_wait: raw.predicted_wait(),
-            };
-        }
-        match &mut self.injector {
-            Some(inj) => inj.apply(raw),
-            None => raw,
+    /// Settles the verdict of a storage admission: a rejection becomes
+    /// EBUSY and the returned submission; an admitted IO's predicted wait
+    /// is kept for its prediction-error sample.
+    fn settle(&mut self, io: &BlockIo, adm: &Admission, now: SimTime) -> Option<Submission> {
+        match adm.decision {
+            Decision::Reject { predicted_wait } => {
+                let (resource, detail) = (adm.resource, adm.detail);
+                self.reject(
+                    io.id.0,
+                    predicted_wait,
+                    predicted_wait,
+                    resource,
+                    detail,
+                    now,
+                );
+                Some(Submission {
+                    outcome: ReadOutcome::Busy {
+                        predicted_wait,
+                        resource,
+                        ticks: Ticks::default(),
+                    },
+                    bumped: Vec::new(),
+                })
+            }
+            Decision::Admit { predicted_wait } => {
+                if self.ctx.trace.is_enabled() {
+                    self.pred_wait.insert(io.id, predicted_wait);
+                }
+                None
+            }
         }
     }
 
     fn submit_disk(&mut self, req: &ReadReq, kind: IoKind, now: SimTime) -> Submission {
         let io = self.build_io(req, kind, now);
         let ds = self.disk.as_mut().expect("node has no disk stack");
-        let wait = ds.mitt.predicted_wait(&io, now);
-        let slo = io.deadline.map(Slo::deadline);
-        let raw = decide(wait, slo, self.hop);
-        let sub = match ds.mitt {
-            DiskMitt::Noop(_) => Subsystem::MittNoop,
-            DiskMitt::Cfq(_) => Subsystem::MittCfq,
-        };
-        self.emit_predict(sub, &io, wait, raw.is_admit(), now);
-        let decision = self.policy(&io, raw);
+        let policy = &mut self.policy;
+        let adm = admit(ds.mitt.as_mut(), &io, now, &self.ctx, |io, raw| {
+            policy.apply(io, raw)
+        });
+        if let Some(busy) = self.settle(&io, &adm, now) {
+            return busy;
+        }
+        let mut bumped = adm.bumped;
+        if self.disable_bump_cancel {
+            // Ablation: pretend the tolerable-time table does not exist —
+            // bumped IOs stay queued and miss silently.
+            bumped.clear();
+        }
+        if self.policy.audit_mode {
+            // EBUSY is not enforced in audit mode: bumped IOs keep running,
+            // but their predictions flip to "would reject".
+            for id in bumped.drain(..) {
+                if let Some(a) = self.policy.open.get_mut(&id) {
+                    a.would_reject = true;
+                }
+            }
+        }
         let ds = self.disk.as_mut().expect("node has no disk stack");
-        match decision {
-            Decision::Reject { predicted_wait } => {
-                let (resource, depth) = ds.mitt.attribution(now);
-                self.tsl.record_reject(now, resource);
-                self.ebusy_times.push(now);
-                self.trace.count(EBUSY_COUNTER, 1);
-                self.trace.emit(
-                    now,
-                    Subsystem::Node,
-                    EventKind::Reject {
-                        io: io.id.0,
-                        predicted_wait,
-                    },
-                );
-                self.emit_attribution(io.id.0, resource, predicted_wait, depth, now);
-                Submission {
-                    outcome: ReadOutcome::Busy {
-                        predicted_wait,
-                        resource,
-                        ticks: Ticks::default(),
-                    },
-                    bumped: Vec::new(),
-                }
-            }
-            Decision::Admit { .. } => {
-                self.tsl.record_admit(now);
-                if self.trace.is_enabled() {
-                    self.pred_wait.insert(io.id, wait);
-                }
-                let mut bumped = ds.mitt.account(&io, now);
-                if self.disable_bump_cancel {
-                    // Ablation: pretend the tolerable-time table does not
-                    // exist — bumped IOs stay queued and miss silently.
-                    bumped.clear();
-                }
-                if self.audit_mode {
-                    // EBUSY is not enforced in audit mode: bumped IOs keep
-                    // running, but their predictions flip to "would reject".
-                    for id in bumped.drain(..) {
-                        if let Some(a) = self.audit_open.get_mut(&id) {
-                            a.would_reject = true;
-                        }
-                    }
-                } else {
-                    let (resource, depth) = ds.mitt.attribution(now);
-                    for id in &bumped {
-                        ds.sched.cancel(*id);
-                        self.tsl.record_reject(now, resource);
-                        self.ebusy_times.push(now);
-                        self.trace.count(EBUSY_COUNTER, 1);
-                        self.trace.emit(
-                            now,
-                            Subsystem::Node,
-                            EventKind::Reject {
-                                io: id.0,
-                                predicted_wait: Duration::MAX,
-                            },
-                        );
-                        // The bumped IO's own Predict event carried its
-                        // admission-time wait; attribute with that value.
-                        let pw = self.pred_wait.remove(id).unwrap_or(Duration::MAX);
-                        if self.trace.is_enabled() {
-                            self.trace.emit(
-                                now,
-                                Subsystem::Node,
-                                EventKind::Attribution {
-                                    io: id.0,
-                                    resource,
-                                    predicted_wait: pw,
-                                    detail: depth,
-                                },
-                            );
-                            self.trace.count(resource.counter(), 1);
-                        }
-                    }
-                }
-                let io_id = io.id;
-                let out = ds.sched.enqueue(io, &mut ds.disk, now);
-                for id in &out.dispatched {
-                    ds.mitt.on_dispatch(*id, now);
-                }
-                Submission {
-                    outcome: ReadOutcome::Submitted {
-                        io: io_id,
-                        ticks: Ticks {
-                            disk: out.started,
-                            ssd: Vec::new(),
-                        },
-                    },
-                    bumped,
-                }
-            }
+        for id in &bumped {
+            ds.sched.cancel(*id);
+        }
+        for &id in &bumped {
+            self.ctx.tsl.record_reject(now, adm.resource);
+            // The bumped IO's own Predict event carried its admission-time
+            // wait; attribute with that value.
+            let pw = self.pred_wait.remove(&id).unwrap_or(Duration::MAX);
+            self.reject(id.0, Duration::MAX, pw, adm.resource, adm.detail, now);
+        }
+        let ds = self.disk.as_mut().expect("node has no disk stack");
+        let io_id = io.id;
+        let out = ds.sched.enqueue(io, &mut ds.disk, now);
+        for id in &out.dispatched {
+            ds.mitt.on_dispatch(*id, now);
+        }
+        Submission {
+            outcome: ReadOutcome::Submitted {
+                io: io_id,
+                ticks: Ticks {
+                    disk: out.started,
+                    ssd: Vec::new(),
+                },
+            },
+            bumped,
         }
     }
 
     fn submit_ssd(&mut self, req: &ReadReq, kind: IoKind, now: SimTime) -> Submission {
         let io = self.build_io(req, kind, now);
         let ss = self.ssd.as_mut().expect("node has no SSD stack");
-        let wait = ss.mitt.distorted_wait(&io, now);
-        let slo = io.deadline.map(Slo::deadline);
-        let raw = decide(wait, slo, self.hop);
-        self.emit_predict(Subsystem::MittSsd, &io, wait, raw.is_admit(), now);
-        let decision = self.policy(&io, raw);
+        let policy = &mut self.policy;
+        let adm = admit(&mut ss.mitt, &io, now, &self.ctx, |io, raw| {
+            policy.apply(io, raw)
+        });
+        if let Some(busy) = self.settle(&io, &adm, now) {
+            return busy;
+        }
         let ss = self.ssd.as_mut().expect("node has no SSD stack");
-        match decision {
-            Decision::Reject { predicted_wait } => {
-                let (resource, inflight) = ss.mitt.attribution(now);
-                self.tsl.record_reject(now, resource);
-                self.ebusy_times.push(now);
-                self.trace.count(EBUSY_COUNTER, 1);
-                self.trace.emit(
-                    now,
-                    Subsystem::Node,
-                    EventKind::Reject {
-                        io: io.id.0,
-                        predicted_wait,
-                    },
-                );
-                self.emit_attribution(io.id.0, resource, predicted_wait, inflight, now);
-                Submission {
-                    outcome: ReadOutcome::Busy {
-                        predicted_wait,
-                        resource,
-                        ticks: Ticks::default(),
-                    },
-                    bumped: Vec::new(),
-                }
-            }
-            Decision::Admit { .. } => {
-                self.tsl.record_admit(now);
-                if self.trace.is_enabled() {
-                    self.pred_wait.insert(io.id, wait);
-                }
-                ss.mitt.account(&io, now);
-                let out = ss.ssd.submit(&io, now);
-                for gc in &out.gc {
-                    ss.mitt.on_gc(gc.chip, gc.busy, now);
-                }
-                ss.pending.insert(
-                    io.id,
-                    PendingSsd {
-                        remaining: out.subs.len() as u32,
-                        submit: now,
-                        worst_wait: Duration::ZERO,
-                    },
-                );
-                Submission {
-                    outcome: ReadOutcome::Submitted {
-                        io: io.id,
-                        ticks: Ticks {
-                            disk: None,
-                            ssd: out.subs,
-                        },
-                    },
-                    bumped: Vec::new(),
-                }
-            }
+        let out = ss.ssd.submit(&io, now);
+        for gc in &out.gc {
+            ss.mitt.on_gc(gc.chip, gc.busy, now);
+        }
+        ss.pending.insert(
+            io.id,
+            PendingSsd {
+                remaining: out.subs.len() as u32,
+                submit: now,
+                worst_wait: Duration::ZERO,
+            },
+        );
+        Submission {
+            outcome: ReadOutcome::Submitted {
+                io: io.id,
+                ticks: Ticks {
+                    disk: None,
+                    ssd: out.subs,
+                },
+            },
+            bumped: Vec::new(),
         }
     }
 
@@ -960,7 +752,7 @@ impl Node {
     /// (§7.8.6); otherwise writes flow through the storage stack like
     /// reads.
     pub fn submit_write(&mut self, req: &ReadReq, now: SimTime) -> WriteOutcome {
-        self.prof.io_submitted();
+        self.ctx.prof.io_submitted();
         if req.medium == Medium::Disk {
             if let Some(ds) = &mut self.disk {
                 if let Some(nvram) = &mut ds.nvram {
@@ -1017,7 +809,7 @@ impl Node {
         }
         let wait = fin.started_at.saturating_since(fin.io.submit);
         self.resolve_prediction(fin.io.id, wait, now);
-        if let Some(open) = self.audit_open.remove(&fin.io.id) {
+        if let Some(open) = self.policy.open.remove(&fin.io.id) {
             self.audit_pairs.push(AuditPair {
                 predicted_wait: open.predicted_wait,
                 actual_wait: wait,
@@ -1029,8 +821,8 @@ impl Node {
             if let Some(cs) = &mut self.cache {
                 let evicted = cs.cache.insert_range(fin.io.offset, fin.io.len);
                 if !evicted.is_empty() {
-                    self.trace.count("cache.evicted", evicted.len() as u64);
-                    self.trace.emit(
+                    self.ctx.trace.count("cache.evicted", evicted.len() as u64);
+                    self.ctx.trace.emit(
                         now,
                         Subsystem::Node,
                         EventKind::Mark {
@@ -1075,7 +867,7 @@ impl Node {
         }
         let pend = ss.pending.remove(&key.io).expect("entry exists");
         self.resolve_prediction(key.io, pend.worst_wait, now);
-        if let Some(open) = self.audit_open.remove(&key.io) {
+        if let Some(open) = self.policy.open.remove(&key.io) {
             self.audit_pairs.push(AuditPair {
                 predicted_wait: open.predicted_wait,
                 actual_wait: pend.worst_wait,
@@ -1097,10 +889,10 @@ impl Node {
     /// Emits the node-level completion event and resolves the IO's
     /// prediction-error sample (|predicted - actual| wait).
     fn resolve_prediction(&mut self, id: IoId, actual_wait: Duration, now: SimTime) {
-        if !self.trace.is_enabled() {
+        if !self.ctx.trace.is_enabled() {
             return;
         }
-        self.trace.emit(
+        self.ctx.trace.emit(
             now,
             Subsystem::Node,
             EventKind::Complete {
@@ -1110,7 +902,7 @@ impl Node {
         );
         if let Some(predicted) = self.pred_wait.remove(&id) {
             let err = predicted.as_nanos().abs_diff(actual_wait.as_nanos());
-            self.trace.observe_ns(PREDICT_ERROR_HIST, err);
+            self.ctx.trace.observe_ns(PREDICT_ERROR_HIST, err);
         }
     }
 
@@ -1137,8 +929,8 @@ impl Node {
             let mut rng = cs.swap_rng.fork();
             let evicted = cs.cache.swap_out_fraction(f64::from(pct) / 100.0, &mut rng);
             if evicted > 0 {
-                self.trace.count("cache.evicted", evicted as u64);
-                self.trace.emit(
+                self.ctx.trace.count("cache.evicted", evicted as u64);
+                self.ctx.trace.emit(
                     now,
                     Subsystem::Node,
                     EventKind::Mark {
@@ -1423,5 +1215,55 @@ mod tests {
         // Drain to make sure the cancelled IO never completes.
         let done = drain_disk(&mut node, ticks.disk);
         assert!(done.iter().all(|&(id, _)| id != victim));
+    }
+    /// Every admission decision — admitted or rejected, on any predictor —
+    /// is timed as exactly one `Predict` activation.
+    #[test]
+    fn one_predict_activation_per_admission_decision() {
+        use mitt_prof::Phase;
+        for cfg in [
+            NodeConfig::disk_noop(),
+            NodeConfig::disk_cfq(),
+            NodeConfig::ssd(),
+        ] {
+            let on_ssd = cfg.ssd.is_some();
+            let mut node = Node::new(0, cfg, &mut rng());
+            let prof = mitt_prof::ProfSink::enabled();
+            node.set_ctx(&NodeCtx {
+                prof: prof.clone(),
+                ..NodeCtx::disabled()
+            });
+            let predicts = || prof.report().phases[Phase::Predict as usize].count;
+            let submit = |node: &mut Node, offset: u64, deadline: Option<Duration>| {
+                let mut req = ReadReq::client(offset, 4096, ProcessId(1));
+                req.deadline = deadline;
+                if on_ssd {
+                    req = req.on_ssd();
+                    if deadline.is_none() {
+                        // Writes build the SSD backlog (no NVRAM on this node).
+                        let WriteOutcome::Submitted(sub) = node.submit_write(&req, SimTime::ZERO)
+                        else {
+                            panic!("SSD writes go through the predictor");
+                        };
+                        return sub.outcome;
+                    }
+                }
+                node.submit_read(&req, SimTime::ZERO).outcome
+            };
+            let before = predicts();
+            let out = submit(&mut node, 0, Some(Duration::from_millis(20)));
+            assert!(matches!(out, ReadOutcome::Submitted { .. }), "{out:?}");
+            assert_eq!(predicts(), before + 1, "admitted read");
+            // Backlog without deadlines: one decision each.
+            for i in 0..30u64 {
+                let before = predicts();
+                submit(&mut node, (i * 31) % 1000 * mitt_device::GB, None);
+                assert_eq!(predicts(), before + 1, "backlog IO {i}");
+            }
+            let before = predicts();
+            let out = submit(&mut node, 0, Some(Duration::from_micros(1)));
+            assert!(matches!(out, ReadOutcome::Busy { .. }), "{out:?}");
+            assert_eq!(predicts(), before + 1, "rejected read");
+        }
     }
 }

@@ -27,7 +27,7 @@
 
 use mitt_device::{IoClass, IoId, ProcessId, SubIoKey, GB};
 use mitt_faults::{
-    BreakerState, BreakerTransition, CircuitBreaker, FaultClock, FaultKind, FaultPlan,
+    BreakerState, BreakerTransition, CircuitBreaker, FaultClock, FaultKind, FaultPlan, NodeCtx,
     ResilienceConfig,
 };
 use mitt_lsm::{GetStep, LsmConfig, LsmEngine};
@@ -634,7 +634,7 @@ impl ClusterSim {
         assert!(cfg.replication >= 1 && cfg.replication <= cfg.nodes);
         assert!(cfg.scale_factor >= 1);
         let mut root = SimRng::new(cfg.seed);
-        let nodes: Vec<Node> = (0..cfg.nodes)
+        let mut nodes: Vec<Node> = (0..cfg.nodes)
             .map(|i| Node::new(i, cfg.node_cfg.clone(), &mut root))
             .collect();
         let clients: Vec<ClientState> = (0..cfg.clients)
@@ -699,6 +699,42 @@ impl ClusterSim {
             _ => Vec::new(),
         };
         let down = vec![false; cfg.nodes];
+        let tsl = match cfg.tsl {
+            Some(mut t) => {
+                if t.deadline.is_zero() {
+                    // Judge every strategy against the same SLO: the MittOS
+                    // deadline when the strategy carries one, 20 ms (the
+                    // paper's disk p95) otherwise.
+                    t.deadline = match cfg.strategy {
+                        Strategy::MittOs { deadline } | Strategy::MittOsWait { deadline } => {
+                            deadline
+                        }
+                        Strategy::MittOsAuto { initial } => initial,
+                        _ => Duration::from_millis(20),
+                    };
+                }
+                TslSink::enabled(t, cfg.strategy.name())
+            }
+            None => TslSink::disabled(),
+        };
+        let ctx = NodeCtx {
+            faults: fault_clock.clone(),
+            trace: if cfg.trace {
+                TraceSink::enabled(DEFAULT_RING_CAPACITY)
+            } else {
+                TraceSink::disabled()
+            },
+            prof: if cfg.prof {
+                ProfSink::enabled()
+            } else {
+                ProfSink::disabled()
+            },
+            tsl,
+        };
+        for node in &mut nodes {
+            node.set_ctx(&ctx);
+        }
+        let cluster = ctx.for_node(CLUSTER_NODE);
         let mut sim = ClusterSim {
             q: EventQueue::new(),
             nodes,
@@ -716,9 +752,9 @@ impl ClusterSim {
             fault_handles,
             breakers,
             down,
-            prof: ProfSink::disabled(),
+            prof: ctx.prof,
             next_prof_sample: SimTime::ZERO,
-            tsl: TslSink::disabled(),
+            tsl: cluster.tsl.clone(),
             result: ExperimentResult {
                 user_latencies: LatencyRecorder::new(),
                 get_latencies: LatencyRecorder::new(),
@@ -729,9 +765,9 @@ impl ClusterSim {
                 stale_reads: 0,
                 watch: cfg.watch_node.map(|_| WatchLog::default()),
                 finished_at: SimTime::ZERO,
-                trace: TraceSink::disabled(),
-                prof: ProfSink::disabled(),
-                tsl: TslSink::disabled(),
+                trace: cluster.trace,
+                prof: cluster.prof,
+                tsl: cluster.tsl,
                 injected_faults: 0,
                 dropped_messages: 0,
                 distorted_predictions: 0,
@@ -746,45 +782,6 @@ impl ClusterSim {
             usable,
             cfg,
         };
-        if sim.cfg.trace {
-            let sink = TraceSink::enabled(DEFAULT_RING_CAPACITY);
-            for node in &mut sim.nodes {
-                node.set_trace(&sink);
-            }
-            sim.result.trace = sink.for_node(CLUSTER_NODE);
-        }
-        if sim.cfg.prof {
-            let sink = ProfSink::enabled();
-            for node in &mut sim.nodes {
-                node.set_prof(&sink);
-            }
-            sim.prof = sink.clone();
-            sim.result.prof = sink;
-        }
-        if let Some(mut t) = sim.cfg.tsl {
-            if t.deadline.is_zero() {
-                // Judge every strategy against the same SLO: the MittOS
-                // deadline when the strategy carries one, 20 ms (the
-                // paper's disk p95) otherwise.
-                t.deadline = match sim.cfg.strategy {
-                    Strategy::MittOs { deadline } | Strategy::MittOsWait { deadline } => deadline,
-                    Strategy::MittOsAuto { initial } => initial,
-                    _ => Duration::from_millis(20),
-                };
-            }
-            let sink = TslSink::enabled(t, sim.cfg.strategy.name());
-            for node in &mut sim.nodes {
-                node.set_tsl(&sink);
-            }
-            sim.tsl = sink.for_node(CLUSTER_NODE);
-            sim.result.tsl = sim.tsl.clone();
-        }
-        if sim.fault_clock.is_enabled() {
-            let clock = sim.fault_clock.clone();
-            for node in &mut sim.nodes {
-                node.set_faults(&clock);
-            }
-        }
         sim.setup();
         sim
     }

@@ -15,11 +15,15 @@
 //! | [`mittssd`]   | host-managed SSD    | per-chip next-free mirror + per-channel outstanding counts |
 //! | [`mittcache`] | OS page cache       | `addrcheck()` page-table walk + deadline propagation |
 //!
+//! The three IO predictors share one admission path, [`admit()`]: each
+//! supplies only its wait estimate, its accounting and its blame
+//! ([`Predictor`]), and the decision, distortion, telemetry and policy hook
+//! are written once.
+//!
 //! Supporting modules: [`profile`] fits the device models by measurement
-//! (the paper's 11-hour offline profiling), [`audit`] measures prediction
-//! accuracy (Figure 9), [`inject`] deliberately corrupts decisions to test
-//! sensitivity (Figure 10), and [`tuning`] auto-adjusts deadlines from
-//! EBUSY-rate feedback (§8.1 extension).
+//! (the paper's 11-hour offline profiling), [`inject`] deliberately
+//! corrupts decisions to test sensitivity (Figure 10), and [`tuning`]
+//! auto-adjusts deadlines from EBUSY-rate feedback (§8.1 extension).
 //!
 //! Predictors are *mirrors*, not oracles: they never inspect device
 //! internals at decision time. They maintain their own free-time estimates
@@ -44,7 +48,7 @@
 
 #![warn(missing_docs)]
 
-pub mod audit;
+pub mod admit;
 pub mod inject;
 pub mod mittcache;
 pub mod mittcfq;
@@ -55,7 +59,7 @@ pub mod profile;
 pub mod slo;
 pub mod tuning;
 
-pub use audit::AccuracyAudit;
+pub use admit::{admit, Admission, DiskPredictor, Predictor};
 pub use inject::ErrorInjector;
 pub use mittcache::{CacheVerdict, MittCache, ADDRCHECK_COST};
 pub use mittcfq::{CfqAdmission, MittCfq};

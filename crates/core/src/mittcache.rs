@@ -13,12 +13,11 @@
 //! out), not cold first accesses; and after EBUSY the OS should keep
 //! swapping the data in anyway so the tenant's cache share is not starved.
 
-use mitt_faults::FaultClock;
+use mitt_faults::NodeCtx;
 use mitt_oscache::{PageCache, RangeCheck};
-use mitt_prof::{Phase, ProfSink};
+use mitt_prof::Phase;
 use mitt_sim::{Duration, SimTime};
-use mitt_trace::{Resource, Subsystem, TraceSink};
-use mitt_tsl::TslSink;
+use mitt_trace::{Resource, Subsystem};
 
 use crate::slo::Slo;
 
@@ -53,10 +52,7 @@ pub struct MittCache {
     /// Smallest possible latency of the storage layer below the cache; a
     /// deadline below this means "I expect a cache hit".
     min_io_latency: Duration,
-    trace: TraceSink,
-    faults: FaultClock,
-    prof: ProfSink,
-    tsl: TslSink,
+    ctx: NodeCtx,
 }
 
 impl MittCache {
@@ -65,39 +61,18 @@ impl MittCache {
     pub fn new(min_io_latency: Duration) -> Self {
         MittCache {
             min_io_latency,
-            trace: TraceSink::disabled(),
-            faults: FaultClock::disabled(),
-            prof: ProfSink::disabled(),
-            tsl: TslSink::disabled(),
+            ctx: NodeCtx::disabled(),
         }
     }
 
-    /// Attaches a trace sink; every check bumps an admit/reject counter
-    /// (the cache-hit *events* are emitted by the node).
-    pub fn set_trace(&mut self, sink: TraceSink) {
-        self.trace = sink;
-    }
-
-    /// Attaches an engine profiling sink; admission checks are timed as
-    /// the `Predict` phase. Profiling never alters decisions
-    /// (digest-neutrality).
-    pub fn set_prof(&mut self, sink: ProfSink) {
-        self.prof = sink;
-    }
-
-    /// Attaches a fault clock; `PredictorBias` windows distort the storage
-    /// floor the residency-expectation test compares against, producing
-    /// spurious EBUSYs (over-rejection) while active.
-    pub fn set_faults(&mut self, clock: FaultClock) {
-        self.faults = clock;
-    }
-
-    /// Attaches a windowed-timeline sink; each check is bucketed into its
-    /// sim-time window as an admit (hit/miss) or reject (EBUSY) — see
-    /// `mitt-tsl`. Rollups happen inline — no events, no RNG — so
-    /// attaching one never alters verdicts.
-    pub fn set_tsl(&mut self, sink: TslSink) {
-        self.tsl = sink;
+    /// Attaches the node's handles: every check bumps an admit/reject
+    /// counter (the cache-hit *events* are emitted by the node), is timed
+    /// as the `Predict` phase and lands in its timeline window; a
+    /// `PredictorBias` window distorts the storage floor the
+    /// residency-expectation test compares against, producing spurious
+    /// EBUSYs (over-rejection) while active.
+    pub fn set_ctx(&mut self, ctx: NodeCtx) {
+        self.ctx = ctx;
     }
 
     /// The storage floor used for the residency-expectation test.
@@ -110,11 +85,7 @@ impl MittCache {
     /// inflating the storage floor (the caller supplies the refill count
     /// as the detail).
     pub fn attribution(&self, now: SimTime) -> Resource {
-        if self.faults.bias_active(now) {
-            Resource::FaultWindow
-        } else {
-            Resource::CacheMiss
-        }
+        self.ctx.blame(now, Resource::CacheMiss)
     }
 
     /// Checks an access of `[offset, offset+len)` against the cache.
@@ -126,30 +97,36 @@ impl MittCache {
         slo: Option<Slo>,
         now: SimTime,
     ) -> CacheVerdict {
-        let _t = self.prof.phase(Phase::Predict);
+        let _t = self.ctx.prof.phase(Phase::Predict);
         let rc: RangeCheck = cache.addrcheck(offset, len);
         if rc.resident {
-            self.trace.count(Subsystem::MittCache.admit_counter(), 1);
-            self.tsl.record_admit(now);
+            self.ctx
+                .trace
+                .count(Subsystem::MittCache.admit_counter(), 1);
+            self.ctx.tsl.record_admit(now);
             return CacheVerdict::Hit;
         }
         // A miscalibration fault inflates the perceived storage floor, so
         // deadlines that actually leave room for device IO look hopeless.
-        let floor = self.faults.distort_wait(now, self.min_io_latency);
+        let floor = self.ctx.faults.distort_wait(now, self.min_io_latency);
         if let Some(slo) = slo {
             // The user expects memory speed but the data is not resident.
             // Only *contention* (swapped-out pages) earns an EBUSY; cold
             // first-time accesses fall through to the device.
             if slo.deadline < floor && rc.contended {
-                self.trace.count(Subsystem::MittCache.reject_counter(), 1);
-                self.tsl.record_reject(now, self.attribution(now));
+                self.ctx
+                    .trace
+                    .count(Subsystem::MittCache.reject_counter(), 1);
+                self.ctx.tsl.record_reject(now, self.attribution(now));
                 return CacheVerdict::Busy {
                     refill: rc.missing_pages,
                 };
             }
         }
-        self.trace.count(Subsystem::MittCache.admit_counter(), 1);
-        self.tsl.record_admit(now);
+        self.ctx
+            .trace
+            .count(Subsystem::MittCache.admit_counter(), 1);
+        self.ctx.tsl.record_admit(now);
         CacheVerdict::Miss {
             missing_pages: rc.missing_pages,
             contended: rc.contended,

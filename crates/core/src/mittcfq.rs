@@ -21,14 +21,12 @@
 //! cancelled with a late EBUSY.
 
 use mitt_device::{BlockIo, IoClass, IoId, ProcessId};
-use mitt_faults::FaultClock;
-use mitt_prof::{Phase, ProfSink};
 use mitt_sim::{Duration, FastMap, FastSet, SimTime};
-use mitt_trace::{EventKind, Resource, Subsystem, TraceSink};
-use mitt_tsl::TslSink;
+use mitt_trace::{Resource, Subsystem};
 
+use crate::admit::{admit_bare, DiskPredictor, Predictor};
 use crate::profile::DiskProfile;
-use crate::slo::{decide, Decision, Slo};
+use crate::slo::Decision;
 
 fn class_idx(class: IoClass) -> u8 {
     match class {
@@ -84,10 +82,6 @@ pub struct MittCfq {
     admitted: u64,
     rejected: u64,
     bumped_total: u64,
-    trace: TraceSink,
-    faults: FaultClock,
-    prof: ProfSink,
-    tsl: TslSink,
 }
 
 impl MittCfq {
@@ -105,38 +99,7 @@ impl MittCfq {
             admitted: 0,
             rejected: 0,
             bumped_total: 0,
-            trace: TraceSink::disabled(),
-            faults: FaultClock::disabled(),
-            prof: ProfSink::disabled(),
-            tsl: TslSink::disabled(),
         }
-    }
-
-    /// Attaches a trace sink; every admission decision emits a `predict`
-    /// event and bump-cancels are counted.
-    pub fn set_trace(&mut self, sink: TraceSink) {
-        self.trace = sink;
-    }
-
-    /// Attaches an engine profiling sink; admission checks are timed as
-    /// the `Predict` phase. Profiling never alters decisions
-    /// (digest-neutrality).
-    pub fn set_prof(&mut self, sink: ProfSink) {
-        self.prof = sink;
-    }
-
-    /// Attaches a fault clock; `PredictorBias` windows distort the wait
-    /// estimate fed into admission decisions (ledgers stay accurate).
-    pub fn set_faults(&mut self, clock: FaultClock) {
-        self.faults = clock;
-    }
-
-    /// Attaches a windowed-timeline sink; each admit/reject decision is
-    /// bucketed into its sim-time window (see `mitt-tsl`). Rollups happen
-    /// inline — no events, no RNG — so attaching one never alters
-    /// decisions.
-    pub fn set_tsl(&mut self, sink: TslSink) {
-        self.tsl = sink;
     }
 
     fn bucket_of(ns: i64) -> i64 {
@@ -174,71 +137,19 @@ impl MittCfq {
         Duration::from_nanos((device + ahead).max(0) as u64)
     }
 
-    /// SLO-attribution context for a rejection decided at `now`: the
-    /// responsible resource plus the CFQ queue depth behind the predicted
-    /// wait. Inside a `PredictorBias` window the blame shifts to the fault.
-    pub fn attribution(&self, now: SimTime) -> (Resource, u64) {
-        let resource = if self.faults.bias_active(now) {
-            Resource::FaultWindow
-        } else {
-            Resource::CfqQueue
-        };
-        (resource, self.queued.len() as u64)
-    }
-
-    /// [`MittCfq::predicted_wait`] as the admission path sees it: any
-    /// active `PredictorBias` fault distorts the estimate. Callers doing
-    /// their own admission (the cluster node) must use this variant.
-    pub fn distorted_wait(
-        &self,
-        class: IoClass,
-        priority: u8,
-        owner: ProcessId,
-        now: SimTime,
-    ) -> Duration {
-        self.faults
-            .distort_wait(now, self.predicted_wait(class, priority, owner, now))
-    }
-
     /// The admission check with bump detection.
     pub fn admit(&mut self, io: &BlockIo, now: SimTime) -> CfqAdmission {
-        let _t = self.prof.phase(Phase::Predict);
-        let wait = self.distorted_wait(io.class, io.priority, io.owner, now);
-        let slo = io.deadline.map(Slo::deadline);
-        let decision = decide(wait, slo, self.hop);
-        self.trace.emit(
-            now,
-            Subsystem::MittCfq,
-            EventKind::Predict {
-                io: io.id.0,
-                predicted_wait: wait,
-                deadline: io.deadline,
-                admitted: decision.is_admit(),
-            },
-        );
-        if let Decision::Reject { .. } = decision {
-            self.rejected += 1;
-            self.trace.count(Subsystem::MittCfq.reject_counter(), 1);
-            let (resource, _) = self.attribution(now);
-            self.tsl.record_reject(now, resource);
-            return CfqAdmission {
-                decision,
-                bumped: Vec::new(),
-            };
+        let adm = admit_bare(self, io, now);
+        CfqAdmission {
+            decision: adm.decision,
+            bumped: adm.bumped,
         }
-        self.trace.count(Subsystem::MittCfq.admit_counter(), 1);
-        self.tsl.record_admit(now);
-        let bumped = self.account(io, now);
-        CfqAdmission { decision, bumped }
     }
 
     /// Unconditionally accounts an IO as admitted into the CFQ queues,
     /// debiting lower-priority deadline IOs' tolerable times. Returns IOs
     /// whose deadline just became hopeless (to cancel with a late EBUSY).
-    /// Used directly by hosts that make the admit/reject decision
-    /// themselves (audit mode, error injection).
     pub fn account(&mut self, io: &BlockIo, now: SimTime) -> Vec<IoId> {
-        let _t = self.prof.phase(Phase::Predict);
         let wait = self.predicted_wait(io.class, io.priority, io.owner, now);
         self.admitted += 1;
         let service = self.profile.service(self.last_tail, io.offset, io.len);
@@ -309,7 +220,6 @@ impl MittCfq {
                 // Deadline hopeless: cancel with late EBUSY.
                 self.remove_queued(id);
                 self.bumped_total += 1;
-                self.trace.count("mittcfq.bumped", 1);
                 bumped.push(id);
             } else {
                 if let Some(rec) = self.queued.get_mut(&id) {
@@ -378,10 +288,46 @@ impl MittCfq {
     pub fn active_nodes(&self) -> usize {
         self.node_totals.len()
     }
+}
 
-    /// The configured hop cost.
-    pub fn hop(&self) -> Duration {
+impl Predictor for MittCfq {
+    fn subsystem(&self) -> Subsystem {
+        Subsystem::MittCfq
+    }
+
+    fn wait(&self, io: &BlockIo, now: SimTime) -> Duration {
+        self.predicted_wait(io.class, io.priority, io.owner, now)
+    }
+
+    fn account(&mut self, io: &BlockIo, now: SimTime) -> Vec<IoId> {
+        MittCfq::account(self, io, now)
+    }
+
+    fn count_reject(&mut self) {
+        self.rejected += 1;
+    }
+
+    /// The CFQ queues, with their depth behind the predicted wait.
+    fn blame(&self) -> (Resource, u64) {
+        (Resource::CfqQueue, self.queued.len() as u64)
+    }
+
+    fn hop(&self) -> Duration {
         self.hop
+    }
+}
+
+impl DiskPredictor for MittCfq {
+    fn on_dispatch(&mut self, id: IoId, now: SimTime) {
+        MittCfq::on_dispatch(self, id, now);
+    }
+
+    fn on_complete(&mut self, id: IoId, actual_service: Duration) {
+        MittCfq::on_complete(self, id, actual_service);
+    }
+
+    fn on_cancel(&mut self, id: IoId) {
+        MittCfq::on_cancel(self, id);
     }
 }
 

@@ -16,14 +16,12 @@
 //! always admitted but still accounted.
 
 use mitt_device::{BlockIo, IoId};
-use mitt_faults::FaultClock;
-use mitt_prof::{Phase, ProfSink};
 use mitt_sim::{Duration, FastMap, SimTime};
-use mitt_trace::{EventKind, Resource, Subsystem, TraceSink};
-use mitt_tsl::TslSink;
+use mitt_trace::{Resource, Subsystem};
 
+use crate::admit::{admit_bare, DiskPredictor, Predictor};
 use crate::profile::DiskProfile;
-use crate::slo::{decide, Decision, Slo};
+use crate::slo::Decision;
 
 /// The MittNoop admission predictor.
 pub struct MittNoop {
@@ -38,10 +36,6 @@ pub struct MittNoop {
     pending: FastMap<IoId, i64>,
     rejected: u64,
     admitted: u64,
-    trace: TraceSink,
-    faults: FaultClock,
-    prof: ProfSink,
-    tsl: TslSink,
 }
 
 impl MittNoop {
@@ -55,53 +49,7 @@ impl MittNoop {
             pending: FastMap::default(),
             rejected: 0,
             admitted: 0,
-            trace: TraceSink::disabled(),
-            faults: FaultClock::disabled(),
-            prof: ProfSink::disabled(),
-            tsl: TslSink::disabled(),
         }
-    }
-
-    /// Attaches a trace sink; every admission decision emits a `predict`
-    /// event.
-    pub fn set_trace(&mut self, sink: TraceSink) {
-        self.trace = sink;
-    }
-
-    /// Attaches an engine profiling sink; admission checks are timed as
-    /// the `Predict` phase. Profiling never alters decisions
-    /// (digest-neutrality).
-    pub fn set_prof(&mut self, sink: ProfSink) {
-        self.prof = sink;
-    }
-
-    /// Attaches a fault clock; `PredictorBias` windows distort the wait
-    /// estimate fed into admission decisions (the mirror itself stays
-    /// accurate, so calibration is unaffected).
-    pub fn set_faults(&mut self, clock: FaultClock) {
-        self.faults = clock;
-    }
-
-    /// Attaches a windowed-timeline sink; each admit/reject decision is
-    /// bucketed into its sim-time window (see `mitt-tsl`). Rollups happen
-    /// inline — no events, no RNG — so attaching one never alters
-    /// decisions.
-    pub fn set_tsl(&mut self, sink: TslSink) {
-        self.tsl = sink;
-    }
-
-    /// SLO-attribution context for a rejection decided at `now`: the
-    /// responsible resource plus a resource-specific detail (here the
-    /// number of admitted, not-yet-completed IOs backing `T_nextFree`).
-    /// Inside a `PredictorBias` window the blame shifts to the fault, not
-    /// the drain estimate.
-    pub fn attribution(&self, now: SimTime) -> (Resource, u64) {
-        let resource = if self.faults.bias_active(now) {
-            Resource::FaultWindow
-        } else {
-            Resource::NoopNextFree
-        };
-        (resource, self.pending.len() as u64)
     }
 
     /// Predicted wait for an IO arriving at `now` (before admission).
@@ -116,52 +64,15 @@ impl MittNoop {
         self.profile.service(self.last_tail, io.offset, io.len)
     }
 
-    /// [`MittNoop::predicted_wait`] as the admission path sees it: any
-    /// active `PredictorBias` fault distorts the estimate. Callers doing
-    /// their own admission (the cluster node) must use this variant.
-    pub fn distorted_wait(&self, now: SimTime) -> Duration {
-        let _t = self.prof.phase(Phase::Predict);
-        self.faults.distort_wait(now, self.predicted_wait(now))
-    }
-
     /// The admission check: rejects (without any state change) when the
     /// deadline cannot be met; otherwise accounts the IO and admits.
     pub fn admit(&mut self, io: &BlockIo, now: SimTime) -> Decision {
-        let _t = self.prof.phase(Phase::Predict);
-        let wait = self.distorted_wait(now);
-        let slo = io.deadline.map(Slo::deadline);
-        let decision = decide(wait, slo, self.hop);
-        self.trace.emit(
-            now,
-            Subsystem::MittNoop,
-            EventKind::Predict {
-                io: io.id.0,
-                predicted_wait: wait,
-                deadline: io.deadline,
-                admitted: decision.is_admit(),
-            },
-        );
-        match decision {
-            Decision::Reject { .. } => {
-                self.rejected += 1;
-                self.trace.count(Subsystem::MittNoop.reject_counter(), 1);
-                let (resource, _) = self.attribution(now);
-                self.tsl.record_reject(now, resource);
-            }
-            Decision::Admit { .. } => {
-                self.account(io, now);
-                self.trace.count(Subsystem::MittNoop.admit_counter(), 1);
-                self.tsl.record_admit(now);
-            }
-        }
-        decision
+        admit_bare(self, io, now).decision
     }
 
-    /// Unconditionally accounts an IO as admitted (advancing `T_nextFree`).
-    /// Used directly by hosts that make the admit/reject decision
-    /// themselves (audit mode, error injection).
+    /// Unconditionally accounts an IO as admitted (advancing `T_nextFree`
+    /// by its predicted service).
     pub fn account(&mut self, io: &BlockIo, now: SimTime) {
-        let _t = self.prof.phase(Phase::Predict);
         self.admitted += 1;
         let service = self.predicted_service(io);
         self.pending.insert(io.id, service.as_nanos() as i64);
@@ -191,10 +102,43 @@ impl MittNoop {
     pub fn counters(&self) -> (u64, u64) {
         (self.admitted, self.rejected)
     }
+}
 
-    /// The configured hop cost.
-    pub fn hop(&self) -> Duration {
+impl Predictor for MittNoop {
+    fn subsystem(&self) -> Subsystem {
+        Subsystem::MittNoop
+    }
+
+    fn wait(&self, _io: &BlockIo, now: SimTime) -> Duration {
+        self.predicted_wait(now)
+    }
+
+    fn account(&mut self, io: &BlockIo, now: SimTime) -> Vec<IoId> {
+        MittNoop::account(self, io, now);
+        Vec::new()
+    }
+
+    fn count_reject(&mut self) {
+        self.rejected += 1;
+    }
+
+    /// The drain estimate, backed by the admitted, not-yet-completed IOs.
+    fn blame(&self) -> (Resource, u64) {
+        (Resource::NoopNextFree, self.pending.len() as u64)
+    }
+
+    fn hop(&self) -> Duration {
         self.hop
+    }
+}
+
+impl DiskPredictor for MittNoop {
+    fn on_complete(&mut self, id: IoId, actual_service: Duration) {
+        MittNoop::on_complete(self, id, actual_service);
+    }
+
+    fn on_cancel(&mut self, id: IoId) {
+        MittNoop::on_cancel(self, id);
     }
 }
 

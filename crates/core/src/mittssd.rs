@@ -15,14 +15,12 @@
 //! deadline the whole request is rejected and nothing is submitted.
 
 use mitt_device::{BlockIo, IoId, IoKind, SsdSpec};
-use mitt_faults::FaultClock;
-use mitt_prof::{Phase, ProfSink};
 use mitt_sim::{Duration, FastMap, SimTime};
-use mitt_trace::{EventKind, Resource, Subsystem, TraceSink};
-use mitt_tsl::TslSink;
+use mitt_trace::{Resource, Subsystem};
 
+use crate::admit::{admit_bare, Predictor};
 use crate::profile::SsdProfile;
-use crate::slo::{decide, Decision, Slo};
+use crate::slo::Decision;
 
 struct SubRec {
     channel: usize,
@@ -44,10 +42,6 @@ pub struct MittSsd {
     pending: FastMap<(IoId, u32), SubRec>,
     admitted: u64,
     rejected: u64,
-    trace: TraceSink,
-    faults: FaultClock,
-    prof: ProfSink,
-    tsl: TslSink,
 }
 
 impl MittSsd {
@@ -67,39 +61,7 @@ impl MittSsd {
             pending: FastMap::default(),
             admitted: 0,
             rejected: 0,
-            trace: TraceSink::disabled(),
-            faults: FaultClock::disabled(),
-            prof: ProfSink::disabled(),
-            tsl: TslSink::disabled(),
         }
-    }
-
-    /// Attaches a trace sink; every admission decision emits a `predict`
-    /// event.
-    pub fn set_trace(&mut self, sink: TraceSink) {
-        self.trace = sink;
-    }
-
-    /// Attaches an engine profiling sink; admission checks are timed as
-    /// the `Predict` phase. Profiling never alters decisions
-    /// (digest-neutrality).
-    pub fn set_prof(&mut self, sink: ProfSink) {
-        self.prof = sink;
-    }
-
-    /// Attaches a fault clock; `PredictorBias` windows distort the wait
-    /// estimate fed into admission decisions (the geometry mirror itself
-    /// stays accurate).
-    pub fn set_faults(&mut self, clock: FaultClock) {
-        self.faults = clock;
-    }
-
-    /// Attaches a windowed-timeline sink; each admit/reject decision is
-    /// bucketed into its sim-time window (see `mitt-tsl`). Rollups happen
-    /// inline — no events, no RNG — so attaching one never alters
-    /// decisions.
-    pub fn set_tsl(&mut self, sink: TslSink) {
-        self.tsl = sink;
     }
 
     fn chip_of_page(&self, lpn: u64) -> usize {
@@ -135,63 +97,15 @@ impl MittSsd {
         Duration::from_nanos(worst.max(0) as u64)
     }
 
-    /// SLO-attribution context for a rejection decided at `now`: the
-    /// responsible resource plus the number of in-flight sub-IOs across
-    /// all chips/channels. Inside a `PredictorBias` window the blame
-    /// shifts to the fault.
-    pub fn attribution(&self, now: SimTime) -> (Resource, u64) {
-        let resource = if self.faults.bias_active(now) {
-            Resource::FaultWindow
-        } else {
-            Resource::SsdChannel
-        };
-        (resource, self.pending.len() as u64)
-    }
-
-    /// [`MittSsd::predicted_wait`] as the admission path sees it: any
-    /// active `PredictorBias` fault distorts the estimate. Callers doing
-    /// their own admission (the cluster node) must use this variant.
-    pub fn distorted_wait(&self, io: &BlockIo, now: SimTime) -> Duration {
-        let _t = self.prof.phase(Phase::Predict);
-        self.faults.distort_wait(now, self.predicted_wait(io, now))
-    }
-
     /// The admission check. On rejection, *no* sub-page is accounted: the
     /// request never reaches the device.
     pub fn admit(&mut self, io: &BlockIo, now: SimTime) -> Decision {
-        let _t = self.prof.phase(Phase::Predict);
-        let wait = self.distorted_wait(io, now);
-        let slo = io.deadline.map(Slo::deadline);
-        let decision = decide(wait, slo, self.hop);
-        self.trace.emit(
-            now,
-            Subsystem::MittSsd,
-            EventKind::Predict {
-                io: io.id.0,
-                predicted_wait: wait,
-                deadline: io.deadline,
-                admitted: decision.is_admit(),
-            },
-        );
-        if let Decision::Reject { .. } = decision {
-            self.rejected += 1;
-            self.trace.count(Subsystem::MittSsd.reject_counter(), 1);
-            let (resource, _) = self.attribution(now);
-            self.tsl.record_reject(now, resource);
-            return decision;
-        }
-        self.trace.count(Subsystem::MittSsd.admit_counter(), 1);
-        self.tsl.record_admit(now);
-        self.account(io, now);
-        decision
+        admit_bare(self, io, now).decision
     }
 
     /// Unconditionally accounts an IO as admitted (advancing the chip and
-    /// channel mirrors for every sub-page). Used directly by hosts that
-    /// make the admit/reject decision themselves (audit mode, error
-    /// injection).
+    /// channel mirrors for every sub-page).
     pub fn account(&mut self, io: &BlockIo, now: SimTime) {
-        let _t = self.prof.phase(Phase::Predict);
         self.admitted += 1;
         let pages: Vec<u64> = self.pages_of(io).collect();
         for (index, lpn) in pages.into_iter().enumerate() {
@@ -246,9 +160,32 @@ impl MittSsd {
     pub fn counters(&self) -> (u64, u64) {
         (self.admitted, self.rejected)
     }
+}
 
-    /// The configured hop cost.
-    pub fn hop(&self) -> Duration {
+impl Predictor for MittSsd {
+    fn subsystem(&self) -> Subsystem {
+        Subsystem::MittSsd
+    }
+
+    fn wait(&self, io: &BlockIo, now: SimTime) -> Duration {
+        self.predicted_wait(io, now)
+    }
+
+    fn account(&mut self, io: &BlockIo, now: SimTime) -> Vec<IoId> {
+        MittSsd::account(self, io, now);
+        Vec::new()
+    }
+
+    fn count_reject(&mut self) {
+        self.rejected += 1;
+    }
+
+    /// Channel contention, with the in-flight sub-IOs across all chips.
+    fn blame(&self) -> (Resource, u64) {
+        (Resource::SsdChannel, self.pending.len() as u64)
+    }
+
+    fn hop(&self) -> Duration {
         self.hop
     }
 }

@@ -13,11 +13,10 @@
 //! therefore carries a bounded per-IO error — the source of the small
 //! calibration diffs (<3ms) reported in §7.6.
 
-use mitt_faults::FaultClock;
-use mitt_prof::{Phase, ProfSink};
+use mitt_faults::NodeCtx;
+use mitt_prof::Phase;
 use mitt_sim::{Duration, SimRng, SimTime};
-use mitt_trace::{EventKind, Subsystem, TraceSink};
-use mitt_tsl::TslSink;
+use mitt_trace::{EventKind, Subsystem};
 
 use crate::io::{BlockIo, IoId};
 
@@ -154,10 +153,7 @@ pub struct Disk {
     queue: Vec<BlockIo>,
     in_flight: Option<InFlight>,
     served: u64,
-    trace: TraceSink,
-    tsl: TslSink,
-    faults: FaultClock,
-    prof: ProfSink,
+    ctx: NodeCtx,
 }
 
 impl Disk {
@@ -170,34 +166,15 @@ impl Disk {
             queue: Vec::new(),
             in_flight: None,
             served: 0,
-            trace: TraceSink::disabled(),
-            tsl: TslSink::disabled(),
-            faults: FaultClock::disabled(),
-            prof: ProfSink::disabled(),
+            ctx: NodeCtx::disabled(),
         }
     }
 
-    /// Attaches a trace sink; the device emits dispatch/complete events.
-    pub fn set_trace(&mut self, sink: TraceSink) {
-        self.trace = sink;
-    }
-
-    /// Attaches an engine profiling sink; submit/complete paths are timed
-    /// as the `Device` phase. Never influences service-time sampling.
-    pub fn set_prof(&mut self, sink: ProfSink) {
-        self.prof = sink;
-    }
-
-    /// Attaches a windowed-timeline sink; each completion's service time is
-    /// bucketed into its sim-time window (see `mitt-tsl`). Inline rollup
-    /// only — never influences service-time sampling.
-    pub fn set_tsl(&mut self, sink: TslSink) {
-        self.tsl = sink;
-    }
-
-    /// Attaches a fault clock; fail-slow windows scale service times.
-    pub fn set_faults(&mut self, clock: FaultClock) {
-        self.faults = clock;
+    /// Attaches the node's handles: the device emits dispatch/complete
+    /// events and per-window service times, times submit/complete as the
+    /// `Device` phase, and fail-slow windows scale service times.
+    pub fn set_ctx(&mut self, ctx: NodeCtx) {
+        self.ctx = ctx;
     }
 
     /// The device's static parameters.
@@ -246,7 +223,7 @@ impl Disk {
             + self.spec.seek_cost(self.head, io.offset)
             + rot
             + self.spec.transfer_cost(io.len);
-        let mult = self.faults.disk_service_multiplier(now) * self.faults.degrade_draw(now);
+        let mult = self.ctx.faults.disk_service_multiplier(now) * self.ctx.faults.degrade_draw(now);
         // mitt-lint: allow(T002, "1.0 is an exact no-fault sentinel assigned from config, never the result of arithmetic")
         if mult != 1.0 {
             service.mul_f64(mult)
@@ -262,7 +239,7 @@ impl Disk {
         // calibrate from `FinishedIo::service`, so their `T_wait` estimates
         // stay optimistic for the whole window — exactly the gray failure
         // MittOS's own telemetry cannot see.
-        let hidden = self.faults.hidden_service_multiplier(now);
+        let hidden = self.ctx.faults.hidden_service_multiplier(now);
         // mitt-lint: allow(T002, "1.0 is an exact no-fault sentinel assigned from config, never the result of arithmetic")
         let actual = if hidden != 1.0 {
             service.mul_f64(hidden)
@@ -278,9 +255,10 @@ impl Disk {
             done_at,
             service,
         });
-        self.trace
+        self.ctx
+            .trace
             .emit(now, Subsystem::Disk, EventKind::Dispatch { io: id.0 });
-        self.trace.emit(
+        self.ctx.trace.emit(
             now,
             Subsystem::Disk,
             EventKind::SpanBegin {
@@ -298,7 +276,7 @@ impl Disk {
     /// event at `started.done_at`. Returns `Ok(None)` if the IO was queued
     /// behind others, and `Err(DiskFull)` if the device queue is full.
     pub fn submit(&mut self, io: BlockIo, now: SimTime) -> Result<Option<Started>, DiskFull> {
-        let _t = self.prof.phase(Phase::Device);
+        let _t = self.ctx.prof.phase(Phase::Device);
         if !self.has_room() {
             return Err(DiskFull);
         }
@@ -320,7 +298,7 @@ impl Disk {
     ///
     /// Panics if called before the in-flight IO's completion time.
     pub fn complete(&mut self, now: SimTime) -> Result<(FinishedIo, Option<Started>), NoInflight> {
-        let _t = self.prof.phase(Phase::Device);
+        let _t = self.ctx.prof.phase(Phase::Device);
         let fl = self.in_flight.take().ok_or(NoInflight)?;
         assert!(
             now >= fl.done_at,
@@ -328,8 +306,8 @@ impl Disk {
             fl.done_at
         );
         self.served += 1;
-        self.tsl.observe_service(now, fl.service);
-        self.trace.emit(
+        self.ctx.tsl.observe_service(now, fl.service);
+        self.ctx.trace.emit(
             now,
             Subsystem::Disk,
             EventKind::SpanEnd {
@@ -337,7 +315,7 @@ impl Disk {
                 id: fl.io.id.0,
             },
         );
-        self.trace.emit(
+        self.ctx.trace.emit(
             now,
             Subsystem::Disk,
             EventKind::Complete {
@@ -383,6 +361,8 @@ impl Disk {
 mod tests {
     use super::*;
     use crate::io::{IoIdGen, ProcessId};
+    use mitt_faults::FaultClock;
+    use mitt_trace::TraceSink;
 
     fn disk() -> Disk {
         Disk::new(DiskSpec::default(), SimRng::new(1))
@@ -508,7 +488,10 @@ mod tests {
     fn traced_disk_emits_dispatch_complete_and_service_spans() {
         let sink = TraceSink::enabled(16);
         let mut d = disk();
-        d.set_trace(sink.for_node(3));
+        d.set_ctx(NodeCtx {
+            trace: sink.for_node(3),
+            ..NodeCtx::disabled()
+        });
         let mut g = IoIdGen::new();
         let s = d.submit(rd(&mut g, 0), SimTime::ZERO).unwrap().unwrap();
         d.complete(s.done_at).unwrap();
@@ -544,7 +527,10 @@ mod tests {
                     4.0,
                     Duration::ZERO,
                 );
-                d.set_faults(FaultClock::new(plan, SimRng::new(9)).for_node(0));
+                d.set_ctx(NodeCtx {
+                    faults: FaultClock::new(plan, SimRng::new(9)).for_node(0),
+                    ..NodeCtx::disabled()
+                });
             }
             let mut g = IoIdGen::new();
             let s = d
@@ -568,7 +554,10 @@ mod tests {
             if faulted {
                 let plan =
                     FaultPlan::new().asym_slow(0, SimTime::ZERO, Duration::from_secs(10), 5.0);
-                d.set_faults(FaultClock::new(plan, SimRng::new(9)).for_node(0));
+                d.set_ctx(NodeCtx {
+                    faults: FaultClock::new(plan, SimRng::new(9)).for_node(0),
+                    ..NodeCtx::disabled()
+                });
             }
             let mut g = IoIdGen::new();
             let s = d

@@ -15,10 +15,9 @@
 //! that the predictor cannot see (the source of Figure 9b's ≤0.8%
 //! inaccuracy).
 
-use mitt_faults::FaultClock;
-use mitt_prof::{Phase, ProfSink};
+use mitt_faults::NodeCtx;
+use mitt_prof::Phase;
 use mitt_sim::{Duration, SimRng, SimTime};
-use mitt_tsl::TslSink;
 
 use crate::io::{BlockIo, IoId, IoKind};
 
@@ -179,9 +178,7 @@ pub struct Ssd {
     chips: Vec<Chip>,
     channel_outstanding: Vec<u32>,
     served_pages: u64,
-    faults: FaultClock,
-    prof: ProfSink,
-    tsl: TslSink,
+    ctx: NodeCtx,
 }
 
 impl Ssd {
@@ -201,28 +198,15 @@ impl Ssd {
             chips,
             channel_outstanding,
             served_pages: 0,
-            faults: FaultClock::disabled(),
-            prof: ProfSink::disabled(),
-            tsl: TslSink::disabled(),
+            ctx: NodeCtx::disabled(),
         }
     }
 
-    /// Attaches a fault clock; stall windows extend every flash sub-IO.
-    pub fn set_faults(&mut self, clock: FaultClock) {
-        self.faults = clock;
-    }
-
-    /// Attaches an engine profiling sink; submit/complete paths are timed
-    /// as the `Device` phase. Never influences busy-time sampling.
-    pub fn set_prof(&mut self, sink: ProfSink) {
-        self.prof = sink;
-    }
-
-    /// Attaches a windowed-timeline sink; each page sub-IO's chip busy
-    /// time is bucketed into the window of its completion (see `mitt-tsl`).
-    /// Inline rollup only — never influences busy-time sampling.
-    pub fn set_tsl(&mut self, sink: TslSink) {
-        self.tsl = sink;
+    /// Attaches the node's handles: stall windows extend every flash
+    /// sub-IO, submit/complete are timed as the `Device` phase, and each
+    /// sub-IO's busy time lands in its timeline window.
+    pub fn set_ctx(&mut self, ctx: NodeCtx) {
+        self.ctx = ctx;
     }
 
     /// The device's static parameters.
@@ -296,11 +280,11 @@ impl Ssd {
     /// page_size`), striped round-robin across chips, matching the paper's
     /// ">16KB multi-page read to a chip is automatically chopped" note.
     pub fn submit(&mut self, io: &BlockIo, now: SimTime) -> SsdSubmit {
-        let _t = self.prof.phase(Phase::Device);
+        let _t = self.ctx.prof.phase(Phase::Device);
         let mut out = SsdSubmit::default();
         let first_lpn = io.offset / u64::from(self.spec.page_size);
         let last_lpn = (io.end_offset().saturating_sub(1)) / u64::from(self.spec.page_size);
-        let stall = self.faults.ssd_stall(now);
+        let stall = self.ctx.faults.ssd_stall(now);
         for (index, lpn) in (first_lpn..=last_lpn).enumerate() {
             let chip = self.spec.chip_of_page(lpn);
             let channel = self.spec.channel_of(chip);
@@ -311,7 +295,7 @@ impl Ssd {
                 self.spec.channel_delay * u64::from(self.channel_outstanding[channel]);
             let done_at = self.chips[chip].next_free + queue_delay;
             self.channel_outstanding[channel] += 1;
-            self.tsl.observe_service(done_at, busy);
+            self.ctx.tsl.observe_service(done_at, busy);
             if io.kind == IoKind::Write {
                 self.chips[chip].writes_since_gc += 1;
                 if let Some(gc) = self.maybe_gc(chip) {
@@ -338,7 +322,7 @@ impl Ssd {
     ///
     /// Panics if the channel has no outstanding IO (double completion).
     pub fn complete_sub(&mut self, channel: usize, _now: SimTime) {
-        let _t = self.prof.phase(Phase::Device);
+        let _t = self.ctx.prof.phase(Phase::Device);
         assert!(
             self.channel_outstanding[channel] > 0,
             "double completion on channel {channel}"
@@ -361,6 +345,7 @@ impl Ssd {
 mod tests {
     use super::*;
     use crate::io::{IoIdGen, ProcessId};
+    use mitt_faults::FaultClock;
 
     fn ssd() -> Ssd {
         let spec = SsdSpec {
@@ -399,7 +384,10 @@ mod tests {
             Duration::from_secs(1),
             Duration::from_micros(500),
         );
-        s.set_faults(FaultClock::new(plan, SimRng::new(2)).for_node(0));
+        s.set_ctx(NodeCtx {
+            faults: FaultClock::new(plan, SimRng::new(2)).for_node(0),
+            ..NodeCtx::disabled()
+        });
         let mut g = IoIdGen::new();
         let page = s.spec().page_size;
         let out = s.submit(&rd(&mut g, 0, 2 * page), SimTime::ZERO);

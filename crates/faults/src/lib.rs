@@ -6,8 +6,9 @@
 //! virtual-clock-scheduled fault events (node crashes, fail-slow disks, SSD
 //! stalls, scheduler degradation, page-cache thrash, network spikes and
 //! drops, predictor miscalibration), realized at run time through a
-//! [`FaultClock`] handle threaded into the device, scheduler, predictor and
-//! cluster layers the same way `TraceSink` is.
+//! [`FaultClock`] handle that reaches the device, scheduler, admission and
+//! cluster layers inside each node's [`NodeCtx`], next to the trace,
+//! profiling and timeline handles.
 //!
 //! Three properties are load-bearing:
 //!
@@ -34,6 +35,7 @@ use mitt_sim::digest::Fnv1a;
 use mitt_sim::{Duration, SimRng, SimTime};
 
 pub mod breaker;
+mod ctx;
 pub mod invariants;
 pub mod plangen;
 
@@ -41,6 +43,7 @@ pub use breaker::{
     Admission, BackoffConfig, BreakerConfig, BreakerState, BreakerTransition, CircuitBreaker,
     ResilienceConfig, TransitionCause,
 };
+pub use ctx::NodeCtx;
 pub use invariants::{check as check_invariants, InvariantInput, InvariantReport};
 pub use plangen::{FaultPlanGen, PlanGenConfig, ScopeCatalog};
 

@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use mitt_cluster::node::{AuditPair, Medium, Node, NodeConfig, ReadOutcome, ReadReq, Ticks};
 use mitt_cluster::WriteOutcome;
 use mitt_device::{IoId, ProcessId, SubIoKey};
-use mitt_faults::{FaultClock, FaultPlan};
+use mitt_faults::{FaultClock, FaultPlan, NodeCtx};
 use mitt_sim::{Duration, EventQueue, SimRng, SimTime};
 use mitt_trace::TraceSink;
 use mitt_workload::TraceIo;
@@ -123,19 +123,22 @@ pub fn replay_audit_traced(
     cfg.cpu = None;
     let mut rng = SimRng::new(seed);
     let mut node = Node::new(0, cfg, &mut rng);
-    let sink = if ring > 0 {
-        TraceSink::enabled(ring)
-    } else {
-        TraceSink::disabled()
-    };
-    if ring > 0 {
-        node.set_trace(&sink);
-    }
-    if !plan.is_empty() {
+    let ctx = NodeCtx {
+        trace: if ring > 0 {
+            TraceSink::enabled(ring)
+        } else {
+            TraceSink::disabled()
+        },
         // Forked *after* node construction so an empty plan leaves the
         // primary stream — and the replay results — unchanged.
-        node.set_faults(&FaultClock::new(plan, rng.fork()));
-    }
+        faults: if plan.is_empty() {
+            FaultClock::disabled()
+        } else {
+            FaultClock::new(plan, rng.fork())
+        },
+        ..NodeCtx::disabled()
+    };
+    node.set_ctx(&ctx);
     let mut shadow = match medium {
         // The naive disk assumes the average random 4KB service time.
         Medium::Disk => Shadow::Disk(NaiveDisk::new(Duration::from_micros(6500))),
@@ -224,7 +227,7 @@ pub fn replay_audit_traced(
     TracedReplay {
         pairs: node.audit_pairs().to_vec(),
         naive_pairs,
-        trace: sink,
+        trace: ctx.trace,
         placeholder_deadline: placeholder,
     }
 }

@@ -8,8 +8,7 @@
 //! - **Phase timers** ([`ProfSink::phase`]): scoped wall-clock guards
 //!   around the engine's hot regions (event dispatch, predictor calls,
 //!   scheduler work, device service, stats folding, trace emission), each
-//!   feeding a pow2-bucket latency histogram in the style of
-//!   `simcore::stats`.
+//!   feeding a `simcore::stats::Pow2Hist` latency histogram.
 //! - **Allocation telemetry** ([`alloc::CountingAlloc`]): a counting
 //!   global allocator (opt-in via the `prof` cargo feature) attributing
 //!   allocations/bytes to the phase active on the allocating thread.
@@ -41,7 +40,7 @@ use std::rc::Rc;
 // mitt-lint: allow(D001, "mitt-prof is the engine profiler: wall-clock phase timers are its whole purpose, and its data never reaches a digest")
 use std::time::Instant;
 
-use mitt_sim::SimTime;
+use mitt_sim::{Pow2Hist, SimTime};
 
 pub mod alloc;
 pub mod report;
@@ -118,97 +117,6 @@ impl Phase {
             Phase::TraceEmit => "engine;dispatch;trace_emit",
             Phase::Other => "engine;other",
         }
-    }
-}
-
-/// Power-of-two-bucket latency histogram: bucket `i` holds samples whose
-/// nanosecond value has its highest set bit at position `i` (i.e. values
-/// in `[2^i, 2^(i+1))`), so the whole nanosecond-to-seconds range fits in
-/// 64 fixed buckets with zero allocation per sample. Same observe/total/
-/// mean surface as `simcore::stats`' recorders.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Pow2Hist {
-    counts: [u64; 64],
-    total: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Default for Pow2Hist {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Pow2Hist {
-    /// An empty histogram.
-    pub const fn new() -> Self {
-        Pow2Hist {
-            counts: [0; 64],
-            total: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    /// Records one nanosecond sample.
-    pub fn observe(&mut self, ns: u64) {
-        let idx = 63 - ns.max(1).leading_zeros() as usize;
-        self.counts[idx] += 1;
-        self.total += 1;
-        self.sum = self.sum.saturating_add(ns);
-        self.max = self.max.max(ns);
-    }
-
-    /// Number of samples.
-    pub const fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Sum of all samples in nanoseconds (saturating).
-    pub const fn sum_ns(&self) -> u64 {
-        self.sum
-    }
-
-    /// Largest sample in nanoseconds.
-    pub const fn max_ns(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean sample in nanoseconds, or 0.0 when empty.
-    pub fn mean_ns(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.total as f64
-        }
-    }
-
-    /// Upper bound (`2^(i+1)`) of the bucket containing the q-quantile
-    /// sample (0.0..=1.0), or 0 when empty. Bucketed, so an estimate —
-    /// within 2× of the true value by construction.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return 1u64 << (i + 1).min(63);
-            }
-        }
-        self.max
-    }
-
-    /// Non-empty buckets as `(lower_bound_ns, count)` pairs.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (1u64 << i, c))
     }
 }
 
@@ -466,8 +374,7 @@ mod tests {
         {
             let _outer = sink.phase(Phase::Predict);
             // A guarded entry point calling another guarded entry point of
-            // the same phase (admit -> distorted_wait): only the outer
-            // guard records.
+            // the same phase: only the outer guard records.
             let _inner = sink.phase(Phase::Predict);
         }
         let r = sink.report();
@@ -543,20 +450,6 @@ mod tests {
         let first = r.gauges.first().expect("non-empty").at;
         let last = r.gauges.last().expect("non-empty").at;
         assert!(last > first);
-    }
-
-    #[test]
-    fn pow2_hist_quantiles_bracket_samples() {
-        let mut h = Pow2Hist::new();
-        for ns in [100u64, 200, 400, 800, 100_000] {
-            h.observe(ns);
-        }
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.max_ns(), 100_000);
-        let p50 = h.quantile_ns(0.5);
-        assert!((128..=512).contains(&p50), "p50 bucket bound = {p50}");
-        assert!(h.quantile_ns(1.0) >= 100_000);
-        assert!(h.mean_ns() > 0.0);
     }
 
     #[test]

@@ -139,8 +139,8 @@ impl ProfReport {
                 s.count,
                 fmt3(s.total_ns as f64 / 1e3),
                 fmt3(s.hist.mean_ns()),
-                s.hist.quantile_ns(0.5),
-                s.hist.quantile_ns(0.99),
+                s.hist.quantile_milli(500),
+                s.hist.quantile_milli(990),
                 s.hist.max_ns(),
                 if i + 1 < N_PHASES { "," } else { "" }
             ));

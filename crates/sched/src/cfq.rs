@@ -17,11 +17,10 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use mitt_device::{BlockIo, Disk, FinishedIo, IoClass, IoId, NoInflight, ProcessId};
-use mitt_faults::FaultClock;
-use mitt_prof::{Phase, ProfSink};
+use mitt_faults::NodeCtx;
+use mitt_prof::Phase;
 use mitt_sim::{FastMap, SimTime};
-use mitt_trace::{EventKind, Subsystem, TraceSink};
-use mitt_tsl::TslSink;
+use mitt_trace::{EventKind, Subsystem};
 
 use crate::noop::QUEUED_SPAN;
 use crate::{DiskScheduler, DispatchOut};
@@ -89,10 +88,7 @@ pub struct Cfq {
     /// IoId -> (tree index, owner, offset): exact location for O(1) cancel.
     index: FastMap<IoId, (usize, ProcessId, u64)>,
     in_device: usize,
-    trace: TraceSink,
-    faults: FaultClock,
-    prof: ProfSink,
-    tsl: TslSink,
+    ctx: NodeCtx,
 }
 
 impl Cfq {
@@ -103,10 +99,7 @@ impl Cfq {
             trees: Default::default(),
             index: FastMap::default(),
             in_device: 0,
-            trace: TraceSink::disabled(),
-            faults: FaultClock::disabled(),
-            prof: ProfSink::disabled(),
-            tsl: TslSink::disabled(),
+            ctx: NodeCtx::disabled(),
         }
     }
 
@@ -154,7 +147,7 @@ impl Cfq {
 
     fn dispatch(&mut self, disk: &mut Disk, now: SimTime) -> DispatchOut {
         let mut out = DispatchOut::default();
-        let limit = match self.faults.sched_max_inflight(now) {
+        let limit = match self.ctx.faults.sched_max_inflight(now) {
             Some(cap) => self.cfg.max_device_ios.min(cap),
             None => self.cfg.max_device_ios,
         };
@@ -164,8 +157,8 @@ impl Cfq {
             };
             self.index.remove(&io.id);
             out.dispatched.push(io.id);
-            self.tsl.record_dispatch(now);
-            self.trace.emit(
+            self.ctx.tsl.record_dispatch(now);
+            self.ctx.trace.emit(
                 now,
                 Subsystem::Sched,
                 EventKind::SpanEnd {
@@ -202,18 +195,18 @@ impl Cfq {
     /// Publishes the `sched.queued` gauge. Counting walks every tree's
     /// round-robin queue, so it runs only when tracing is on.
     fn gauge_queued(&self) {
-        if self.trace.is_enabled() {
-            self.trace.gauge("sched.queued", self.queued() as i64);
+        if self.ctx.trace.is_enabled() {
+            self.ctx.trace.gauge("sched.queued", self.queued() as i64);
         }
     }
 }
 
 impl DiskScheduler for Cfq {
     fn enqueue(&mut self, io: BlockIo, disk: &mut Disk, now: SimTime) -> DispatchOut {
-        let _t = self.prof.phase(Phase::Sched);
+        let _t = self.ctx.prof.phase(Phase::Sched);
         let t = class_idx(io.class);
         self.index.insert(io.id, (t, io.owner, io.offset));
-        self.trace.emit(
+        self.ctx.trace.emit(
             now,
             Subsystem::Sched,
             EventKind::SpanBegin {
@@ -246,7 +239,7 @@ impl DiskScheduler for Cfq {
         disk: &mut Disk,
         now: SimTime,
     ) -> Result<(FinishedIo, DispatchOut), NoInflight> {
-        let _t = self.prof.phase(Phase::Sched);
+        let _t = self.ctx.prof.phase(Phase::Sched);
         let (finished, started) = disk.complete(now)?;
         debug_assert!(self.in_device > 0, "completion without dispatched IO");
         self.in_device = self.in_device.saturating_sub(1);
@@ -275,20 +268,8 @@ impl DiskScheduler for Cfq {
         "cfq"
     }
 
-    fn set_trace(&mut self, sink: TraceSink) {
-        self.trace = sink;
-    }
-
-    fn set_faults(&mut self, clock: FaultClock) {
-        self.faults = clock;
-    }
-
-    fn set_prof(&mut self, sink: ProfSink) {
-        self.prof = sink;
-    }
-
-    fn set_tsl(&mut self, sink: TslSink) {
-        self.tsl = sink;
+    fn set_ctx(&mut self, ctx: NodeCtx) {
+        self.ctx = ctx;
     }
 }
 

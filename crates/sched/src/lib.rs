@@ -34,11 +34,8 @@
 //! ```
 
 use mitt_device::{BlockIo, Disk, FinishedIo, IoId, NoInflight, Started};
-use mitt_faults::FaultClock;
-use mitt_prof::ProfSink;
+use mitt_faults::NodeCtx;
 use mitt_sim::SimTime;
-use mitt_trace::TraceSink;
-use mitt_tsl::TslSink;
 
 pub mod cfq;
 pub mod noop;
@@ -91,25 +88,12 @@ pub trait DiskScheduler {
     /// The scheduler's name for reports.
     fn name(&self) -> &'static str;
 
-    /// Attaches a trace sink; schedulers emit queued-span and queue-depth
-    /// telemetry through it. The default implementation ignores it.
-    fn set_trace(&mut self, _sink: TraceSink) {}
-
-    /// Attaches a fault clock; `SchedDegrade` windows cap how many IOs the
-    /// dispatch loop keeps in the device (never below one, so completions
-    /// always re-trigger dispatch and the queue keeps draining). The
-    /// default implementation ignores it.
-    fn set_faults(&mut self, _clock: FaultClock) {}
-
-    /// Attaches an engine profiling sink; schedulers wrap their enqueue /
-    /// completion paths in `Sched` phase timers. Profiling data never
-    /// feeds back into scheduling decisions (digest-neutrality). The
-    /// default implementation ignores it.
-    fn set_prof(&mut self, _sink: ProfSink) {}
-
-    /// Attaches a windowed-timeline sink; schedulers bucket each dispatch
-    /// into the sim-time window it happened in (see `mitt-tsl`). Rollups
-    /// happen inline — no events, no RNG — so attaching one never perturbs
-    /// scheduling. The default implementation ignores it.
-    fn set_tsl(&mut self, _sink: TslSink) {}
+    /// Attaches the node's handles: schedulers emit queued-span and
+    /// queue-depth telemetry, time enqueue/completion as the `Sched` phase,
+    /// bucket each dispatch into its timeline window, and honour
+    /// `SchedDegrade` windows by capping how many IOs they keep in the
+    /// device (never below one, so completions always re-trigger dispatch
+    /// and the queue keeps draining). Observation never feeds back into
+    /// scheduling decisions.
+    fn set_ctx(&mut self, ctx: NodeCtx);
 }

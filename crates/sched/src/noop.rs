@@ -3,11 +3,10 @@
 use std::collections::VecDeque;
 
 use mitt_device::{BlockIo, Disk, FinishedIo, IoId, NoInflight};
-use mitt_faults::FaultClock;
-use mitt_prof::{Phase, ProfSink};
+use mitt_faults::NodeCtx;
+use mitt_prof::Phase;
 use mitt_sim::SimTime;
-use mitt_trace::{EventKind, Subsystem, TraceSink};
-use mitt_tsl::TslSink;
+use mitt_trace::{EventKind, Subsystem};
 
 use crate::{DiskScheduler, DispatchOut};
 
@@ -19,10 +18,7 @@ pub(crate) const QUEUED_SPAN: &str = "sched_q";
 #[derive(Default)]
 pub struct Noop {
     fifo: VecDeque<BlockIo>,
-    trace: TraceSink,
-    faults: FaultClock,
-    prof: ProfSink,
-    tsl: TslSink,
+    ctx: NodeCtx,
 }
 
 impl Noop {
@@ -35,14 +31,14 @@ impl Noop {
     /// active scheduler-degradation fault).
     fn dispatch(&mut self, disk: &mut Disk, now: SimTime) -> DispatchOut {
         let mut out = DispatchOut::default();
-        let cap = self.faults.sched_max_inflight(now);
+        let cap = self.ctx.faults.sched_max_inflight(now);
         while disk.has_room() && cap.map_or(true, |c| disk.occupancy() < c) {
             let Some(io) = self.fifo.pop_front() else {
                 break;
             };
             out.dispatched.push(io.id);
-            self.tsl.record_dispatch(now);
-            self.trace.emit(
+            self.ctx.tsl.record_dispatch(now);
+            self.ctx.trace.emit(
                 now,
                 Subsystem::Sched,
                 EventKind::SpanEnd {
@@ -67,8 +63,8 @@ impl Noop {
 
 impl DiskScheduler for Noop {
     fn enqueue(&mut self, io: BlockIo, disk: &mut Disk, now: SimTime) -> DispatchOut {
-        let _t = self.prof.phase(Phase::Sched);
-        self.trace.emit(
+        let _t = self.ctx.prof.phase(Phase::Sched);
+        self.ctx.trace.emit(
             now,
             Subsystem::Sched,
             EventKind::SpanBegin {
@@ -78,7 +74,7 @@ impl DiskScheduler for Noop {
         );
         self.fifo.push_back(io);
         let out = self.dispatch(disk, now);
-        self.trace.gauge("sched.queued", self.fifo.len() as i64);
+        self.ctx.trace.gauge("sched.queued", self.fifo.len() as i64);
         out
     }
 
@@ -87,11 +83,11 @@ impl DiskScheduler for Noop {
         disk: &mut Disk,
         now: SimTime,
     ) -> Result<(FinishedIo, DispatchOut), NoInflight> {
-        let _t = self.prof.phase(Phase::Sched);
+        let _t = self.ctx.prof.phase(Phase::Sched);
         let (finished, started) = disk.complete(now)?;
         let mut out = self.dispatch(disk, now);
         out.started = started.or(out.started);
-        self.trace.gauge("sched.queued", self.fifo.len() as i64);
+        self.ctx.trace.gauge("sched.queued", self.fifo.len() as i64);
         Ok((finished, out))
     }
 
@@ -108,20 +104,8 @@ impl DiskScheduler for Noop {
         "noop"
     }
 
-    fn set_trace(&mut self, sink: TraceSink) {
-        self.trace = sink;
-    }
-
-    fn set_faults(&mut self, clock: FaultClock) {
-        self.faults = clock;
-    }
-
-    fn set_prof(&mut self, sink: ProfSink) {
-        self.prof = sink;
-    }
-
-    fn set_tsl(&mut self, sink: TslSink) {
-        self.tsl = sink;
+    fn set_ctx(&mut self, ctx: NodeCtx) {
+        self.ctx = ctx;
     }
 }
 
@@ -194,7 +178,10 @@ mod tests {
         let mut disk = small_disk();
         // Degrade to 1 in-device IO for the first second.
         let plan = FaultPlan::new().sched_degrade(0, SimTime::ZERO, Duration::from_secs(1), 1);
-        sched.set_faults(FaultClock::new(plan, SimRng::new(4)).for_node(0));
+        sched.set_ctx(NodeCtx {
+            faults: FaultClock::new(plan, SimRng::new(4)).for_node(0),
+            ..NodeCtx::disabled()
+        });
         let mut g = IoIdGen::new();
         let mut next_tick = None;
         for i in 0..4u64 {

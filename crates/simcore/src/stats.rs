@@ -7,6 +7,7 @@
 //! those statistics are exact, matching how the authors post-process YCSB
 //! client logs.
 
+use crate::digest::Fnv1a;
 use crate::time::Duration;
 
 /// Collects latency samples and answers exact percentile/CDF queries.
@@ -188,6 +189,95 @@ impl OnlineStats {
     }
 }
 
+/// Power-of-two-bucket histogram of nanosecond samples: bucket `i` holds
+/// values in `[2^i, 2^(i+1))` (zero counts as one), so the whole
+/// nanosecond-to-centuries range fits in 64 fixed buckets with no
+/// allocation per sample. Quantiles are bucket upper bounds taken at
+/// integer milli-quantiles (990 = p99), so they never touch a float.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Pow2Hist {
+    counts: [u64; 64],
+    total: u64,
+    sum: u64,
+    max: u64,
+}
+
+impl Default for Pow2Hist {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Pow2Hist {
+    /// An empty histogram.
+    pub const fn new() -> Self {
+        Pow2Hist {
+            counts: [0; 64],
+            total: 0,
+            sum: 0,
+            max: 0,
+        }
+    }
+
+    /// Records one nanosecond sample.
+    pub fn observe(&mut self, ns: u64) {
+        let idx = 63 - ns.max(1).leading_zeros() as usize;
+        self.counts[idx] += 1;
+        self.total += 1;
+        self.sum = self.sum.saturating_add(ns);
+        self.max = self.max.max(ns);
+    }
+
+    /// Number of samples.
+    pub const fn total(&self) -> u64 {
+        self.total
+    }
+
+    /// Largest sample in nanoseconds.
+    pub const fn max_ns(&self) -> u64 {
+        self.max
+    }
+
+    /// Mean sample in nanoseconds, or 0.0 when empty.
+    pub fn mean_ns(&self) -> f64 {
+        if self.total == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.total as f64
+        }
+    }
+
+    /// Upper bound (`2^(i+1)` ns) of the bucket holding the
+    /// `q_milli`/1000 quantile (500 = p50, 999 = p99.9); 0 when empty.
+    /// Bucketed, so within 2x of the true value by construction.
+    pub fn quantile_milli(&self, q_milli: u64) -> u64 {
+        if self.total == 0 {
+            return 0;
+        }
+        let rank = ((u128::from(self.total) * u128::from(q_milli)).div_ceil(1000)).max(1) as u64;
+        let mut seen = 0u64;
+        for (i, &c) in self.counts.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                return 1u64 << (i + 1).min(63);
+            }
+        }
+        1u64 << 63
+    }
+
+    /// Folds the sample count and the non-empty buckets (index, count)
+    /// into a digest.
+    pub fn fold(&self, h: &mut Fnv1a) {
+        h.write_u64(self.total);
+        for (i, &c) in self.counts.iter().enumerate() {
+            if c > 0 {
+                h.write_u64(i as u64);
+                h.write_u64(c);
+            }
+        }
+    }
+}
+
 /// Fixed-width histogram over durations, used for timeline plots such as
 /// the per-bucket noise occupancy of Figure 13b.
 #[derive(Debug, Clone)]
@@ -235,6 +325,22 @@ mod tests {
 
     fn ms(x: u64) -> Duration {
         Duration::from_millis(x)
+    }
+
+    #[test]
+    fn pow2_hist_quantiles_are_bucket_upper_bounds() {
+        let mut h = Pow2Hist::new();
+        assert_eq!(h.quantile_milli(990), 0, "empty");
+        for _ in 0..99 {
+            h.observe(1_000); // bucket 9 -> upper bound 1024
+        }
+        h.observe(1_000_000); // bucket 19 -> upper bound 2^20
+        assert_eq!(h.total(), 100);
+        assert_eq!(h.max_ns(), 1_000_000);
+        assert_eq!(h.quantile_milli(500), 1 << 10);
+        assert_eq!(h.quantile_milli(990), 1 << 10);
+        assert_eq!(h.quantile_milli(999), 1 << 20);
+        assert!((h.mean_ns() - 10_990.0).abs() < 1e-9);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use mitt_sim::{Duration, Fnv1a, SimTime};
+use mitt_sim::{Duration, Fnv1a, Pow2Hist, SimTime};
 use mitt_trace::{Resource, TraceEvent, CLUSTER_NODE};
 
 /// Tuning for one run's timeline collection and burn-rate alerting.
@@ -86,68 +86,6 @@ impl Default for TslConfig {
     }
 }
 
-/// A pow2-bucket latency histogram with integer quantiles.
-///
-/// Same shape as mitt-prof's histogram (64 buckets, bucket `i` covering
-/// `[2^i, 2^(i+1))` ns) but quantiles are taken at integer milli-quantiles
-/// (`q_milli` = 990 for p99) so rollups never touch a float.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WinHist {
-    counts: [u64; 64],
-    total: u64,
-}
-
-impl Default for WinHist {
-    fn default() -> Self {
-        WinHist {
-            counts: [0; 64],
-            total: 0,
-        }
-    }
-}
-
-impl WinHist {
-    /// Records one sample of `ns` nanoseconds.
-    pub fn observe(&mut self, ns: u64) {
-        let idx = 63 - ns.max(1).leading_zeros() as usize;
-        self.counts[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Total samples recorded.
-    pub const fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// The upper bound (ns) of the bucket holding the `q_milli`/1000
-    /// quantile (990 = p99, 999 = p99.9); 0 when empty.
-    pub fn quantile_ns(&self, q_milli: u64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let rank = ((self.total as u128 * q_milli as u128).div_ceil(1000)).max(1) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return 1u64 << (i + 1).min(63);
-            }
-        }
-        1u64 << 63
-    }
-
-    /// Folds the histogram (sparse: only non-empty buckets) into a digest.
-    pub fn fold(&self, h: &mut Fnv1a) {
-        h.write_u64(self.total);
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c > 0 {
-                h.write_u64(i as u64);
-                h.write_u64(c);
-            }
-        }
-    }
-}
-
 /// Everything recorded into one `(node, window)` cell of the timeline.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WindowStats {
@@ -172,9 +110,9 @@ pub struct WindowStats {
     /// Breaker transitions into `Closed` landing in this window.
     pub breaker_closes: u64,
     /// End-to-end get latency histogram (cluster rows).
-    pub latency: WinHist,
+    pub latency: Pow2Hist,
     /// Device service-time histogram (node rows).
-    pub service: WinHist,
+    pub service: Pow2Hist,
 }
 
 impl WindowStats {
@@ -782,7 +720,7 @@ impl TslSink {
                 subsystem: Subsystem::Cluster,
                 kind: EventKind::Counter {
                     name: "tsl.p99_us",
-                    value: stats.latency.quantile_ns(990) / 1_000,
+                    value: stats.latency.quantile_milli(990) / 1_000,
                 },
             });
             out.push(TraceEvent {
@@ -914,23 +852,23 @@ impl TslSink {
                 out.push_str(&format!(",\"completes\":{}", s.completes));
                 out.push_str(&format!(
                     ",\"p50_us\":{}",
-                    s.latency.quantile_ns(500) / 1_000
+                    s.latency.quantile_milli(500) / 1_000
                 ));
                 out.push_str(&format!(
                     ",\"p95_us\":{}",
-                    s.latency.quantile_ns(950) / 1_000
+                    s.latency.quantile_milli(950) / 1_000
                 ));
                 out.push_str(&format!(
                     ",\"p99_us\":{}",
-                    s.latency.quantile_ns(990) / 1_000
+                    s.latency.quantile_milli(990) / 1_000
                 ));
                 out.push_str(&format!(
                     ",\"p999_us\":{}",
-                    s.latency.quantile_ns(999) / 1_000
+                    s.latency.quantile_milli(999) / 1_000
                 ));
                 out.push_str(&format!(
                     ",\"service_p99_us\":{}",
-                    s.service.quantile_ns(990) / 1_000
+                    s.service.quantile_milli(990) / 1_000
                 ));
                 out.push_str(&format!(
                     ",\"burn_milli\":{}",
@@ -1043,18 +981,6 @@ mod tests {
         let mut h2 = Fnv1a::new();
         h2.write_u64(0);
         assert_eq!(h.finish(), h2.finish());
-    }
-
-    #[test]
-    fn hist_quantiles_are_bucket_upper_bounds() {
-        let mut hist = WinHist::default();
-        for _ in 0..99 {
-            hist.observe(1_000); // bucket 9 -> upper bound 1024
-        }
-        hist.observe(1_000_000); // bucket 19 -> upper bound 2^20
-        assert_eq!(hist.quantile_ns(500), 1 << 10);
-        assert_eq!(hist.quantile_ns(990), 1 << 10);
-        assert_eq!(hist.quantile_ns(999), 1 << 20);
     }
 
     #[test]

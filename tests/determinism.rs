@@ -19,10 +19,11 @@ use mittos_repro::device::IoClass;
 use mittos_repro::faults::{FaultPlan, FaultPlanGen, PlanGenConfig, ResilienceConfig};
 use mittos_repro::lsm::LsmConfig;
 use mittos_repro::obs::attribution::AttributionSummary;
+use mittos_repro::obs::replay::{replay_audit_traced, REPLAY_RING};
 use mittos_repro::sim::digest::{double_run, Fnv1a};
 use mittos_repro::sim::{Duration, SimTime};
 use mittos_repro::tsl::TslConfig;
-use mittos_repro::workload::rotating_schedule;
+use mittos_repro::workload::{rotating_schedule, TraceSpec};
 
 /// A contended three-replica cluster, small enough for a debug-build test.
 /// Tracing is on so the digest also covers the event ring and metrics.
@@ -473,6 +474,108 @@ fn tsl_export_and_flight_dumps_are_byte_identical_across_runs() {
     }
 }
 
+/// The `config` cluster on noop disks: the MittNoop admission path.
+fn noop_config(seed: u64) -> ExperimentConfig {
+    let mut cfg = config(
+        seed,
+        Strategy::MittOs {
+            deadline: Duration::from_millis(15),
+        },
+    );
+    cfg.node_cfg = NodeConfig::disk_noop();
+    cfg
+}
+
+/// The `config` cluster with §7.7 error injection on both sides: the
+/// injector's RNG draws and flipped decisions are part of the digest.
+fn inject_config(seed: u64) -> ExperimentConfig {
+    let mut cfg = config(
+        seed,
+        Strategy::MittOs {
+            deadline: Duration::from_millis(15),
+        },
+    );
+    cfg.node_cfg.inject = Some((0.1, 0.1));
+    cfg
+}
+
+/// Tiered nodes (disk + SSD + page cache) under rotating cache swap-out
+/// and SSD write noise, with a cluster-wide `PredictorBias` window in the
+/// middle of the run, trace and tsl on. The cache class covers MittCache
+/// EBUSY, the background refill and cache `FaultWindow` blame; the SSD
+/// class covers MittSSD EBUSY and its `FaultWindow` blame.
+fn tiered_config(seed: u64, medium: Medium, via_cache: bool) -> ExperimentConfig {
+    let at = |ms: u64| SimTime::ZERO + Duration::from_millis(ms);
+    let deadline = if via_cache {
+        Duration::from_micros(100)
+    } else {
+        Duration::from_millis(2)
+    };
+    let mut cfg = ExperimentConfig::micro(NodeConfig::tiered(), Strategy::MittOs { deadline });
+    cfg.seed = seed;
+    cfg.clients = 3;
+    cfg.ops_per_client = 60;
+    cfg.record_count = 20_000;
+    cfg.medium = medium;
+    cfg.via_cache = via_cache;
+    cfg.preload_cache = via_cache;
+    cfg.think_time = Duration::from_millis(5);
+    cfg.trace = true;
+    cfg.tsl = Some(TslConfig::default());
+    let horizon = Duration::from_secs(600);
+    cfg.noise = vec![
+        NoiseStream {
+            kind: NoiseKind::CacheSwap,
+            schedules: rotating_schedule(3, Duration::from_millis(200), horizon, 30),
+        },
+        NoiseStream {
+            kind: NoiseKind::SsdWrites { len: 64 << 10 },
+            schedules: rotating_schedule(3, Duration::from_secs(1), horizon, 4),
+        },
+    ];
+    cfg.faults = FaultPlan::new().predictor_bias(
+        None,
+        at(150),
+        Duration::from_millis(300),
+        1.5,
+        Duration::from_micros(200),
+    );
+    cfg
+}
+
+/// An audited single-node trace replay (§7.6) with a `PredictorBias`
+/// window and tracing on; the digest covers every audit pair (MittOS and
+/// naive) and the replay's trace.
+fn audit_replay_digest(seed: u64) -> u64 {
+    let mut rng = mittos_repro::sim::SimRng::new(seed);
+    let trace = TraceSpec::tpcc().generate(Duration::from_secs(4), &mut rng);
+    let plan = FaultPlan::new().predictor_bias(
+        Some(0),
+        SimTime::ZERO + Duration::from_secs(1),
+        Duration::from_secs(1),
+        2.0,
+        Duration::from_millis(1),
+    );
+    let out = replay_audit_traced(
+        NodeConfig::disk_cfq(),
+        Medium::Disk,
+        &trace,
+        1.0,
+        seed,
+        plan,
+        REPLAY_RING,
+    );
+    let mut h = Fnv1a::new();
+    for p in out.pairs.iter().chain(&out.naive_pairs) {
+        h.write_u64(p.predicted_wait.as_nanos());
+        h.write_u64(p.actual_wait.as_nanos());
+        h.write_u64(u64::from(p.would_reject));
+        h.write_u64(p.deadline.as_nanos());
+    }
+    out.trace.fold_digest(&mut h);
+    h.finish()
+}
+
 /// Run digests pinned at a known-good commit. The double-run tests above
 /// only compare two runs of the same build, so a change that alters
 /// behaviour but stays deterministic passes them; these constants catch it.
@@ -482,7 +585,7 @@ fn tsl_export_and_flight_dumps_are_byte_identical_across_runs() {
 /// To regenerate after a deliberate behaviour change, run
 /// `cargo test --test determinism golden -- --nocapture`: the failure
 /// message lists every run's current digest in this table's format.
-const GOLDEN_DIGESTS: [(&str, u64); 7] = [
+const GOLDEN_DIGESTS: [(&str, u64); 11] = [
     ("config/base/21", 0x218c0b21de18c9c0),
     ("config/mittos/21", 0xad50989445b3df27),
     ("ssd_config/23", 0x396929dd2f56f4a3),
@@ -490,6 +593,10 @@ const GOLDEN_DIGESTS: [(&str, u64); 7] = [
     ("faulted_config/26", 0xd2377d93699c377e),
     ("chaos_config+tsl/34", 0xdd80e2c86b8268ae),
     ("chrome_export/config/25", 0x3225449ab1abe32b),
+    ("noop_config/37", 0xab78eed04a3f56b9),
+    ("tiered_config+bias/38", 0x554cce07cd3ec4e2),
+    ("inject_config/39", 0x2c6b142982db286e),
+    ("audit_replay/40", 0xbc381a1f2d0e4ce5),
 ];
 
 fn golden_run_digests() -> Vec<(&'static str, u64)> {
@@ -507,6 +614,15 @@ fn golden_run_digests() -> Vec<(&'static str, u64)> {
     let mut export = Fnv1a::new();
     export.write_str(&traced.trace.export_chrome_json());
     export.write_str(&traced.trace.report_text());
+    let mut tiered = Fnv1a::new();
+    fold_result(
+        &mut tiered,
+        &run_experiment(tiered_config(38, Medium::Disk, true)),
+    );
+    fold_result(
+        &mut tiered,
+        &run_experiment(tiered_config(38, Medium::Ssd, false)),
+    );
     vec![
         ("config/base/21", digest_of(config(21, Strategy::Base))),
         ("config/mittos/21", digest_of(config(21, mittos))),
@@ -515,6 +631,10 @@ fn golden_run_digests() -> Vec<(&'static str, u64)> {
         ("faulted_config/26", digest_of(faulted_config(26))),
         ("chaos_config+tsl/34", digest_of(chaos)),
         ("chrome_export/config/25", export.finish()),
+        ("noop_config/37", digest_of(noop_config(37))),
+        ("tiered_config+bias/38", tiered.finish()),
+        ("inject_config/39", digest_of(inject_config(39))),
+        ("audit_replay/40", audit_replay_digest(40)),
     ]
 }
 
