@@ -11,7 +11,7 @@
 //!
 //! | rule | meaning |
 //! |------|---------|
-//! | D001 | wall-clock use (`Instant`, `SystemTime`) outside this crate |
+//! | D001 | wall-clock use (`Instant`, `SystemTime`, `_rdtsc`) outside this crate |
 //! | D002 | ambient entropy (`rand::`, `thread_rng`, ...) outside `simcore::rng` |
 //! | D003 | order-dependent `HashMap`/`HashSet`/`FastMap`/`FastSet` iteration in non-test code |
 //! | D004 | `thread::sleep`/`std::process`/`env::var` in simulation crates |

@@ -12,7 +12,8 @@ use crate::lexer::{lex, Lexed, TokKind, Token};
 /// Identifier of one lint rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// Wall-clock use (`Instant`, `SystemTime`) outside the lint crate.
+    /// Wall-clock use (`Instant`, `SystemTime`, TSC reads) outside the lint
+    /// crate.
     D001,
     /// External entropy (`rand::`, `thread_rng`, ...) outside `simcore::rng`.
     D002,
@@ -521,12 +522,16 @@ fn parse_allow(s: &str) -> Option<(Rule, String)> {
 // Simple token-pattern rules: D001, D002, D004, O001
 // ---------------------------------------------------------------------------
 
+/// Wall-clock sources: std's clocks and the CPU timestamp counter, which
+/// is a faster read of the same host time.
+const WALL_CLOCKS: [&str; 5] = ["Instant", "SystemTime", "UNIX_EPOCH", "_rdtsc", "__rdtscp"];
+
 fn rule_d001(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
     if ctx.crate_name == "lint" {
         return;
     }
     for t in ctx.toks() {
-        if t.is("Instant") || t.is("SystemTime") || t.is("UNIX_EPOCH") {
+        if WALL_CLOCKS.iter().any(|c| t.is(c)) {
             ctx.push(
                 out,
                 Rule::D001,

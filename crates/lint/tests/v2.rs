@@ -262,6 +262,36 @@ fn e002_misses_attributed_and_non_node_rejects() {
 }
 
 // --------------------------------------------------------------------------
+// D001 — the CPU timestamp counter is a wall clock too
+// --------------------------------------------------------------------------
+
+#[test]
+fn d001_hits_tsc_reads() {
+    let src = "fn f() -> u64 { unsafe { core::arch::x86_64::_rdtsc() } }\n";
+    assert_eq!(
+        lint("cluster", FileKind::Library, src),
+        vec![(Rule::D001, 1)]
+    );
+    let src = "use std::arch::x86_64::__rdtscp;\n\
+               fn f(aux: &mut u32) -> u64 { unsafe { __rdtscp(aux) } }\n";
+    assert_eq!(
+        lint("prof", FileKind::Library, src),
+        vec![(Rule::D001, 1), (Rule::D001, 2)]
+    );
+    // A reasoned waiver covers it like any other wall-clock read.
+    let src = "fn f() -> u64 {\n\
+               // mitt-lint: allow(D001, \"profiler tick; never digested\")\n\
+               unsafe { core::arch::x86_64::_rdtsc() }\n\
+               }\n";
+    let out = scan_source("prof", FileKind::Library, "x.rs", src);
+    assert!(out.violations.is_empty());
+    assert_eq!(out.suppressed.len(), 1);
+    // Names that merely contain the intrinsic's name do not fire.
+    let src = "fn f(rdtsc_ticks: u64) -> u64 { rdtsc_ticks }\n";
+    assert!(lint_rules("cluster", src).is_empty());
+}
+
+// --------------------------------------------------------------------------
 // New D003/R001 exemption analyses (the waiver burn-down)
 // --------------------------------------------------------------------------
 

@@ -8,7 +8,8 @@
 //! - **Phase timers** ([`ProfSink::phase`]): scoped wall-clock guards
 //!   around the engine's hot regions (event dispatch, predictor calls,
 //!   scheduler work, device service, stats folding, trace emission), each
-//!   feeding a `simcore::stats::Pow2Hist` latency histogram.
+//!   feeding a `simcore::stats::Pow2Hist` latency histogram. Guards read
+//!   the CPU tick counter, not `Instant` (see the `clock` module).
 //! - **Allocation telemetry** ([`alloc::CountingAlloc`]): a counting
 //!   global allocator (opt-in via the `prof` cargo feature) attributing
 //!   allocations/bytes to the phase active on the allocating thread.
@@ -43,6 +44,7 @@ use std::time::Instant;
 use mitt_sim::{Pow2Hist, SimTime};
 
 pub mod alloc;
+mod clock;
 pub mod report;
 
 pub use alloc::{snapshot as alloc_snapshot, AllocCounters, CountingAlloc};
@@ -136,7 +138,7 @@ pub struct PhaseStats {
 pub struct GaugeSample {
     /// Virtual time of the sample.
     pub at: SimTime,
-    /// Entries in the event calendar (including lazily cancelled ones).
+    /// Entries in the event calendar.
     pub event_ring: usize,
     /// Client IOs in flight across the cluster.
     pub inflight_ios: usize,
@@ -222,14 +224,14 @@ impl ProfSink {
         if alloc::thread_phase() == phase as usize {
             return PhaseGuard { active: None };
         }
+        clock::calibrate_once();
         let prev_alloc_phase = alloc::set_thread_phase(phase);
         PhaseGuard {
             active: Some(ActiveGuard {
                 core: Rc::clone(core),
                 phase,
                 prev_alloc_phase,
-                // mitt-lint: allow(D001, "phase timer start; never digested")
-                start: Instant::now(),
+                start: clock::now(),
             }),
         }
     }
@@ -302,8 +304,8 @@ struct ActiveGuard {
     core: Rc<RefCell<ProfCore>>,
     phase: Phase,
     prev_alloc_phase: usize,
-    // mitt-lint: allow(D001, "guard start timestamp; never digested")
-    start: Instant,
+    /// Tick-clock reading at guard creation.
+    start: u64,
 }
 
 /// Scoped phase timer returned by [`ProfSink::phase`]. Records elapsed
@@ -317,8 +319,7 @@ pub struct PhaseGuard {
 impl Drop for PhaseGuard {
     fn drop(&mut self) {
         let Some(g) = self.active.take() else { return };
-        let elapsed = g.start.elapsed();
-        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        let ns = clock::to_ns(clock::now().saturating_sub(g.start));
         alloc::restore_thread_phase(g.prev_alloc_phase);
         // Guards never outlive the single-threaded driver's call frame,
         // so this borrow cannot collide with an outer borrow.
@@ -396,6 +397,21 @@ mod tests {
         assert_eq!(predict.count, 5);
         assert_eq!(dispatch.hist.total(), 5);
         assert!(dispatch.total_ns >= predict.total_ns || dispatch.total_ns > 0);
+    }
+
+    #[test]
+    fn tick_clock_agrees_with_instant_over_a_spin() {
+        let sink = ProfSink::enabled();
+        let spun = {
+            let _g = sink.phase(Phase::Device);
+            // mitt-lint: allow(D001, "the reference clock the tick clock is checked against")
+            let start = std::time::Instant::now();
+            while start.elapsed().as_micros() < 2_500 {}
+            start.elapsed().as_nanos() as f64
+        };
+        let recorded = sink.report().phases[Phase::Device as usize].total_ns as f64;
+        let err = (recorded - spun).abs() / spun;
+        assert!(err <= 0.10, "guard {recorded} ns vs Instant {spun} ns");
     }
 
     #[test]

@@ -72,10 +72,6 @@ struct Tree {
 }
 
 impl Tree {
-    fn pending(&self) -> usize {
-        self.rr.iter().map(|n| n.queue.len()).sum()
-    }
-
     fn node_mut(&mut self, pid: ProcessId) -> Option<&mut ProcNode> {
         self.rr.iter_mut().find(|n| n.pid == pid)
     }
@@ -86,6 +82,8 @@ pub struct Cfq {
     cfg: CfqConfig,
     trees: [Tree; 3],
     /// IoId -> (tree index, owner, offset): exact location for O(1) cancel.
+    /// Enqueue, dispatch and cancel keep it in step with the trees, so its
+    /// length is the queued count.
     index: FastMap<IoId, (usize, ProcessId, u64)>,
     in_device: usize,
     ctx: NodeCtx,
@@ -191,14 +189,6 @@ impl Cfq {
     pub fn in_device(&self) -> usize {
         self.in_device
     }
-
-    /// Publishes the `sched.queued` gauge. Counting walks every tree's
-    /// round-robin queue, so it runs only when tracing is on.
-    fn gauge_queued(&self) {
-        if self.ctx.trace.is_enabled() {
-            self.ctx.trace.gauge("sched.queued", self.queued() as i64);
-        }
-    }
 }
 
 impl DiskScheduler for Cfq {
@@ -230,7 +220,9 @@ impl DiskScheduler for Cfq {
             node.queue.insert((io.offset, io.id), io);
         }
         let out = self.dispatch(disk, now);
-        self.gauge_queued();
+        self.ctx
+            .trace
+            .gauge("sched.queued", self.index.len() as i64);
         out
     }
 
@@ -245,7 +237,9 @@ impl DiskScheduler for Cfq {
         self.in_device = self.in_device.saturating_sub(1);
         let mut out = self.dispatch(disk, now);
         out.started = started.or(out.started);
-        self.gauge_queued();
+        self.ctx
+            .trace
+            .gauge("sched.queued", self.index.len() as i64);
         Ok((finished, out))
     }
 
@@ -261,7 +255,7 @@ impl DiskScheduler for Cfq {
     }
 
     fn queued(&self) -> usize {
-        self.trees.iter().map(Tree::pending).sum()
+        self.index.len()
     }
 
     fn name(&self) -> &'static str {
@@ -437,6 +431,60 @@ mod tests {
         assert!(sched.cancel(IoId(0)).is_none());
         let order = drain(&mut sched, &mut d, s.started);
         assert_eq!(order, vec![IoId(0)]);
+    }
+
+    /// The queued count the index length replaces: a walk of every tree.
+    fn walked(sched: &Cfq) -> usize {
+        sched
+            .trees
+            .iter()
+            .flat_map(|t| &t.rr)
+            .map(|n| n.queue.len())
+            .sum()
+    }
+
+    #[test]
+    fn queued_count_matches_a_tree_walk() {
+        let mut sched = Cfq::new(CfqConfig {
+            base_quantum: 1,
+            max_device_ios: 2,
+        });
+        let mut d = disk();
+        let mut g = IoIdGen::new();
+        let mut rng = SimRng::new(7);
+        let mut live: Vec<IoId> = Vec::new();
+        let mut ticks: Vec<SimTime> = Vec::new();
+        for step in 0..2_000u64 {
+            match rng.index(4) {
+                0 | 1 => {
+                    let class =
+                        [IoClass::RealTime, IoClass::BestEffort, IoClass::Idle][rng.index(3)];
+                    let pid = (rng.next_u64() % 4) as u32;
+                    let b = io(&mut g, pid, rng.next_u64() % 1_000_000, class, 4);
+                    live.push(b.id);
+                    let out = sched.enqueue(b, &mut d, SimTime::ZERO);
+                    ticks.extend(out.started.map(|s| s.done_at));
+                }
+                2 if !live.is_empty() => {
+                    let id = live.swap_remove(rng.index(live.len()));
+                    // Already-dispatched IOs refuse the cancel: no change.
+                    let _ = sched.cancel(id);
+                }
+                _ => {
+                    if let Some(at) = ticks.pop() {
+                        let (_, out) = sched.on_complete(&mut d, at).unwrap();
+                        ticks.extend(out.started.map(|s| s.done_at));
+                    }
+                }
+            }
+            assert_eq!(sched.queued(), walked(&sched), "after step {step}");
+        }
+        while let Some(at) = ticks.pop() {
+            let (_, out) = sched.on_complete(&mut d, at).unwrap();
+            ticks.extend(out.started.map(|s| s.done_at));
+            assert_eq!(sched.queued(), walked(&sched));
+        }
+        assert_eq!(sched.queued(), 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! load-bearing:
 //!
 //! - **Deterministic.** Events carry [`SimTime`] timestamps only (never the
-//!   wall clock), all metric series iterate in `BTreeMap` order, and the
+//!   wall clock), every read of the metric series sorts them by key, and the
 //!   whole trace folds into the workspace's FNV-1a digest via
 //!   [`TraceSink::fold_digest`], so traces themselves are covered by the
 //!   double-run determinism harness.

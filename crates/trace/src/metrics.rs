@@ -1,13 +1,14 @@
 //! Named counters, gauges, and bucketed histograms.
 //!
-//! All series live in `BTreeMap`s keyed by `(&'static str, u32)` — the
-//! static name plus the node tag of the emitting sink — so iteration order
-//! is deterministic and the whole registry can be folded into an
-//! [`Fnv1a`] digest byte-for-byte reproducibly.
+//! Series are keyed by `(&'static str, u32)` — the static name plus the
+//! node tag of the emitting sink — in [`FastMap`]s, so an update hashes the
+//! key once instead of comparing names down a tree. Order is a read-time
+//! concern: every read that exposes it (the digest fold, the per-node and
+//! name listings, the histogram list) sorts by key first, so output is the
+//! same name-then-node order as a `BTreeMap` and folds into an [`Fnv1a`]
+//! digest byte-for-byte reproducibly.
 
-use std::collections::BTreeMap;
-
-use mitt_sim::{Duration, Fnv1a};
+use mitt_sim::{Duration, FastMap, Fnv1a};
 
 /// Default histogram bucket upper bounds in nanoseconds: 250 µs doubling up
 /// to 1 s, sized for millisecond-scale wait/prediction-error distributions.
@@ -99,12 +100,19 @@ impl Histogram {
     }
 }
 
-/// Deterministically-ordered registry of counters, gauges, and histograms.
+/// Registry of counters, gauges, and histograms; reads are key-ordered.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<(&'static str, u32), u64>,
-    gauges: BTreeMap<(&'static str, u32), i64>,
-    histograms: BTreeMap<&'static str, Histogram>,
+    counters: FastMap<(&'static str, u32), u64>,
+    gauges: FastMap<(&'static str, u32), i64>,
+    histograms: FastMap<&'static str, Histogram>,
+}
+
+/// The entries of `map` sorted by key.
+fn sorted<K: Ord + Copy, V>(map: &FastMap<K, V>) -> Vec<(K, &V)> {
+    let mut entries: Vec<(K, &V)> = map.iter().map(|(&k, v)| (k, v)).collect();
+    entries.sort_unstable_by_key(|&(k, _)| k);
+    entries
 }
 
 impl MetricsRegistry {
@@ -143,16 +151,21 @@ impl MetricsRegistry {
     }
 
     /// Per-node values of counter `name`, in node order.
-    pub fn counter_by_key<'a>(&'a self, name: &'a str) -> impl Iterator<Item = (u32, u64)> + 'a {
-        self.counters
+    pub fn counter_by_key(&self, name: &str) -> impl Iterator<Item = (u32, u64)> {
+        let mut per_node: Vec<(u32, u64)> = self
+            .counters
             .iter()
-            .filter(move |((n, _), _)| *n == name)
+            .filter(|((n, _), _)| *n == name)
             .map(|(&(_, k), &v)| (k, v))
+            .collect();
+        per_node.sort_unstable();
+        per_node.into_iter()
     }
 
     /// All distinct counter names, in lexicographic order.
     pub fn counter_names(&self) -> Vec<&'static str> {
         let mut names: Vec<&'static str> = self.counters.keys().map(|&(n, _)| n).collect();
+        names.sort_unstable();
         names.dedup();
         names
     }
@@ -169,7 +182,7 @@ impl MetricsRegistry {
 
     /// All histograms in name order.
     pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
-        self.histograms.iter().map(|(&n, h)| (n, h))
+        sorted(&self.histograms).into_iter()
     }
 
     /// Number of distinct series (counters + gauges + histograms).
@@ -182,23 +195,23 @@ impl MetricsRegistry {
         self.len() == 0
     }
 
-    /// Folds every series — names, keys, and values in `BTreeMap` order —
-    /// into a digest.
+    /// Folds every series — names, keys, and values in key order — into a
+    /// digest.
     pub fn fold(&self, h: &mut Fnv1a) {
         h.write_usize(self.counters.len());
-        for (&(name, key), &v) in &self.counters {
+        for ((name, key), &v) in sorted(&self.counters) {
             h.write_str(name);
             h.write_u64(u64::from(key));
             h.write_u64(v);
         }
         h.write_usize(self.gauges.len());
-        for (&(name, key), &v) in &self.gauges {
+        for ((name, key), &v) in sorted(&self.gauges) {
             h.write_str(name);
             h.write_u64(u64::from(key));
             h.write_i64(v);
         }
         h.write_usize(self.histograms.len());
-        for (&name, hist) in &self.histograms {
+        for (name, hist) in sorted(&self.histograms) {
             h.write_str(name);
             hist.fold(h);
         }

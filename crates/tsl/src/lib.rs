@@ -321,14 +321,55 @@ fn burn_milli(misses: u64, gets: u64, budget_ppm: u64) -> u64 {
     (misses as u128 * 1_000_000_000u128 / (gets as u128 * budget_ppm as u128)) as u64
 }
 
+/// One node's timeline: window `w` lives in `cells[w]`. Windows are dense
+/// and only move forward within a run, so a row grows at its end and a
+/// record is an index, not a tree descent. A slot stays `None` until
+/// something touches its window; a touched cell stays even when it counts
+/// nothing (a breaker move to HalfOpen), exactly as a map entry would.
+/// Cells are boxed so an untouched slot costs one pointer.
+#[derive(Debug, Default)]
+struct Row {
+    cells: Vec<Option<Box<WindowStats>>>,
+}
+
+impl Row {
+    /// The cell for window `w`, created (and the row extended) on first
+    /// touch.
+    fn cell(&mut self, w: u64) -> &mut WindowStats {
+        let i = slot(w);
+        if i >= self.cells.len() {
+            self.cells.resize_with(i + 1, || None);
+        }
+        self.cells[i].get_or_insert_with(Box::default)
+    }
+
+    /// The cell for window `w`, if anything touched it.
+    fn get(&self, w: u64) -> Option<&WindowStats> {
+        self.cells.get(slot(w))?.as_deref()
+    }
+
+    /// Touched cells with their window index, in window order.
+    fn iter(&self) -> impl Iterator<Item = (u64, &WindowStats)> + '_ {
+        (0..)
+            .zip(&self.cells)
+            .filter_map(|(w, c)| Some((w, c.as_deref()?)))
+    }
+}
+
+/// A window index as a row index.
+fn slot(w: u64) -> usize {
+    usize::try_from(w).expect("timeline row spans more windows than memory")
+}
+
 /// The shared timeline collector behind every [`TslSink`] handle.
 #[derive(Debug)]
 struct TslCore {
     cfg: TslConfig,
     strategy: String,
-    /// Timeline cells keyed `(node, window index)`; [`CLUSTER_NODE`] rows
-    /// hold the cluster-level gets/misses/EBUSY the burn rate reads.
-    windows: BTreeMap<(u32, u64), WindowStats>,
+    /// Timeline rows by node, iterated in `(node, window)` order;
+    /// [`CLUSTER_NODE`]'s row holds the cluster-level gets/misses/EBUSY
+    /// the burn rate reads.
+    rows: BTreeMap<u32, Row>,
     /// Windows strictly below this index have been closed and evaluated.
     closed_through: u64,
     alerts: Vec<TslAlert>,
@@ -353,15 +394,22 @@ impl TslCore {
 
     fn cell(&mut self, node: u32, at: SimTime) -> &mut WindowStats {
         let w = self.window_of(at);
-        self.windows.entry((node, w)).or_default()
+        self.rows.entry(node).or_default().cell(w)
+    }
+
+    /// Touched cells in `(node, window)` order.
+    fn cells(&self) -> impl Iterator<Item = (u32, u64, &WindowStats)> + '_ {
+        self.rows
+            .iter()
+            .flat_map(|(&node, row)| row.iter().map(move |(w, s)| (node, w, s)))
     }
 
     /// Sums `(gets, misses)` over cluster windows `[lo, hi]` inclusive.
     fn span_totals(&self, lo: u64, hi: u64) -> (u64, u64) {
         let mut gets = 0;
         let mut misses = 0;
-        for w in lo..=hi {
-            if let Some(s) = self.windows.get(&(CLUSTER_NODE, w)) {
+        if let Some(row) = self.rows.get(&CLUSTER_NODE) {
+            for s in (lo..=hi).filter_map(|w| row.get(w)) {
                 gets += s.gets;
                 misses += s.misses;
             }
@@ -443,7 +491,7 @@ impl TslSink {
             core: Some(Rc::new(RefCell::new(TslCore {
                 cfg,
                 strategy: strategy.to_string(),
-                windows: BTreeMap::new(),
+                rows: BTreeMap::new(),
                 closed_through: 0,
                 alerts: Vec::new(),
                 fast_active: false,
@@ -563,8 +611,7 @@ impl TslSink {
         if let Some(core) = &self.core {
             let mut core = core.borrow_mut();
             for row in [node, CLUSTER_NODE] {
-                let w = core.window_of(at);
-                let cell = core.windows.entry((row, w)).or_default();
+                let cell = core.cell(row, at);
                 if to_code == 1 {
                     cell.breaker_opens += 1;
                 } else if to_code == 0 {
@@ -709,10 +756,10 @@ impl TslSink {
         };
         let width = core.cfg.window.as_nanos();
         let mut out = Vec::new();
-        for (&(node, w), stats) in &core.windows {
-            if node != CLUSTER_NODE {
-                continue;
-            }
+        let Some(cluster) = core.rows.get(&CLUSTER_NODE) else {
+            return out;
+        };
+        for (w, stats) in cluster.iter() {
             let at = SimTime::from_nanos((w + 1) * width);
             out.push(TraceEvent {
                 at,
@@ -757,8 +804,8 @@ impl TslSink {
         h.write_u64(core.cfg.fast_threshold_milli);
         h.write_u64(core.cfg.slow_windows);
         h.write_u64(core.cfg.slow_threshold_milli);
-        h.write_u64(core.windows.len() as u64);
-        for (&(node, w), stats) in &core.windows {
+        h.write_u64(core.cells().count() as u64);
+        for (node, w, stats) in core.cells() {
             h.write_u64(u64::from(node));
             h.write_u64(w);
             stats.fold(h);
@@ -814,34 +861,20 @@ impl TslSink {
             cfg.slow_windows, cfg.slow_threshold_milli
         ));
 
-        // Timelines: cluster row first, then per-node rows in node order.
-        let mut nodes: Vec<u32> = Vec::new();
-        for &(node, _) in core.windows.keys() {
-            if !nodes.contains(&node) {
-                nodes.push(node);
-            }
-        }
-        nodes.sort_unstable();
-        // BTreeMap order puts CLUSTER_NODE (u32::MAX) last; surface it first.
-        if let Some(pos) = nodes.iter().position(|&n| n == CLUSTER_NODE) {
-            nodes.remove(pos);
-            nodes.insert(0, CLUSTER_NODE);
-        }
+        // Timelines: cluster row first, then per-node rows in node order
+        // (BTreeMap order puts CLUSTER_NODE, u32::MAX, last).
+        let cluster = core.rows.get_key_value(&CLUSTER_NODE);
+        let nodes = core.rows.iter().filter(|&(&n, _)| n != CLUSTER_NODE);
         out.push_str(",\"timelines\":[");
-        for (ni, &node) in nodes.iter().enumerate() {
+        for (ni, (&node, row)) in cluster.into_iter().chain(nodes).enumerate() {
             if ni > 0 {
                 out.push(',');
             }
             out.push_str(&format!("{{\"node\":{node},\"windows\":["));
-            let mut first = true;
-            for (&(n, w), s) in &core.windows {
-                if n != node {
-                    continue;
-                }
-                if !first {
+            for (i, (w, s)) in row.iter().enumerate() {
+                if i > 0 {
                     out.push(',');
                 }
-                first = false;
                 out.push_str(&format!("{{\"w\":{w},\"start_us\":{}", w * width / 1_000));
                 out.push_str(&format!(",\"gets\":{}", s.gets));
                 out.push_str(&format!(",\"misses\":{}", s.misses));
@@ -1111,6 +1144,46 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn touched_empty_cells_appear_and_untouched_ones_do_not() {
+        let s = TslSink::enabled(cfg_10ms(), "test");
+        let n3 = s.for_node(3);
+        n3.record_dispatch(at_ms(5));
+        // A breaker move to HalfOpen touches window 4 without counting.
+        s.record_breaker_transition(3, at_ms(41), 2);
+        s.finish(at_ms(50));
+        let json = s.export_json();
+        let empty = |w: u64| {
+            format!(
+                "{{\"w\":{w},\"start_us\":{},\"gets\":0,\"misses\":0,\"ebusy\":0,\"admits\":0,\
+                 \"rejects\":0,\"dispatches\":0,\"completes\":0,\"p50_us\":0,\"p95_us\":0,\
+                 \"p99_us\":0,\"p999_us\":0,\"service_p99_us\":0,\"burn_milli\":0,\
+                 \"breaker_opens\":0,\"breaker_closes\":0,\"reject_by_resource\":{{}}}}",
+                w * 10_000
+            )
+        };
+        // Cluster row first, then node 3 with windows 0 and 4 only.
+        let cluster = format!("{{\"node\":{CLUSTER_NODE},\"windows\":[{}]}}", empty(4));
+        assert!(json.contains(&cluster), "{json}");
+        assert!(json.contains("\"dispatches\":1,\"completes\":0"));
+        assert!(json.contains(&format!(",{}]}}]", empty(4))), "{json}");
+        assert!(!json.contains("\"w\":1,"), "untouched windows stay out");
+    }
+
+    #[test]
+    fn out_of_order_records_keep_window_order() {
+        let build = |order: &[u64]| {
+            let s = TslSink::enabled(cfg_10ms(), "test");
+            for &ms in order {
+                s.observe_get(at_ms(ms), Duration::from_millis(1));
+            }
+            let mut h = Fnv1a::new();
+            s.fold_digest(&mut h);
+            (s.export_json(), h.finish())
+        };
+        assert_eq!(build(&[35, 12, 3]), build(&[3, 12, 35]));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 # are deny-level, so this doubles as the warning gate), the mitt-lint
 # determinism/invariant scan, the test suite (which itself re-runs the
 # lint via tests/lint.rs and the double-run digest check via
-# tests/determinism.rs), the mitt-trace unit tests, the perf benchmark's
-# smoke test, and a traced-run smoke test that exports a Chrome trace and
-# validates it as JSON.
+# tests/determinism.rs), every workspace crate's own tests, the perf
+# benchmark's smoke test, and a traced-run smoke test that exports a Chrome
+# trace and validates it as JSON.
 #
 # Usage: scripts/check.sh   (from anywhere inside the repo)
 set -eu
@@ -52,8 +52,10 @@ echo "   workspace clean; SARIF artifact at results/lint.sarif"
 echo "== cargo test -q"
 cargo test -q
 
-echo "== cargo test -q -p mitt-trace"
-cargo test -q -p mitt-trace
+echo "== cargo test -q --workspace"
+# The root run above covers only the root package's suites; this one adds
+# every member crate's unit, integration and doc tests.
+cargo test -q --workspace
 
 echo "== perf smoke (the benchmark declared in BENCHMARK.json)"
 # perf is a package of its own, so the workspace test run above skips it.

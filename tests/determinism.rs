@@ -585,7 +585,7 @@ fn audit_replay_digest(seed: u64) -> u64 {
 /// To regenerate after a deliberate behaviour change, run
 /// `cargo test --test determinism golden -- --nocapture`: the failure
 /// message lists every run's current digest in this table's format.
-const GOLDEN_DIGESTS: [(&str, u64); 11] = [
+const GOLDEN_DIGESTS: [(&str, u64); 12] = [
     ("config/base/21", 0x218c0b21de18c9c0),
     ("config/mittos/21", 0xad50989445b3df27),
     ("ssd_config/23", 0x396929dd2f56f4a3),
@@ -597,6 +597,7 @@ const GOLDEN_DIGESTS: [(&str, u64); 11] = [
     ("tiered_config+bias/38", 0x554cce07cd3ec4e2),
     ("inject_config/39", 0x2c6b142982db286e),
     ("audit_replay/40", 0xbc381a1f2d0e4ce5),
+    ("tsl_export/chaos_config+tsl/34", 0x0ec3d98b214b3132),
 ];
 
 fn golden_run_digests() -> Vec<(&'static str, u64)> {
@@ -610,6 +611,11 @@ fn golden_run_digests() -> Vec<(&'static str, u64)> {
     };
     let mut chaos = chaos_config(34);
     chaos.tsl = Some(TslConfig::default());
+    let chaos = run_experiment(chaos);
+    let mut chaos_run = Fnv1a::new();
+    fold_result(&mut chaos_run, &chaos);
+    let mut tsl_export = Fnv1a::new();
+    tsl_export.write_str(&chaos.tsl.export_json());
     let traced = run_experiment(config(25, mittos.clone()));
     let mut export = Fnv1a::new();
     export.write_str(&traced.trace.export_chrome_json());
@@ -629,12 +635,13 @@ fn golden_run_digests() -> Vec<(&'static str, u64)> {
         ("ssd_config/23", digest_of(ssd_config(23))),
         ("lsm_config/24", digest_of(lsm_config(24))),
         ("faulted_config/26", digest_of(faulted_config(26))),
-        ("chaos_config+tsl/34", digest_of(chaos)),
+        ("chaos_config+tsl/34", chaos_run.finish()),
         ("chrome_export/config/25", export.finish()),
         ("noop_config/37", digest_of(noop_config(37))),
         ("tiered_config+bias/38", tiered.finish()),
         ("inject_config/39", digest_of(inject_config(39))),
         ("audit_replay/40", audit_replay_digest(40)),
+        ("tsl_export/chaos_config+tsl/34", tsl_export.finish()),
     ]
 }
 
