@@ -713,7 +713,15 @@ impl Node {
         }
     }
 
+    /// Admits and submits a request to the SSD stack; the returned ticks
+    /// hold one completion per page sub-IO.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `req.len` is 0: an empty request would have no sub-IO to
+    /// complete it, so it would never finish.
     fn submit_ssd(&mut self, req: &ReadReq, kind: IoKind, now: SimTime) -> Submission {
+        assert!(req.len > 0, "an SSD request must cover at least one byte");
         let io = self.build_io(req, kind, now);
         let ss = self.ssd.as_mut().expect("node has no SSD stack");
         let policy = &mut self.policy;
@@ -1074,6 +1082,17 @@ mod tests {
         let sc = ticks.ssd[0];
         let done = node.on_ssd_tick(sc.key, sc.channel, sc.chip, sc.busy, sc.done_at);
         assert_eq!(done.expect("request finishes").io, io);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one byte")]
+    fn zero_length_ssd_request_panics() {
+        // Page-aligned and above 0: the request covers no page, so no
+        // sub-IO would ever complete it.
+        let mut r = rng();
+        let mut node = Node::new(0, NodeConfig::ssd(), &mut r);
+        let req = ReadReq::client(3 * 16_384, 0, ProcessId(1)).on_ssd();
+        node.submit_read(&req, SimTime::ZERO);
     }
 
     #[test]

@@ -136,7 +136,7 @@ impl Strategy {
 }
 
 /// What the noisy neighbor does during a burst.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub enum NoiseKind {
     /// Keeps `intensity` concurrent reads of `len` bytes outstanding on
     /// the disk (the paper's 1 MB-read injector).
@@ -448,11 +448,14 @@ enum Ev {
     DiskTick {
         node: usize,
     },
+    /// One page sub-IO of a striped SSD request completed. Kept within 32
+    /// payload bytes: it is the most frequent event and sizes every `Ev`.
     SsdTick {
-        node: usize,
-        key: SubIoKey,
-        channel: usize,
-        chip: usize,
+        node: u32,
+        index: u32,
+        io: IoId,
+        chip: u16,
+        channel: u16,
         busy: Duration,
     },
     LocalDone {
@@ -969,11 +972,12 @@ impl ClusterSim {
             Ev::DiskTick { node } => self.disk_tick(node, now),
             Ev::SsdTick {
                 node,
-                key,
-                channel,
+                index,
+                io,
                 chip,
+                channel,
                 busy,
-            } => self.ssd_tick(node, key, channel, chip, busy, now),
+            } => self.ssd_tick(node, SubIoKey { io, index }, channel, chip, busy, now),
             Ev::LocalDone { op, attempt } => self.local_done(op, attempt, now),
             Ev::Reply {
                 op,
@@ -1606,18 +1610,23 @@ impl ClusterSim {
             self.on_started(node, s.id, now);
             self.q.schedule(s.done_at, Ev::DiskTick { node });
         }
-        for sc in ticks.ssd {
-            self.q.schedule(
-                sc.done_at,
-                Ev::SsdTick {
-                    node,
-                    key: sc.key,
-                    channel: sc.channel,
-                    chip: sc.chip,
-                    busy: sc.busy,
-                },
-            );
+        if ticks.ssd.is_empty() {
+            return;
         }
+        // One run per request: the sub-IOs pop in `done_at` order among
+        // the other events without a heap push each.
+        let node = u32::try_from(node).expect("node index fits in u32");
+        self.q.schedule_batch(ticks.ssd.into_iter().map(|sc| {
+            let tick = Ev::SsdTick {
+                node,
+                index: sc.key.index,
+                io: sc.key.io,
+                chip: u16::try_from(sc.chip).expect("chip index fits in u16"),
+                channel: u16::try_from(sc.channel).expect("channel index fits in u16"),
+                busy: sc.busy,
+            };
+            (sc.done_at, tick)
+        }));
     }
 
     /// Begin-execution hook: drives tied-request revocation.
@@ -1666,13 +1675,15 @@ impl ClusterSim {
 
     fn ssd_tick(
         &mut self,
-        node: usize,
+        node: u32,
         key: SubIoKey,
-        channel: usize,
-        chip: usize,
+        channel: u16,
+        chip: u16,
         busy: Duration,
         now: SimTime,
     ) {
+        let node = node as usize;
+        let (channel, chip) = (usize::from(channel), usize::from(chip));
         if let Some(done) = self.nodes[node].on_ssd_tick(key, channel, chip, busy, now) {
             self.io_done(node, done.io, now);
         }
@@ -2177,8 +2188,7 @@ impl ClusterSim {
         let Some(burst) = self.burst_of(stream, node, idx) else {
             return;
         };
-        let kind = self.cfg.noise[stream].kind.clone();
-        match kind {
+        match self.cfg.noise[stream].kind {
             NoiseKind::CacheSwap => {
                 self.nodes[node].swap_out_pct(burst.intensity, now);
             }
@@ -2194,9 +2204,8 @@ impl ClusterSim {
         if !self.burst_active(stream, node, idx, now) {
             return;
         }
-        let kind = self.cfg.noise[stream].kind.clone();
         let noise_owner = ProcessId(2000 + node as u32);
-        match kind {
+        match self.cfg.noise[stream].kind {
             NoiseKind::DiskReads {
                 len,
                 class,
@@ -2475,6 +2484,14 @@ pub fn run_experiment(cfg: ExperimentConfig) -> ExperimentResult {
 mod tests {
     use super::*;
     use mitt_workload::rotating_schedule;
+
+    #[test]
+    fn events_stay_within_forty_bytes() {
+        // Every calendar entry carries an `Ev`; `SsdTick`, the most
+        // frequent, must not widen it again.
+        let size = std::mem::size_of::<Ev>();
+        assert!(size <= 40, "Ev grew to {size} bytes");
+    }
 
     fn quick(strategy: Strategy) -> ExperimentConfig {
         let mut cfg = ExperimentConfig::micro(NodeConfig::disk_cfq(), strategy);

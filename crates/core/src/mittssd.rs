@@ -22,24 +22,33 @@ use crate::admit::{admit_bare, Predictor};
 use crate::profile::SsdProfile;
 use crate::slo::Decision;
 
+/// One admitted sub-IO awaiting its completion.
 struct SubRec {
     channel: usize,
     busy_pred_ns: i64,
+    live: bool,
+}
+
+/// The sub-IOs of one admitted request, indexed by page index.
+struct ReqRec {
+    subs: Vec<SubRec>,
+    live: u32,
 }
 
 /// The MittSSD admission predictor.
 pub struct MittSsd {
     profile: SsdProfile,
     hop: Duration,
-    channels: usize,
-    num_chips: usize,
-    page_size: u32,
-    pages_per_block: u32,
+    spec: SsdSpec,
     chip_free_ns: Vec<i64>,
     chan_outstanding: Vec<u32>,
     /// Mirror of each chip's append pointer, for program-time prediction.
     append_page: Vec<u32>,
-    pending: FastMap<(IoId, u32), SubRec>,
+    pending: FastMap<IoId, ReqRec>,
+    /// Emptied `ReqRec::subs` buffers, reused by the next admissions.
+    spare: Vec<Vec<SubRec>>,
+    /// Admitted sub-IOs not yet completed, across all requests.
+    in_flight: u64,
     admitted: u64,
     rejected: u64,
 }
@@ -51,47 +60,35 @@ impl MittSsd {
         MittSsd {
             profile,
             hop,
-            channels: spec.channels,
-            num_chips: spec.num_chips(),
-            page_size: spec.page_size,
-            pages_per_block: spec.pages_per_block,
+            spec: spec.clone(),
             chip_free_ns: vec![0; spec.num_chips()],
             chan_outstanding: vec![0; spec.channels],
             append_page: vec![0; spec.num_chips()],
             pending: FastMap::default(),
+            spare: Vec::new(),
+            in_flight: 0,
             admitted: 0,
             rejected: 0,
         }
     }
 
-    fn chip_of_page(&self, lpn: u64) -> usize {
-        (lpn % self.num_chips as u64) as usize
-    }
-
-    fn channel_of(&self, chip: usize) -> usize {
-        chip % self.channels
-    }
-
-    fn sub_wait_ns(&self, chip: usize, now: SimTime) -> i64 {
+    fn sub_wait_ns(&self, chip: usize, channel: usize, now: SimTime) -> i64 {
         let chip_wait = (self.chip_free_ns[chip] - now.as_nanos() as i64).max(0);
-        let chan = self.channel_of(chip);
-        let chan_wait =
-            self.profile.channel_delay.as_nanos() as i64 * i64::from(self.chan_outstanding[chan]);
+        let chan_wait = self.profile.channel_delay.as_nanos() as i64
+            * i64::from(self.chan_outstanding[channel]);
         chip_wait + chan_wait
     }
 
-    fn pages_of(&self, io: &BlockIo) -> std::ops::RangeInclusive<u64> {
-        let ps = u64::from(self.page_size);
-        let first = io.offset / ps;
-        let last = (io.end_offset().saturating_sub(1)) / ps;
-        first..=last
-    }
-
     /// Predicted wait of the *worst* sub-page of `io` at `now`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `io.len` is 0 (see [`SsdSpec::stripe`]).
     pub fn predicted_wait(&self, io: &BlockIo, now: SimTime) -> Duration {
         let worst = self
-            .pages_of(io)
-            .map(|lpn| self.sub_wait_ns(self.chip_of_page(lpn), now))
+            .spec
+            .stripe(io.offset, io.len)
+            .map(|(_, chip, channel)| self.sub_wait_ns(chip, channel, now))
             .max()
             .unwrap_or(0);
         Duration::from_nanos(worst.max(0) as u64)
@@ -107,29 +104,35 @@ impl MittSsd {
     /// channel mirrors for every sub-page).
     pub fn account(&mut self, io: &BlockIo, now: SimTime) {
         self.admitted += 1;
-        let pages: Vec<u64> = self.pages_of(io).collect();
-        for (index, lpn) in pages.into_iter().enumerate() {
-            let chip = self.chip_of_page(lpn);
-            let chan = self.channel_of(chip);
+        let now_ns = now.as_nanos() as i64;
+        let mut subs = self.spare.pop().unwrap_or_default();
+        for (_, chip, channel) in self.spec.stripe(io.offset, io.len) {
             let busy = match io.kind {
                 IoKind::Read => self.profile.read_page,
                 IoKind::Write => {
                     let page = self.append_page[chip];
-                    self.append_page[chip] = (page + 1) % self.pages_per_block;
+                    let next = page + 1;
+                    self.append_page[chip] = if next == self.spec.pages_per_block {
+                        0
+                    } else {
+                        next
+                    };
                     self.profile.prog_time(page)
                 }
             };
             let busy_ns = busy.as_nanos() as i64;
-            self.chip_free_ns[chip] = self.chip_free_ns[chip].max(now.as_nanos() as i64) + busy_ns;
-            self.chan_outstanding[chan] += 1;
-            self.pending.insert(
-                (io.id, index as u32),
-                SubRec {
-                    channel: chan,
-                    busy_pred_ns: busy_ns,
-                },
-            );
+            self.chip_free_ns[chip] = self.chip_free_ns[chip].max(now_ns) + busy_ns;
+            self.chan_outstanding[channel] += 1;
+            subs.push(SubRec {
+                channel,
+                busy_pred_ns: busy_ns,
+                live: true,
+            });
         }
+        self.in_flight += subs.len() as u64;
+        let live = subs.len() as u32;
+        let old = self.pending.insert(io.id, ReqRec { subs, live });
+        debug_assert!(old.is_none(), "{:?} admitted twice", io.id);
     }
 
     /// Accounts a GC burst the OS-side FTL just issued on `chip`.
@@ -145,14 +148,26 @@ impl MittSsd {
     }
 
     /// Completes a sub-IO: releases its channel slot and calibrates the
-    /// chip mirror with the actual busy time.
+    /// chip mirror with the actual busy time. A sub-IO that was never
+    /// admitted, or has already completed, is ignored.
     pub fn on_complete_sub(&mut self, io: IoId, index: u32, actual_busy: Duration, chip: usize) {
-        if let Some(rec) = self.pending.remove(&(io, index)) {
-            debug_assert!(self.chan_outstanding[rec.channel] > 0);
-            self.chan_outstanding[rec.channel] =
-                self.chan_outstanding[rec.channel].saturating_sub(1);
-            let diff = actual_busy.as_nanos() as i64 - rec.busy_pred_ns;
-            self.chip_free_ns[chip] += diff;
+        let Some(req) = self.pending.get_mut(&io) else {
+            return;
+        };
+        let Some(sub) = req.subs.get_mut(index as usize).filter(|s| s.live) else {
+            return;
+        };
+        sub.live = false;
+        debug_assert!(self.chan_outstanding[sub.channel] > 0);
+        self.chan_outstanding[sub.channel] = self.chan_outstanding[sub.channel].saturating_sub(1);
+        self.chip_free_ns[chip] += actual_busy.as_nanos() as i64 - sub.busy_pred_ns;
+        self.in_flight -= 1;
+        req.live -= 1;
+        if req.live == 0 {
+            if let Some(mut done) = self.pending.remove(&io).map(|r| r.subs) {
+                done.clear();
+                self.spare.push(done);
+            }
         }
     }
 
@@ -182,7 +197,7 @@ impl Predictor for MittSsd {
 
     /// Channel contention, with the in-flight sub-IOs across all chips.
     fn blame(&self) -> (Resource, u64) {
-        (Resource::SsdChannel, self.pending.len() as u64)
+        (Resource::SsdChannel, self.in_flight)
     }
 
     fn hop(&self) -> Duration {
@@ -323,5 +338,47 @@ mod tests {
             let expected = spec.prog_time(i as u32 - 1) + spec.channel_delay;
             assert_eq!(delta, expected, "page {}", i - 1);
         }
+    }
+
+    /// `blame()` reports the admitted sub-IOs that have not completed,
+    /// across random admissions (reads and multi-page writes) and
+    /// out-of-order completions; a repeated completion changes nothing.
+    #[test]
+    fn blame_counts_sub_ios_in_flight() {
+        let (mut p, spec) = predictor();
+        let mut g = IoIdGen::new();
+        let mut rng = mitt_sim::SimRng::new(0xb1a3e);
+        let page = u64::from(spec.page_size);
+        let (mut open, mut done) = (Vec::new(), Vec::new());
+        for step in 0..3_000 {
+            let now = SimTime::from_nanos(step * 10_000);
+            if open.is_empty() || rng.chance(0.3) {
+                let offset = rng.range_u64(0, 1 << 30);
+                let len = rng.range_u64(1, 20 * page) as u32;
+                let io = if rng.chance(0.5) {
+                    rd(&mut g, offset, len, None)
+                } else {
+                    wr(&mut g, offset, len)
+                };
+                p.account(&io, now);
+                open.extend(
+                    spec.stripe(offset, len)
+                        .map(|(index, chip, _)| (io.id, index, chip)),
+                );
+            } else if !done.is_empty() && rng.chance(0.2) {
+                let (io, index, chip) = done[rng.index(done.len())];
+                let before = (p.chip_free_ns.clone(), p.chan_outstanding.clone());
+                p.on_complete_sub(io, index, spec.read_page, chip);
+                assert_eq!(before, (p.chip_free_ns.clone(), p.chan_outstanding.clone()));
+            } else {
+                let sub = open.swap_remove(rng.index(open.len()));
+                p.on_complete_sub(sub.0, sub.1, spec.read_page, sub.2);
+                done.push(sub);
+            }
+            assert_eq!(p.blame(), (Resource::SsdChannel, open.len() as u64));
+            let queued: u32 = p.chan_outstanding.iter().sum();
+            assert_eq!(u64::from(queued), open.len() as u64);
+        }
+        assert!(done.len() > 1_000);
     }
 }

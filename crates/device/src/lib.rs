@@ -38,4 +38,4 @@ pub mod ssd;
 pub use disk::{Disk, DiskFull, DiskSpec, FinishedIo, NoInflight, Started, GB};
 pub use io::{BlockIo, IoClass, IoId, IoIdGen, IoKind, ProcessId};
 pub use nvram::NvramBuffer;
-pub use ssd::{GcBurst, Ssd, SsdSpec, SsdSubmit, SubCompletion, SubIoKey};
+pub use ssd::{GcBurst, Ssd, SsdSpec, SsdSubmit, Stripe, SubCompletion, SubIoKey};

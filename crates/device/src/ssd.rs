@@ -95,6 +95,32 @@ impl SsdSpec {
         (lpn % self.num_chips() as u64) as usize
     }
 
+    /// The pages a request of `len` bytes at byte `offset` covers, striped
+    /// round-robin over the chips: yields `(index, chip, channel)` per page,
+    /// `index` counting from 0 within the request. Offsets are in logical
+    /// page units (`offset / page_size`), so a page lands on
+    /// [`SsdSpec::chip_of_page`] behind [`SsdSpec::channel_of`]; the walk
+    /// divides once per request and steps with wrap-around per page.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is 0: an empty request covers no page.
+    pub fn stripe(&self, offset: u64, len: u32) -> Stripe {
+        assert!(len > 0, "an SSD request must cover at least one byte");
+        let page = u64::from(self.page_size);
+        let first = offset / page;
+        let last = (offset + u64::from(len - 1)) / page;
+        let chip = self.chip_of_page(first);
+        Stripe {
+            index: 0,
+            pages: (last - first + 1) as u32,
+            chip,
+            channel: self.channel_of(chip),
+            num_chips: self.num_chips(),
+            channels: self.channels,
+        }
+    }
+
     /// Program time of the page at index `page_in_block` within its block.
     ///
     /// Reproduces the profiled MLC pattern of §4.3: pages 0-6 are fast
@@ -119,6 +145,45 @@ impl SsdSpec {
         (self.prog_fast + self.prog_slow) / 2
     }
 }
+
+/// The pages of one request in striping order; see [`SsdSpec::stripe`].
+#[derive(Debug, Clone)]
+pub struct Stripe {
+    index: u32,
+    pages: u32,
+    chip: usize,
+    channel: usize,
+    num_chips: usize,
+    channels: usize,
+}
+
+impl Iterator for Stripe {
+    type Item = (u32, usize, usize);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.index == self.pages {
+            return None;
+        }
+        let page = (self.index, self.chip, self.channel);
+        self.index += 1;
+        self.chip += 1;
+        if self.chip == self.num_chips {
+            self.chip = 0;
+        }
+        self.channel += 1;
+        if self.channel == self.channels {
+            self.channel = 0;
+        }
+        Some(page)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = (self.pages - self.index) as usize;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Stripe {}
 
 /// Identifies one per-page sub-IO of a striped request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -252,7 +317,12 @@ impl Ssd {
             }
             IoKind::Write => {
                 let page = self.chips[chip].append_page;
-                self.chips[chip].append_page = (page + 1) % self.spec.pages_per_block;
+                let next = page + 1;
+                self.chips[chip].append_page = if next == self.spec.pages_per_block {
+                    0
+                } else {
+                    next
+                };
                 self.jittered(self.spec.prog_time(page))
             }
         }
@@ -279,15 +349,19 @@ impl Ssd {
     /// The offset is interpreted in logical page units (`offset /
     /// page_size`), striped round-robin across chips, matching the paper's
     /// ">16KB multi-page read to a chip is automatically chopped" note.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `io.len` is 0 (see [`SsdSpec::stripe`]).
     pub fn submit(&mut self, io: &BlockIo, now: SimTime) -> SsdSubmit {
         let _t = self.ctx.prof.phase(Phase::Device);
-        let mut out = SsdSubmit::default();
-        let first_lpn = io.offset / u64::from(self.spec.page_size);
-        let last_lpn = (io.end_offset().saturating_sub(1)) / u64::from(self.spec.page_size);
+        let stripe = self.spec.stripe(io.offset, io.len);
+        let mut out = SsdSubmit {
+            subs: Vec::with_capacity(stripe.len()),
+            gc: Vec::new(),
+        };
         let stall = self.ctx.faults.ssd_stall(now);
-        for (index, lpn) in (first_lpn..=last_lpn).enumerate() {
-            let chip = self.spec.chip_of_page(lpn);
-            let channel = self.spec.channel_of(chip);
+        for (index, chip, channel) in stripe {
             let busy = self.page_busy(io.kind, chip) + stall;
             let start = self.chips[chip].next_free.max(now);
             self.chips[chip].next_free = start + busy;
@@ -303,10 +377,7 @@ impl Ssd {
                 }
             }
             out.subs.push(SubCompletion {
-                key: SubIoKey {
-                    io: io.id,
-                    index: index as u32,
-                },
+                key: SubIoKey { io: io.id, index },
                 done_at,
                 chip,
                 channel,
@@ -362,6 +433,51 @@ mod tests {
 
     fn wr(g: &mut IoIdGen, offset: u64, len: u32) -> BlockIo {
         BlockIo::write(g.next_id(), offset, len, ProcessId(0), SimTime::ZERO)
+    }
+
+    /// The stepping walk agrees with the dividing definitions on every
+    /// page, over random requests of every alignment, including ones that
+    /// wrap from the last chip back to chip 0.
+    #[test]
+    fn stripe_matches_chip_of_page_on_every_page() {
+        let spec = SsdSpec::default();
+        let page = u64::from(spec.page_size);
+        let chips = spec.num_chips() as u64;
+        let mut rng = SimRng::new(0x57_21be);
+        let mut wrapped = 0;
+        for i in 0..5_000 {
+            let offset = if i % 4 == 0 {
+                // Start near the last chip so the request wraps.
+                (rng.range_u64(0, 1 << 20) * chips + chips - 1 - rng.range_u64(0, 3)) * page
+                    + rng.range_u64(0, page)
+            } else {
+                rng.range_u64(0, 1 << 40)
+            };
+            let len = rng.range_u64(1, 40 * page) as u32;
+            let first = offset / page;
+            let last = (offset + u64::from(len) - 1) / page;
+            let want: Vec<(u32, usize, usize)> = (first..=last)
+                .enumerate()
+                .map(|(index, lpn)| {
+                    let chip = spec.chip_of_page(lpn);
+                    (index as u32, chip, spec.channel_of(chip))
+                })
+                .collect();
+            let stripe = spec.stripe(offset, len);
+            assert_eq!(stripe.len(), want.len());
+            let got: Vec<(u32, usize, usize)> = stripe.collect();
+            assert_eq!(got, want, "offset {offset} len {len}");
+            wrapped += usize::from(got.windows(2).any(|w| w[1].1 < w[0].1));
+        }
+        assert!(wrapped > 500, "only {wrapped} requests wrapped to chip 0");
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one byte")]
+    fn zero_length_stripe_panics() {
+        // Page-aligned and above 0: the page range would be empty.
+        let spec = SsdSpec::default();
+        let _ = spec.stripe(u64::from(spec.page_size) * 3, 0);
     }
 
     #[test]

@@ -585,7 +585,7 @@ fn audit_replay_digest(seed: u64) -> u64 {
 /// To regenerate after a deliberate behaviour change, run
 /// `cargo test --test determinism golden -- --nocapture`: the failure
 /// message lists every run's current digest in this table's format.
-const GOLDEN_DIGESTS: [(&str, u64); 12] = [
+const GOLDEN_DIGESTS: [(&str, u64); 13] = [
     ("config/base/21", 0x218c0b21de18c9c0),
     ("config/mittos/21", 0xad50989445b3df27),
     ("ssd_config/23", 0x396929dd2f56f4a3),
@@ -598,6 +598,7 @@ const GOLDEN_DIGESTS: [(&str, u64); 12] = [
     ("inject_config/39", 0x2c6b142982db286e),
     ("audit_replay/40", 0xbc381a1f2d0e4ce5),
     ("tsl_export/chaos_config+tsl/34", 0x0ec3d98b214b3132),
+    ("tiered_config+256k_writes/41", 0x0eecda0a88b0c3e5),
 ];
 
 fn golden_run_digests() -> Vec<(&'static str, u64)> {
@@ -629,6 +630,10 @@ fn golden_run_digests() -> Vec<(&'static str, u64)> {
         &mut tiered,
         &run_experiment(tiered_config(38, Medium::Ssd, false)),
     );
+    // SSD-class tiered run whose noise writes span 17 pages each, so every
+    // write's sub-IO completions interleave with the rest of the calendar.
+    let mut wide_writes = tiered_config(41, Medium::Ssd, false);
+    wide_writes.noise[1].kind = NoiseKind::SsdWrites { len: 256 << 10 };
     vec![
         ("config/base/21", digest_of(config(21, Strategy::Base))),
         ("config/mittos/21", digest_of(config(21, mittos))),
@@ -642,6 +647,7 @@ fn golden_run_digests() -> Vec<(&'static str, u64)> {
         ("inject_config/39", digest_of(inject_config(39))),
         ("audit_replay/40", audit_replay_digest(40)),
         ("tsl_export/chaos_config+tsl/34", tsl_export.finish()),
+        ("tiered_config+256k_writes/41", digest_of(wide_writes)),
     ]
 }
 
