@@ -543,7 +543,8 @@ struct AttemptState {
     io: Option<IoId>,
     resolved: bool,
     deadline: Option<Duration>,
-    /// Multi-step lookup plan and the next step to execute.
+    /// Multi-step lookup plan and the next step to execute. The plan is
+    /// emptied once its last step is issued (see `engine_step`).
     plan: Option<Vec<AccessStep>>,
     step: usize,
     /// True when this try carries the replica's half-open breaker probe:
@@ -1432,7 +1433,14 @@ impl ClusterSim {
             self.q.schedule(now, Ev::LocalDone { op, attempt });
             return;
         };
-        self.ops[op].attempts[attempt].step += 1;
+        let att = &mut self.ops[op].attempts[attempt];
+        att.step += 1;
+        if att.plan.as_ref().is_some_and(|p| att.step == p.len()) {
+            // Last step issued: release the plan's buffer. An empty plan
+            // answers every later `step < len` / `get(step)` check as the
+            // walked one did, and `Some` keeps it from being planned again.
+            att.plan = Some(Vec::new());
+        }
         match step {
             AccessStep::Memory => {
                 // Memory lookup: ~memtable search cost.

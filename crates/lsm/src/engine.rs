@@ -4,6 +4,7 @@ use std::collections::BTreeSet;
 
 use mitt_sim::FastMap;
 
+use crate::cache::TableCache;
 use crate::sstable::{SsTable, TableId, BLOCK_SIZE, INDEX_SIZE};
 
 /// Engine tuning parameters.
@@ -89,7 +90,7 @@ pub enum GetStep {
 }
 
 /// The full lookup plan for one key.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GetPlan {
     /// IO/memory steps in execution order.
     pub steps: Vec<GetStep>,
@@ -110,7 +111,7 @@ pub struct CompactionJob {
 }
 
 /// Engine operation counters.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LsmStats {
     /// get() calls served.
     pub gets: u64,
@@ -135,11 +136,19 @@ fn level_hash(key: u64) -> u64 {
     x ^ (x >> 32)
 }
 
+/// True if `tables` is sorted by key range, each range is non-empty, and no
+/// two ranges overlap — the invariant of every level below L0.
+fn sorted_and_disjoint(tables: &[SsTable]) -> bool {
+    tables.iter().all(|t| t.min_key <= t.max_key)
+        && tables.windows(2).all(|w| w[0].max_key < w[1].min_key)
+}
+
 /// A LevelDB-like engine over a simulated device region.
 pub struct LsmEngine {
     cfg: LsmConfig,
-    /// `levels[0]` is L0 (newest first); `levels[l]` for l >= 1 is sorted
-    /// by key range and non-overlapping.
+    /// `levels[0]` is L0 (oldest first, walked newest first); `levels[l]`
+    /// for l >= 1 is sorted by key range and non-overlapping, which is what
+    /// lets `get_plan` binary-search it.
     levels: Vec<Vec<SsTable>>,
     /// Keys captured by each L0 table (from its flush).
     l0_keys: FastMap<TableId, BTreeSet<u64>>,
@@ -147,9 +156,9 @@ pub struct LsmEngine {
     memtable_bytes: u64,
     /// Keys whose residence level changed since preload (flush/compact).
     overrides: FastMap<u64, u8>,
-    /// Table cache: table id -> LRU stamp.
-    cache: FastMap<TableId, u64>,
-    cache_stamp: u64,
+    cache: TableCache,
+    /// Table count summed over levels 1..=levels (`home_level`'s modulus).
+    home_slots: u64,
     next_table: u64,
     alloc_cursor: u64,
     stats: LsmStats,
@@ -169,8 +178,8 @@ impl LsmEngine {
             memtable: BTreeSet::new(),
             memtable_bytes: 0,
             overrides: FastMap::default(),
-            cache: FastMap::default(),
-            cache_stamp: 0,
+            cache: TableCache::new(cfg.table_cache_capacity),
+            home_slots: 0,
             next_table: 0,
             alloc_cursor: 0,
             stats: LsmStats::default(),
@@ -189,6 +198,7 @@ impl LsmEngine {
                 let t = engine.new_table(level, min_key, max_key);
                 engine.levels[level as usize].push(t);
             }
+            engine.home_slots += count as u64;
         }
         engine
     }
@@ -218,10 +228,7 @@ impl LsmEngine {
 
     /// The level a preloaded key resides at (capacity-weighted hash).
     fn home_level(&self, key: u64) -> u8 {
-        let total: u64 = (1..=self.cfg.levels)
-            .map(|l| self.tables_at(l) as u64)
-            .sum();
-        let mut slot = level_hash(key) % total;
+        let mut slot = level_hash(key) % self.home_slots;
         for l in 1..=self.cfg.levels {
             let cap = self.tables_at(l) as u64;
             if slot < cap {
@@ -240,33 +247,28 @@ impl LsmEngine {
             .unwrap_or_else(|| self.home_level(key))
     }
 
-    fn cache_touch(&mut self, id: TableId) -> bool {
-        let hit = self.cache.contains_key(&id);
-        self.cache_stamp += 1;
-        self.cache.insert(id, self.cache_stamp);
-        if self.cache.len() > self.cfg.table_cache_capacity {
-            // Stamps are unique (monotonic counter), but tie-break on the
-            // table id anyway so eviction can never depend on map layout.
-            // mitt-lint: allow(D003, "min over (stamp, id) keys is order-insensitive")
-            if let Some((&evict, _)) = self.cache.iter().min_by_key(|(&t, &s)| (s, t)) {
-                self.cache.remove(&evict);
-            }
-        }
-        hit
-    }
-
-    fn probe(&mut self, table: &SsTable, key: u64, found: bool, plan: &mut GetPlan) {
-        if !self.cache_touch(table.id) {
-            self.stats.index_reads += 1;
+    /// Appends the reads probing `table` for `key`: its index block on a
+    /// table-cache miss, then the data block. Takes the fields it updates
+    /// so callers can pass a table borrowed from `levels`.
+    fn probe(
+        cache: &mut TableCache,
+        stats: &mut LsmStats,
+        table: &SsTable,
+        key: u64,
+        found: bool,
+        plan: &mut GetPlan,
+    ) {
+        if !cache.touch(table.id) {
+            stats.index_reads += 1;
             plan.steps.push(GetStep::IndexRead {
                 table: table.id,
                 offset: table.index_offset(),
                 len: INDEX_SIZE,
             });
         }
-        self.stats.data_reads += 1;
+        stats.data_reads += 1;
         if !found {
-            self.stats.bloom_false_probes += 1;
+            stats.bloom_false_probes += 1;
         }
         plan.steps.push(GetStep::DataRead {
             table: table.id,
@@ -291,8 +293,7 @@ impl LsmEngine {
         let residence = self.residence(key);
         // L0, newest first. A key resides in L0 iff some L0 table's flush
         // captured it (residence == 0).
-        let l0: Vec<SsTable> = self.levels[0].clone();
-        for t in l0.iter().rev() {
+        for t in self.levels[0].iter().rev() {
             if !t.covers(key) {
                 continue;
             }
@@ -302,7 +303,7 @@ impl LsmEngine {
                     .get(&t.id)
                     .is_some_and(|keys| keys.contains(&key));
             if t.bloom_may_contain(key, holds) {
-                self.probe(t, key, holds, &mut plan);
+                Self::probe(&mut self.cache, &mut self.stats, t, key, holds, &mut plan);
                 if holds {
                     plan.found = true;
                     return plan;
@@ -310,16 +311,19 @@ impl LsmEngine {
             }
         }
         for level in 1..=self.cfg.levels {
-            let candidate = self.levels[level as usize]
-                .iter()
-                .find(|t| t.covers(key))
-                .cloned();
-            let Some(t) = candidate else {
+            // The level is sorted and disjoint: the only table that can
+            // cover `key` is the last one starting at or below it.
+            let tables = &self.levels[level as usize];
+            let at = tables.partition_point(|t| t.min_key <= key);
+            let Some(t) = at.checked_sub(1).map(|i| &tables[i]) else {
                 continue;
             };
+            if !t.covers(key) {
+                continue;
+            }
             let holds = residence == level && key < self.cfg.keyspace;
             if t.bloom_may_contain(key, holds) {
-                self.probe(&t, key, holds, &mut plan);
+                Self::probe(&mut self.cache, &mut self.stats, t, key, holds, &mut plan);
                 if holds {
                     plan.found = true;
                     return plan;
@@ -394,20 +398,27 @@ impl LsmEngine {
         let (overlapping, kept): (Vec<SsTable>, Vec<SsTable>) = self.levels[1]
             .drain(..)
             .partition(|t| t.max_key >= lo && t.min_key <= hi);
+        // The outputs replace the rewritten tables, so they span the union
+        // of their ranges and L0's: every key either covered stays covered.
         for t in &overlapping {
             job.reads
                 .extend(Self::sequential_ios(t.offset, t.size, true));
+            lo = lo.min(t.min_key);
+            hi = hi.max(t.max_key);
         }
         self.levels[1] = kept;
-        // Write merged outputs: enough tables to hold inputs.
-        let out_tables = (l0.len() + overlapping.len()).max(1);
-        let span = ((hi - lo) / out_tables as u64).max(1);
+        // Write merged outputs: enough tables to hold inputs, but no more
+        // than one per key so none is empty.
+        let out_tables = ((l0.len() + overlapping.len()) as u64)
+            .min((hi - lo).saturating_add(1))
+            .max(1);
+        let span = ((hi - lo) / out_tables).max(1);
         for i in 0..out_tables {
-            let min_key = lo + i as u64 * span;
+            let min_key = lo + i * span;
             let max_key = if i + 1 == out_tables {
                 hi
             } else {
-                lo + (i as u64 + 1) * span - 1
+                lo + (i + 1) * span - 1
             };
             let t = self.new_table(1, min_key, max_key);
             job.writes
@@ -415,6 +426,10 @@ impl LsmEngine {
             self.levels[1].push(t);
         }
         self.levels[1].sort_by_key(|t| t.min_key);
+        debug_assert!(
+            self.levels[1..].iter().all(|l| sorted_and_disjoint(l)),
+            "compaction left a level unsorted or overlapping"
+        );
         for k in moved {
             self.overrides.insert(k, 1);
         }
@@ -455,6 +470,10 @@ impl LsmEngine {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use mitt_sim::SimRng;
+
     use super::*;
 
     fn small() -> LsmConfig {
@@ -599,6 +618,208 @@ mod tests {
             .count();
         assert!(idx1 >= 1);
         assert_eq!(idx2, 0, "second lookup must hit the table cache");
+    }
+
+    #[test]
+    fn compaction_keeps_every_key_findable() {
+        // A wide write window (rewritten L1 tables reach past the L0
+        // range) and a narrow one (fewer keys than merge outputs).
+        for (lo, hi) in [(4_000, 6_000), (5_000, 5_004)] {
+            let mut e = LsmEngine::preloaded(small());
+            let mut rng = SimRng::new(lo);
+            for _ in 0..2_000 {
+                e.put(rng.range_u64(lo, hi), 128);
+                e.maybe_compact();
+            }
+            assert!(e.stats().compactions >= 1, "window {lo}..{hi} compacted");
+            let lost: Vec<u64> = (0..10_000).filter(|&k| !e.get_plan(k).found).collect();
+            assert!(
+                lost.is_empty(),
+                "window {lo}..{hi}: {} keys unfindable, first {:?}",
+                lost.len(),
+                &lost[..lost.len().min(5)]
+            );
+        }
+    }
+
+    /// Asserts the invariant `get_plan`'s binary search relies on: every
+    /// level below L0 is sorted, disjoint, free of empty ranges, and
+    /// covers the whole keyspace without gaps.
+    fn assert_levels_partition_the_keyspace(e: &LsmEngine) {
+        for (level, tables) in e.levels.iter().enumerate().skip(1) {
+            assert!(sorted_and_disjoint(tables), "level {level}: {tables:?}");
+            assert_eq!(tables.first().map(|t| t.min_key), Some(0), "level {level}");
+            assert!(
+                tables
+                    .last()
+                    .is_some_and(|t| t.max_key >= e.cfg.keyspace - 1),
+                "level {level} ends short"
+            );
+            for w in tables.windows(2) {
+                assert_eq!(w[0].max_key + 1, w[1].min_key, "gap at level {level}");
+            }
+        }
+    }
+
+    #[test]
+    fn levels_stay_a_partition_through_random_writes() {
+        for seed in 0..8u64 {
+            let mut e = LsmEngine::preloaded(small());
+            let mut rng = SimRng::new(seed);
+            // Narrow windows compact the same L1 range over and over,
+            // splitting it down to single-key tables.
+            let width = [1, 4, 50, 10_000][seed as usize % 4];
+            let base = rng.range_u64(0, 10_000 - width + 1);
+            for _ in 0..2_000 {
+                match rng.index(10) {
+                    0 => {
+                        e.flush();
+                    }
+                    1 => {
+                        e.maybe_compact();
+                    }
+                    _ => {
+                        e.put(base + rng.range_u64(0, width), 512);
+                    }
+                }
+                assert_levels_partition_the_keyspace(&e);
+            }
+            assert!(e.stats().compactions > 0, "seed {seed} compacted");
+        }
+    }
+
+    /// The lookup as first written, the differential test's reference: a
+    /// linear scan of each level for the covering table, and a table cache
+    /// that evicts the entry with the smallest LRU stamp. It plans over
+    /// its own engine's levels and counts into that engine's stats.
+    struct Reference {
+        engine: LsmEngine,
+        cache: BTreeMap<TableId, u64>,
+        stamp: u64,
+    }
+
+    impl Reference {
+        fn new(cfg: LsmConfig) -> Self {
+            Reference {
+                engine: LsmEngine::preloaded(cfg),
+                cache: BTreeMap::new(),
+                stamp: 0,
+            }
+        }
+
+        fn touch(&mut self, id: TableId) -> bool {
+            let hit = self.cache.contains_key(&id);
+            self.stamp += 1;
+            self.cache.insert(id, self.stamp);
+            if self.cache.len() > self.engine.cfg.table_cache_capacity {
+                let (&evict, _) = self
+                    .cache
+                    .iter()
+                    .min_by_key(|(_, &s)| s)
+                    .expect("cache is over capacity");
+                self.cache.remove(&evict);
+            }
+            hit
+        }
+
+        fn probe(&mut self, t: &SsTable, key: u64, found: bool, plan: &mut GetPlan) {
+            if !self.touch(t.id) {
+                self.engine.stats.index_reads += 1;
+                plan.steps.push(GetStep::IndexRead {
+                    table: t.id,
+                    offset: t.index_offset(),
+                    len: INDEX_SIZE,
+                });
+            }
+            self.engine.stats.data_reads += 1;
+            if !found {
+                self.engine.stats.bloom_false_probes += 1;
+            }
+            plan.steps.push(GetStep::DataRead {
+                table: t.id,
+                offset: t.block_offset(key),
+                len: BLOCK_SIZE,
+                found,
+            });
+        }
+
+        fn get_plan(&mut self, key: u64) -> GetPlan {
+            self.engine.stats.gets += 1;
+            let mut plan = GetPlan::default();
+            if self.engine.memtable.contains(&key) {
+                self.engine.stats.memtable_hits += 1;
+                plan.steps.push(GetStep::MemtableHit);
+                plan.found = true;
+                return plan;
+            }
+            let residence = self.engine.residence(key);
+            let l0: Vec<SsTable> = self.engine.levels[0].clone();
+            for t in l0.iter().rev().filter(|t| t.covers(key)) {
+                let holds = residence == 0
+                    && self
+                        .engine
+                        .l0_keys
+                        .get(&t.id)
+                        .is_some_and(|k| k.contains(&key));
+                if t.bloom_may_contain(key, holds) {
+                    self.probe(t, key, holds, &mut plan);
+                    if holds {
+                        plan.found = true;
+                        return plan;
+                    }
+                }
+            }
+            for level in 1..=self.engine.cfg.levels {
+                let candidate = self.engine.levels[level as usize]
+                    .iter()
+                    .find(|t| t.covers(key))
+                    .cloned();
+                let Some(t) = candidate else {
+                    continue;
+                };
+                let holds = residence == level && key < self.engine.cfg.keyspace;
+                if t.bloom_may_contain(key, holds) {
+                    self.probe(&t, key, holds, &mut plan);
+                    if holds {
+                        plan.found = true;
+                        return plan;
+                    }
+                }
+            }
+            plan
+        }
+    }
+
+    #[test]
+    fn lookup_matches_the_linear_scan_reference() {
+        let job = |j: Option<CompactionJob>| j.map(|j| (j.reads, j.writes, j.from_level));
+        for capacity in [0, 1, 16] {
+            for seed in 0..4u64 {
+                let cfg = LsmConfig {
+                    table_cache_capacity: capacity,
+                    ..small()
+                };
+                let mut e = LsmEngine::preloaded(cfg.clone());
+                let mut r = Reference::new(cfg);
+                let mut rng = SimRng::new(seed);
+                // Gets dominate; keys past the keyspace probe the edges.
+                for op in 0..3_000 {
+                    let key = rng.range_u64(0, 10_100);
+                    match rng.index(20) {
+                        0..=2 => assert_eq!(e.put(key, 512), r.engine.put(key, 512)),
+                        3 => assert_eq!(e.flush(), r.engine.flush()),
+                        4 => assert_eq!(job(e.maybe_compact()), job(r.engine.maybe_compact())),
+                        _ => assert_eq!(e.get_plan(key), r.get_plan(key), "op {op} key {key}"),
+                    }
+                    assert_eq!(
+                        e.stats(),
+                        r.engine.stats(),
+                        "cap {capacity} seed {seed} op {op}"
+                    );
+                }
+                assert!(e.stats().compactions > 0 && e.stats().index_reads > 0);
+            }
+        }
     }
 
     #[test]

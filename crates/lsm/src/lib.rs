@@ -27,6 +27,7 @@
 //! assert!(matches!(plan.steps.last(), Some(GetStep::DataRead { found: true, .. })));
 //! ```
 
+mod cache;
 pub mod engine;
 pub mod sstable;
 

@@ -8,7 +8,12 @@
 # `perf --workload WORKLOAD --seconds SECONDS [--seed SEED]`, one run of
 # each tree per pair, alternating which tree goes first. Prints every
 # pair's gets/s, each side's median and quartiles, and how many pairs the
-# change won (higher gets/s wins).
+# change won (higher gets/s wins), then each side's peak_heap_mb median.
+#
+# The virtual-time metrics (p50_ms, p99_ms, tail_cut_pct, slo_miss_pct)
+# are read from each run's --json file; if the two trees' runs of any pair
+# disagree on one of them, the script says which and exits 1 after the
+# summary. Speed changes must leave them byte-identical.
 #
 # Nothing is written into either tree beyond cargo's build output: builds
 # go to a target directory under OUT_DIR (default: a fresh temporary
@@ -53,6 +58,12 @@ run() {
         sed -n 's/.*"gets_per_s": {"value": \([0-9.eE+-]*\).*/\1/p'
 }
 
+# metric JSON NAME: the values of metric NAME in a perf --json file, one
+# per line, exactly as written.
+metric() {
+    sed -n "s/.*\"$2\": {.*\"values\": \[\(.*\)\]}.*/\1/p" "$1" | tr -s ', ' '\n\n'
+}
+
 # summary NAME VALUES...: median and quartiles (linear interpolation).
 summary() {
     local name=$1
@@ -64,7 +75,7 @@ summary() {
             return i + 1 < NR ? v[i] + (h - i) * (v[i + 1] - v[i]) : v[i]
         }
         END {
-            printf "%-7s median %.1f  q1 %.1f  q3 %.1f  iqr %.1f\n",
+            printf "%-7s median %.2f  q1 %.2f  q3 %.2f  iqr %.2f\n",
                 name, q(0.5), q(0.25), q(0.75), q(0.75) - q(0.25)
         }'
 }
@@ -77,7 +88,10 @@ build "$change" change
 echo "# $workload, $seconds s per run, $pairs pairs${6:+, seed $6}; results in $out"
 a=()
 b=()
+heap_a=()
+heap_b=()
 wins=0
+drift=0
 for i in $(seq 1 "$pairs"); do
     if [ $((i % 2)) -eq 1 ]; then
         x=$(run parent "$i")
@@ -92,6 +106,16 @@ for i in $(seq 1 "$pairs"); do
     fi
     a+=("$x")
     b+=("$y")
+    for m in p50_ms p99_ms tail_cut_pct slo_miss_pct; do
+        px=$(metric "$out/parent.$i.json" "$m")
+        cy=$(metric "$out/change.$i.json" "$m")
+        if [ -z "$px" ] || [ "$px" != "$cy" ]; then
+            echo "pair $i: $m differs: parent [$px] change [$cy]" >&2
+            drift=1
+        fi
+    done
+    mapfile -t -O "${#heap_a[@]}" heap_a < <(metric "$out/parent.$i.json" peak_heap_mb)
+    mapfile -t -O "${#heap_b[@]}" heap_b < <(metric "$out/change.$i.json" peak_heap_mb)
     won=$(awk -v x="$x" -v y="$y" 'BEGIN { print (y > x) ? 1 : 0 }')
     wins=$((wins + won))
     awk -v i="$i" -v x="$x" -v y="$y" 'BEGIN {
@@ -101,3 +125,11 @@ done
 summary parent "${a[@]}"
 summary change "${b[@]}"
 echo "change won $wins/$pairs pairs"
+echo "# peak_heap_mb"
+summary parent "${heap_a[@]}"
+summary change "${heap_b[@]}"
+if [ "$drift" -ne 0 ]; then
+    echo "virtual-time metrics differ between the trees (see above)" >&2
+    exit 1
+fi
+echo "p50_ms, p99_ms, tail_cut_pct and slo_miss_pct identical in every pair"

@@ -85,6 +85,23 @@ fn lsm_config(seed: u64) -> ExperimentConfig {
     cfg
 }
 
+/// `lsm_config` with a write mix and a memtable small enough that every
+/// engine flushes and compacts (7 compactions over the run), under a table
+/// cache small enough that lookups after a compaction evict. The smaller
+/// keyspace makes gets land on table boundary keys, where an off-by-one
+/// level search would diverge.
+fn lsm_churn_config(seed: u64) -> ExperimentConfig {
+    let mut cfg = lsm_config(seed);
+    cfg.write_fraction = 0.3;
+    cfg.record_count = 10_000;
+    cfg.ops_per_client = 600;
+    if let Some(engine) = cfg.engine.as_mut() {
+        engine.memtable_budget = 64 << 10;
+        engine.table_cache_capacity = 4;
+    }
+    cfg
+}
+
 /// Folds every observable output of a run into the digest, in a fixed
 /// order: counters, the virtual clock, the latency sample streams, the
 /// trace ring + metrics registry, and the exported Chrome JSON bytes (so
@@ -585,7 +602,7 @@ fn audit_replay_digest(seed: u64) -> u64 {
 /// To regenerate after a deliberate behaviour change, run
 /// `cargo test --test determinism golden -- --nocapture`: the failure
 /// message lists every run's current digest in this table's format.
-const GOLDEN_DIGESTS: [(&str, u64); 13] = [
+const GOLDEN_DIGESTS: [(&str, u64); 14] = [
     ("config/base/21", 0x218c0b21de18c9c0),
     ("config/mittos/21", 0xad50989445b3df27),
     ("ssd_config/23", 0x396929dd2f56f4a3),
@@ -599,6 +616,7 @@ const GOLDEN_DIGESTS: [(&str, u64); 13] = [
     ("audit_replay/40", 0xbc381a1f2d0e4ce5),
     ("tsl_export/chaos_config+tsl/34", 0x0ec3d98b214b3132),
     ("tiered_config+256k_writes/41", 0x0eecda0a88b0c3e5),
+    ("lsm_churn_config/42", 0xd2fe8553a5086123),
 ];
 
 fn golden_run_digests() -> Vec<(&'static str, u64)> {
@@ -648,6 +666,7 @@ fn golden_run_digests() -> Vec<(&'static str, u64)> {
         ("audit_replay/40", audit_replay_digest(40)),
         ("tsl_export/chaos_config+tsl/34", tsl_export.finish()),
         ("tiered_config+256k_writes/41", digest_of(wide_writes)),
+        ("lsm_churn_config/42", digest_of(lsm_churn_config(42))),
     ]
 }
 
