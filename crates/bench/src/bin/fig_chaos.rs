@@ -186,11 +186,11 @@ fn main() {
             let mut plan_near: Vec<String> = Vec::new();
             for (name, strategy, resilience) in strategies() {
                 let cfg = run_cfg(seed, strategy, resilience, &plan, ops);
+                let expected = cfg.user_requests() as u64;
                 let mut res = trace_flag().run(cfg);
                 runs += 1;
                 injected += res.injected_faults;
                 degraded += res.degraded_ios;
-                let expected = ops as u64;
                 let (audit_report, corr, gray) =
                     audit(&plan, &res, expected, breaker_cooldown(resilience));
                 correlated_active += corr;
@@ -266,5 +266,33 @@ fn main() {
     bench_json().finish_or_exit(&report);
     if !violations.is_empty() {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn contended_runs_expect_every_clients_ops() {
+        let topo = Topology::new(6, 3, 2);
+        let ops = 20;
+        let plan = FaultPlanGen::new(SEEDS[0], gen_cfg(&topo, INTENSITIES[0], ops)).generate();
+        let (_, strategy, resilience) = strategies().remove(2);
+        let mut cfg = run_cfg(SEEDS[0], strategy, resilience, &plan, ops);
+        cfg.clients = 3;
+        assert_eq!(cfg.user_requests(), 60);
+        let expected = cfg.user_requests() as u64;
+        let res = run_experiment(cfg);
+        assert_eq!(res.ops, expected);
+        let (report, _, _) = audit(&plan, &res, expected, breaker_cooldown(resilience));
+        assert!(
+            report
+                .violations
+                .iter()
+                .all(|v| !v.contains("stranded ops")),
+            "{:?}",
+            report.violations
+        );
     }
 }

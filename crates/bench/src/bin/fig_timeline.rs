@@ -77,7 +77,9 @@ fn run_audited(
     plan: &FaultPlan,
     ops: usize,
 ) -> ExperimentResult {
-    let res = run_experiment(run_cfg(strategy, resilience, plan, ops));
+    let cfg = run_cfg(strategy, resilience, plan, ops);
+    let expected_ops = cfg.user_requests() as u64;
+    let res = run_experiment(cfg);
     let events = res.trace.events();
     let budget = invariants::unavailability_budget(
         plan,
@@ -91,7 +93,7 @@ fn run_audited(
         events: &events,
         completion_times: &res.completion_times,
         run_end: res.finished_at,
-        expected_ops: ops as u64,
+        expected_ops,
         terminal_ops: res.ops,
         unavailability_budget: budget,
         fault_windows: &coverage,

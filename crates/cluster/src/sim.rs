@@ -279,6 +279,12 @@ pub struct ExperimentConfig {
 }
 
 impl ExperimentConfig {
+    /// User requests the run issues and waits for: `ops_per_client` from
+    /// each of the `clients`.
+    pub fn user_requests(&self) -> usize {
+        self.clients * self.ops_per_client
+    }
+
     /// A small 3-node / 1-client microbenchmark skeleton.
     pub fn micro(node_cfg: NodeConfig, strategy: Strategy) -> Self {
         ExperimentConfig {
@@ -664,7 +670,7 @@ impl ClusterSim {
         // Offsets must fit the smallest medium; keep keys inside ~90% of a
         // 1TB disk / the SSD's space.
         let usable = 900 * GB;
-        let target_users = cfg.clients * cfg.ops_per_client;
+        let target_users = cfg.user_requests();
         let btree = cfg
             .mmap_btree
             .as_ref()

@@ -1,20 +1,23 @@
 //! The phase timers' tick clock.
 //!
-//! Every [`PhaseGuard`](crate::PhaseGuard) reads the clock twice and a
-//! profiled get opens about fifteen guards, so the read itself sits on the
-//! hot path of every profiled run. On x86_64 the clock is the CPU
-//! timestamp counter (`rdtsc`: about 24 ns a read on a 2-vCPU Xeon VM,
-//! against about 55 ns for `Instant::now()`, which goes through the vDSO's
-//! `clock_gettime`). Ticks become nanoseconds through a ratio calibrated
-//! once per process against `Instant`; other targets read `Instant` and
-//! count nanoseconds directly.
+//! A timed [`PhaseGuard`](crate::PhaseGuard) reads the clock twice. A
+//! profiled get opens about fifteen guards, so timing every one of them
+//! would put about thirty reads on the hot path of every profiled get;
+//! guards are therefore sampled (see
+//! [`SAMPLE_ONE_IN`](crate::SAMPLE_ONE_IN)), and an untimed guard reads no
+//! clock at all. On x86_64 the clock is the CPU
+//! timestamp counter (`rdtsc`: about 21 ns a read on a 2-vCPU Xeon VM,
+//! against 29 ns for `rdtscp` and 48 ns for `Instant::now()`, which goes
+//! through the vDSO's `clock_gettime`). Ticks become nanoseconds through a
+//! ratio calibrated once per process against `Instant`; other targets read
+//! `Instant` and count nanoseconds directly.
 //!
 //! The throughput meter ([`ProfSink::enabled`](crate::ProfSink::enabled) /
 //! [`ProfSink::finish`](crate::ProfSink::finish)) does not use this clock:
 //! it is the benchmark's stopwatch and stays on `Instant`, so its readings
-//! never depend on a calibration. Calibration runs on the first guard a
-//! process opens, before that guard stamps its start, so no guard's
-//! interval includes it.
+//! never depend on a calibration. Calibration runs on the first timed
+//! guard a process opens, before that guard stamps its start, so no
+//! guard's interval includes it.
 
 use std::sync::OnceLock;
 // mitt-lint: allow(D001, "the tick clock is calibrated against Instant; profiler data never reaches a digest")

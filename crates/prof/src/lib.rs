@@ -8,8 +8,10 @@
 //! - **Phase timers** ([`ProfSink::phase`]): scoped wall-clock guards
 //!   around the engine's hot regions (event dispatch, predictor calls,
 //!   scheduler work, device service, stats folding, trace emission), each
-//!   feeding a `simcore::stats::Pow2Hist` latency histogram. Guards read
-//!   the CPU tick counter, not `Instant` (see the `clock` module).
+//!   feeding a `simcore::stats::Pow2Hist` latency histogram. Every
+//!   activation is counted, but only a sample of them is timed (see
+//!   [`SAMPLE_ONE_IN`]); timed guards read the CPU tick counter, not
+//!   `Instant` (see the `clock` module).
 //! - **Allocation telemetry** ([`alloc::CountingAlloc`]): a counting
 //!   global allocator (opt-in via the `prof` cargo feature) attributing
 //!   allocations/bytes to the phase active on the allocating thread.
@@ -35,7 +37,7 @@
 //! `Option<Rc<RefCell<..>>>`: a disabled sink costs one branch per call
 //! and never allocates.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 // mitt-lint: allow(D001, "mitt-prof is the engine profiler: wall-clock phase timers are its whole purpose, and its data never reaches a digest")
@@ -59,6 +61,26 @@ static PROF_GLOBAL_ALLOC: CountingAlloc = CountingAlloc::new();
 
 /// Number of labelled phases (including the catch-all [`Phase::Other`]).
 pub const N_PHASES: usize = 7;
+
+/// About one outermost guard activation in this many is timed; nested
+/// guards follow their outermost guard's decision. Reading the tick clock
+/// costs tens of nanoseconds, and a profiled get opens about fifteen
+/// guards, so timing every one of them roughly doubled the cost of a
+/// profiled run. Reported totals are scaled back up (see
+/// [`PhaseStats::total_ns`]).
+pub const SAMPLE_ONE_IN: u64 = 16;
+
+/// Seed of the sampling decision's xorshift. Fixed, so which activations
+/// a run times is reproducible; pseudo-random, so a periodic call pattern
+/// cannot alias with the sampling period the way a plain counter would.
+const SAMPLER_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+
+thread_local! {
+    /// Whether the outermost guard open on this thread is timed. Only
+    /// meaningful while some guard is open (the allocation phase is not
+    /// [`Phase::Other`]); nested guards copy it.
+    static OUTERMOST_TIMED: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Labelled engine phases the timers and the allocator attribute to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,12 +147,34 @@ impl Phase {
 /// One phase's accumulated wall-clock timings.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseStats {
-    /// Guard activations.
+    /// Guard activations, timed or not.
     pub count: u64,
-    /// Total wall nanoseconds inside the guard (children included).
+    /// Activations whose interval was timed (see [`SAMPLE_ONE_IN`]).
+    pub timed: u64,
+    /// Estimated total wall nanoseconds inside the guard (children
+    /// included): in a [`ProfReport`], the timed activations' sum scaled
+    /// by `count / timed`.
     pub total_ns: u64,
-    /// Per-activation latency histogram.
+    /// Latency histogram of the timed activations.
     pub hist: Pow2Hist,
+}
+
+impl PhaseStats {
+    /// These stats with `total_ns`, the timed activations' sum, scaled up
+    /// to all `count` activations.
+    fn estimated(&self) -> PhaseStats {
+        let total_ns = if self.timed == 0 {
+            0
+        } else {
+            let scaled =
+                u128::from(self.total_ns) * u128::from(self.count) / u128::from(self.timed);
+            u64::try_from(scaled).unwrap_or(u64::MAX)
+        };
+        PhaseStats {
+            total_ns,
+            ..self.clone()
+        }
+    }
 }
 
 /// One virtual-clock-cadence gauge sample.
@@ -152,7 +196,10 @@ const GAUGE_CAPACITY: usize = 4096;
 /// Shared recording state behind every enabled sink handle.
 #[derive(Debug)]
 struct ProfCore {
+    /// Per-phase stats; `total_ns` here is the timed activations' sum.
     phases: [PhaseStats; N_PHASES],
+    /// xorshift64 state behind the outermost guards' timing decisions.
+    sampler: u64,
     gauges: Vec<GaugeSample>,
     gauges_dropped: u64,
     /// Simulated IOs submitted into any node's storage stack.
@@ -191,6 +238,7 @@ impl ProfSink {
         ProfSink {
             core: Some(Rc::new(RefCell::new(ProfCore {
                 phases: Default::default(),
+                sampler: SAMPLER_SEED,
                 gauges: Vec::new(),
                 gauges_dropped: 0,
                 ios_submitted: 0,
@@ -216,23 +264,46 @@ impl ProfSink {
     /// active on this thread returns an inert guard, so a public entry
     /// point calling another guarded entry point of the same phase never
     /// double-counts the interval.
+    ///
+    /// Every activation is counted, but only a sample is timed: the
+    /// outermost guard (none other open on this thread) draws the
+    /// decision, about one in [`SAMPLE_ONE_IN`], and the guards nested in
+    /// it inherit it. A phase's first activation is always timed. An
+    /// untimed guard reads no clock and touches no histogram.
     #[must_use = "the guard records on drop; binding it to _ discards the measurement"]
     pub fn phase(&self, phase: Phase) -> PhaseGuard {
         let Some(core) = &self.core else {
-            return PhaseGuard { active: None };
+            return PhaseGuard::INERT;
         };
-        if alloc::thread_phase() == phase as usize {
-            return PhaseGuard { active: None };
+        let active = alloc::thread_phase();
+        if active == phase as usize {
+            return PhaseGuard::INERT;
         }
-        clock::calibrate_once();
-        let prev_alloc_phase = alloc::set_thread_phase(phase);
-        PhaseGuard {
-            active: Some(ActiveGuard {
+        let timed = {
+            let mut c = core.borrow_mut();
+            let stats = &mut c.phases[phase as usize];
+            let first = stats.count == 0;
+            stats.count += 1;
+            if active == Phase::Other as usize {
+                let timed = c.sample() || first;
+                OUTERMOST_TIMED.set(timed);
+                timed
+            } else {
+                first || OUTERMOST_TIMED.get()
+            }
+        };
+        let prev_alloc_phase = Some(alloc::set_thread_phase(phase));
+        let timer = timed.then(|| {
+            clock::calibrate_once();
+            Timer {
                 core: Rc::clone(core),
                 phase,
-                prev_alloc_phase,
                 start: clock::now(),
-            }),
+            }
+        });
+        PhaseGuard {
+            prev_alloc_phase,
+            timer,
         }
     }
 
@@ -298,40 +369,71 @@ impl ProfSink {
     }
 }
 
-/// Everything a guard needs to record its measurement on drop.
+/// What a timed guard needs to record its interval on drop.
 #[derive(Debug)]
-struct ActiveGuard {
+struct Timer {
     core: Rc<RefCell<ProfCore>>,
     phase: Phase,
-    prev_alloc_phase: usize,
     /// Tick-clock reading at guard creation.
     start: u64,
 }
 
-/// Scoped phase timer returned by [`ProfSink::phase`]. Records elapsed
-/// wall time into the phase's histogram and restores the previous
-/// allocation-attribution phase when dropped.
+/// Scoped phase timer returned by [`ProfSink::phase`]. Restores the
+/// previous allocation-attribution phase when dropped and, if it is timed,
+/// records its elapsed wall time into the phase's histogram.
 #[derive(Debug)]
 pub struct PhaseGuard {
-    active: Option<ActiveGuard>,
+    /// The allocation phase to restore; `None` for an inert guard.
+    prev_alloc_phase: Option<usize>,
+    timer: Option<Timer>,
+}
+
+impl PhaseGuard {
+    /// The guard of a disabled sink or a same-phase re-entry.
+    const INERT: PhaseGuard = PhaseGuard {
+        prev_alloc_phase: None,
+        timer: None,
+    };
 }
 
 impl Drop for PhaseGuard {
     fn drop(&mut self) {
-        let Some(g) = self.active.take() else { return };
-        let ns = clock::to_ns(clock::now().saturating_sub(g.start));
-        alloc::restore_thread_phase(g.prev_alloc_phase);
+        let Some(prev) = self.prev_alloc_phase else {
+            return;
+        };
+        let Some(t) = self.timer.take() else {
+            alloc::restore_thread_phase(prev);
+            return;
+        };
+        let ns = clock::to_ns(clock::now().saturating_sub(t.start));
+        alloc::restore_thread_phase(prev);
         // Guards never outlive the single-threaded driver's call frame,
         // so this borrow cannot collide with an outer borrow.
-        let mut core = g.core.borrow_mut();
-        let stats = &mut core.phases[g.phase as usize];
-        stats.count += 1;
+        let mut core = t.core.borrow_mut();
+        let stats = &mut core.phases[t.phase as usize];
+        stats.timed += 1;
         stats.total_ns = stats.total_ns.saturating_add(ns);
         stats.hist.observe(ns);
     }
 }
 
 impl ProfCore {
+    /// Draws one outermost guard's timing decision: true about once in
+    /// [`SAMPLE_ONE_IN`] draws.
+    fn sample(&mut self) -> bool {
+        let mut x = self.sampler;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.sampler = x;
+        x.is_multiple_of(SAMPLE_ONE_IN)
+    }
+
+    /// Per-phase stats as reported: totals scaled to every activation.
+    fn estimated_phases(&self) -> Vec<PhaseStats> {
+        self.phases.iter().map(PhaseStats::estimated).collect()
+    }
+
     /// Per-run allocation counters: global monotonic minus at-start.
     fn alloc_delta(&self) -> [AllocCounters; N_PHASES] {
         let now = alloc::snapshot();
@@ -395,8 +497,108 @@ mod tests {
         let predict = &r.phases[Phase::Predict as usize];
         assert_eq!(dispatch.count, 5);
         assert_eq!(predict.count, 5);
-        assert_eq!(dispatch.hist.total(), 5);
+        assert_eq!(dispatch.hist.total(), dispatch.timed);
         assert!(dispatch.total_ns >= predict.total_ns || dispatch.total_ns > 0);
+    }
+
+    /// Spins for `us` microseconds, returning the Instant-measured span.
+    fn spin_us(us: u128) -> u128 {
+        // mitt-lint: allow(D001, "the reference clock sampled estimates are checked against")
+        let start = std::time::Instant::now();
+        while start.elapsed().as_micros() < us {}
+        start.elapsed().as_nanos()
+    }
+
+    #[test]
+    fn counts_stay_exact_under_sampling() {
+        let sink = ProfSink::enabled();
+        for _ in 0..1_000 {
+            let _d = sink.phase(Phase::Dispatch);
+            let _p = sink.phase(Phase::Predict);
+            let _s = sink.phase(Phase::Sched);
+        }
+        let r = sink.report();
+        for phase in [Phase::Dispatch, Phase::Predict, Phase::Sched] {
+            let stats = &r.phases[phase as usize];
+            assert_eq!(stats.count, 1_000, "{phase:?}");
+            assert_eq!(stats.hist.total(), stats.timed, "{phase:?}");
+            // About one in SAMPLE_ONE_IN, far from none and from all.
+            assert!(
+                (20..=150).contains(&stats.timed),
+                "{phase:?}: {}",
+                stats.timed
+            );
+        }
+        assert_eq!(r.phases[Phase::Device as usize].count, 0);
+    }
+
+    #[test]
+    fn nested_guards_inherit_the_outermost_decision() {
+        let sink = ProfSink::enabled();
+        let (mut timed, mut untimed) = (0, 0);
+        let mut device_seen = false;
+        for i in 0..400 {
+            let d = sink.phase(Phase::Dispatch);
+            let s = sink.phase(Phase::Sched);
+            if i == 0 {
+                assert!(
+                    d.timer.is_some() && s.timer.is_some(),
+                    "first activations are timed"
+                );
+            } else {
+                assert_eq!(s.timer.is_some(), d.timer.is_some(), "activation {i}");
+            }
+            // Device's first activation is nested in an untimed dispatch,
+            // and is timed all the same.
+            if device_seen || d.timer.is_none() {
+                let v = sink.phase(Phase::Device);
+                let want = !device_seen || d.timer.is_some();
+                assert_eq!(v.timer.is_some(), want, "activation {i}");
+                device_seen = true;
+            }
+            if d.timer.is_some() {
+                timed += 1;
+            } else {
+                untimed += 1;
+            }
+        }
+        assert!(
+            device_seen && timed > 1 && untimed > 0,
+            "{timed} timed, {untimed} untimed"
+        );
+    }
+
+    #[test]
+    fn sampled_total_tracks_instant_on_an_alternating_pattern() {
+        // Alternating short and long activations: a sampler with period
+        // SAMPLE_ONE_IN (even) would only ever time one of the two kinds
+        // and be off by half; the pseudo-random draw sees both. A spin
+        // that overran its span by 100 µs was descheduled, which skews
+        // the estimate 16-fold if that activation was timed and not at all
+        // if it was not, so such an attempt is retaken (the draws repeat:
+        // every attempt gets a fresh sink).
+        const ATTEMPTS: usize = 10;
+        for attempt in 1..=ATTEMPTS {
+            let sink = ProfSink::enabled();
+            let (mut spun, mut overran) = (0u128, false);
+            for i in 0..960 {
+                let _g = sink.phase(Phase::Device);
+                let us = if i % 2 == 0 { 20 } else { 60 };
+                let ns = spin_us(us);
+                overran |= ns > us * 1_000 + 100_000;
+                spun += ns;
+            }
+            if overran && attempt < ATTEMPTS {
+                continue;
+            }
+            let device = &sink.report().phases[Phase::Device as usize];
+            assert_eq!(device.count, 960);
+            assert!(device.timed < device.count);
+            let estimated = device.total_ns as f64;
+            let err = (estimated - spun as f64).abs() / spun as f64;
+            assert!(err <= 0.15, "estimated {estimated} ns vs Instant {spun} ns");
+            return;
+        }
     }
 
     #[test]
@@ -404,10 +606,7 @@ mod tests {
         let sink = ProfSink::enabled();
         let spun = {
             let _g = sink.phase(Phase::Device);
-            // mitt-lint: allow(D001, "the reference clock the tick clock is checked against")
-            let start = std::time::Instant::now();
-            while start.elapsed().as_micros() < 2_500 {}
-            start.elapsed().as_nanos() as f64
+            spin_us(2_500) as f64
         };
         let recorded = sink.report().phases[Phase::Device as usize].total_ns as f64;
         let err = (recorded - spun).abs() / spun;

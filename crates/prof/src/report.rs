@@ -30,7 +30,8 @@ pub struct ProfReport {
     pub events_dispatched: u64,
     /// Simulated IOs submitted into storage stacks.
     pub ios_submitted: u64,
-    /// Per-phase wall-clock timings, indexed by `Phase as usize`.
+    /// Per-phase wall-clock timings, indexed by `Phase as usize`; each
+    /// `total_ns` is already scaled from the timed activations to all.
     pub phases: Vec<PhaseStats>,
     /// Per-phase allocation counters for the run (not process-lifetime).
     pub alloc: [AllocCounters; N_PHASES],
@@ -63,7 +64,7 @@ impl ProfReport {
             sim_elapsed_ns: core.sim_elapsed.as_nanos(),
             events_dispatched: core.events_dispatched,
             ios_submitted: core.ios_submitted,
-            phases: core.phases.to_vec(),
+            phases: core.estimated_phases(),
             alloc: core.alloc_delta(),
             gauges: core.gauges.clone(),
             gauges_dropped: core.gauges_dropped,
@@ -133,10 +134,11 @@ impl ProfReport {
         for (i, phase) in Phase::ALL.iter().enumerate() {
             let s = &self.phases[*phase as usize];
             out.push_str(&format!(
-                "    {{\"phase\": \"{}\", \"count\": {}, \"total_us\": {}, \
+                "    {{\"phase\": \"{}\", \"count\": {}, \"timed\": {}, \"total_us\": {}, \
                  \"mean_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}{}\n",
                 phase.label(),
                 s.count,
+                s.timed,
                 fmt3(s.total_ns as f64 / 1e3),
                 fmt3(s.hist.mean_ns()),
                 s.hist.quantile_milli(500),

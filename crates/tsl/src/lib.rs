@@ -109,13 +109,28 @@ pub struct WindowStats {
     pub breaker_opens: u64,
     /// Breaker transitions into `Closed` landing in this window.
     pub breaker_closes: u64,
-    /// End-to-end get latency histogram (cluster rows).
-    pub latency: Pow2Hist,
-    /// Device service-time histogram (node rows).
-    pub service: Pow2Hist,
+    /// End-to-end get latency histogram (cluster rows); allocated on the
+    /// first sample, so node rows do not carry one.
+    latency: Option<Box<Pow2Hist>>,
+    /// Device service-time histogram (node rows); allocated on the first
+    /// sample, so cluster rows do not carry one.
+    service: Option<Box<Pow2Hist>>,
 }
 
+/// What an absent histogram reads, folds and exports as.
+static EMPTY_HIST: Pow2Hist = Pow2Hist::new();
+
 impl WindowStats {
+    /// End-to-end get latency histogram (cluster rows).
+    pub fn latency(&self) -> &Pow2Hist {
+        self.latency.as_deref().unwrap_or(&EMPTY_HIST)
+    }
+
+    /// Device service-time histogram (node rows).
+    pub fn service(&self) -> &Pow2Hist {
+        self.service.as_deref().unwrap_or(&EMPTY_HIST)
+    }
+
     fn fold(&self, h: &mut Fnv1a) {
         h.write_u64(self.gets);
         h.write_u64(self.misses);
@@ -127,8 +142,8 @@ impl WindowStats {
         h.write_u64(self.completes);
         h.write_u64(self.breaker_opens);
         h.write_u64(self.breaker_closes);
-        self.latency.fold(h);
-        self.service.fold(h);
+        self.latency().fold(h);
+        self.service().fold(h);
     }
 }
 
@@ -548,7 +563,9 @@ impl TslSink {
             if miss {
                 cell.misses += 1;
             }
-            cell.latency.observe(latency.as_nanos());
+            cell.latency
+                .get_or_insert_with(Box::default)
+                .observe(latency.as_nanos());
         }
     }
 
@@ -599,7 +616,9 @@ impl TslSink {
             let mut core = core.borrow_mut();
             let cell = self.cell_for(&mut core, at);
             cell.completes += 1;
-            cell.service.observe(service.as_nanos());
+            cell.service
+                .get_or_insert_with(Box::default)
+                .observe(service.as_nanos());
         }
     }
 
@@ -767,7 +786,7 @@ impl TslSink {
                 subsystem: Subsystem::Cluster,
                 kind: EventKind::Counter {
                     name: "tsl.p99_us",
-                    value: stats.latency.quantile_milli(990) / 1_000,
+                    value: stats.latency().quantile_milli(990) / 1_000,
                 },
             });
             out.push(TraceEvent {
@@ -885,23 +904,23 @@ impl TslSink {
                 out.push_str(&format!(",\"completes\":{}", s.completes));
                 out.push_str(&format!(
                     ",\"p50_us\":{}",
-                    s.latency.quantile_milli(500) / 1_000
+                    s.latency().quantile_milli(500) / 1_000
                 ));
                 out.push_str(&format!(
                     ",\"p95_us\":{}",
-                    s.latency.quantile_milli(950) / 1_000
+                    s.latency().quantile_milli(950) / 1_000
                 ));
                 out.push_str(&format!(
                     ",\"p99_us\":{}",
-                    s.latency.quantile_milli(990) / 1_000
+                    s.latency().quantile_milli(990) / 1_000
                 ));
                 out.push_str(&format!(
                     ",\"p999_us\":{}",
-                    s.latency.quantile_milli(999) / 1_000
+                    s.latency().quantile_milli(999) / 1_000
                 ));
                 out.push_str(&format!(
                     ",\"service_p99_us\":{}",
-                    s.service.quantile_milli(990) / 1_000
+                    s.service().quantile_milli(990) / 1_000
                 ));
                 out.push_str(&format!(
                     ",\"burn_milli\":{}",
@@ -1000,6 +1019,27 @@ mod tests {
 
     fn at_ms(ms: u64) -> SimTime {
         SimTime::from_nanos(ms * 1_000_000)
+    }
+
+    #[test]
+    fn cells_carry_only_the_histogram_their_row_fills() {
+        let s = TslSink::enabled(cfg_10ms(), "MittOS");
+        let n0 = s.for_node(0);
+        s.observe_get(at_ms(1), Duration::from_millis(2));
+        n0.observe_service(at_ms(1), Duration::from_micros(300));
+        n0.record_dispatch(at_ms(1));
+        let core = s.core.as_ref().expect("enabled").borrow();
+        let cells: Vec<_> = core.cells().collect();
+        assert_eq!(cells.len(), 2);
+        for (node, _, stats) in cells {
+            let (filled, absent) = if node == CLUSTER_NODE {
+                (&stats.latency, &stats.service)
+            } else {
+                (&stats.service, &stats.latency)
+            };
+            assert_eq!(filled.as_ref().map(|h| h.total()), Some(1), "node {node}");
+            assert!(absent.is_none(), "node {node}");
+        }
     }
 
     #[test]

@@ -223,7 +223,9 @@ done
 
 echo "== fig_throughput smoke (mitt-prof profile + throughput baseline)"
 # A small traced+profiled cluster run: validates the mitt-prof/v1 JSON
-# artifact, the folded-stack export, and gates the deterministic
+# artifact (every phase row carries its timed-activation count, and
+# dispatch was sampled: some but not all of its activations timed), the
+# folded-stack export, and gates the deterministic
 # virtual-time report against baselines/BENCH_throughput.json via
 # `mitt-obs compare` (wall-clock throughput itself is never gated — it
 # would flake; it lives only in the profile artifact and EXPERIMENTS.md).
@@ -241,6 +243,9 @@ if command -v jq >/dev/null 2>&1; then
         and (.ios_submitted > 0)
         and (.events_dispatched > 0)
         and ([.phases[] | select(.phase == "dispatch")] | all(.count > 0))
+        and (.phases | all(has("timed") and .timed <= .count))
+        and ([.phases[] | select(.phase == "dispatch")]
+             | all(.timed > 0 and .timed < .count))
     ' "$prof_out" >/dev/null
 else
     python3 -c "
@@ -249,7 +254,9 @@ d = json.load(open(sys.argv[1]))
 assert d['schema'] == 'mitt-prof/v1'
 assert len(d['phases']) == 7 and len(d['alloc']) == 7
 assert d['ios_submitted'] > 0 and d['events_dispatched'] > 0
-assert next(p for p in d['phases'] if p['phase'] == 'dispatch')['count'] > 0
+assert all('timed' in p and p['timed'] <= p['count'] for p in d['phases'])
+dispatch = next(p for p in d['phases'] if p['phase'] == 'dispatch')
+assert 0 < dispatch['timed'] < dispatch['count']
 " "$prof_out"
 fi
 test -s "$folded_out"
