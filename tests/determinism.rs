@@ -23,7 +23,7 @@ use mittos_repro::obs::replay::{replay_audit_traced, REPLAY_RING};
 use mittos_repro::sim::digest::{double_run, Fnv1a};
 use mittos_repro::sim::{Duration, SimTime};
 use mittos_repro::tsl::TslConfig;
-use mittos_repro::workload::{rotating_schedule, TraceSpec};
+use mittos_repro::workload::{rotating_schedule, NoiseBurst, TraceSpec};
 
 /// A contended three-replica cluster, small enough for a debug-build test.
 /// Tracing is on so the digest also covers the event ring and metrics.
@@ -503,6 +503,42 @@ fn noop_config(seed: u64) -> ExperimentConfig {
     cfg
 }
 
+/// A CFQ cluster whose node 0 takes short, frequent bursts of
+/// top-priority reads, with trace and tsl on: IOs admitted between bursts
+/// sit in the CFQ queues when the next burst arrives, so MittCFQ bumps
+/// them (late EBUSY).
+fn bump_config(seed: u64) -> ExperimentConfig {
+    let mut cfg = ExperimentConfig::micro(
+        NodeConfig::disk_cfq(),
+        Strategy::MittOs {
+            deadline: Duration::from_millis(30),
+        },
+    );
+    cfg.seed = seed;
+    cfg.clients = 4;
+    cfg.ops_per_client = 60;
+    cfg.think_time = Duration::from_millis(3);
+    cfg.trace = true;
+    cfg.tsl = Some(TslConfig::default());
+    let mut schedules = vec![Vec::new(); 3];
+    schedules[0] = (0..6000)
+        .map(|i| NoiseBurst {
+            start: SimTime::ZERO + Duration::from_millis(100) * i,
+            duration: Duration::from_millis(20),
+            intensity: 8,
+        })
+        .collect();
+    cfg.noise = vec![NoiseStream {
+        kind: NoiseKind::DiskReads {
+            len: 4096,
+            class: IoClass::BestEffort,
+            priority: 0,
+        },
+        schedules,
+    }];
+    cfg
+}
+
 /// The `config` cluster with §7.7 error injection on both sides: the
 /// injector's RNG draws and flipped decisions are part of the digest.
 fn inject_config(seed: u64) -> ExperimentConfig {
@@ -602,7 +638,7 @@ fn audit_replay_digest(seed: u64) -> u64 {
 /// To regenerate after a deliberate behaviour change, run
 /// `cargo test --test determinism golden -- --nocapture`: the failure
 /// message lists every run's current digest in this table's format.
-const GOLDEN_DIGESTS: [(&str, u64); 14] = [
+const GOLDEN_DIGESTS: [(&str, u64); 16] = [
     ("config/base/21", 0x218c0b21de18c9c0),
     ("config/mittos/21", 0xad50989445b3df27),
     ("ssd_config/23", 0x396929dd2f56f4a3),
@@ -617,6 +653,8 @@ const GOLDEN_DIGESTS: [(&str, u64); 14] = [
     ("tsl_export/chaos_config+tsl/34", 0x0ec3d98b214b3132),
     ("tiered_config+256k_writes/41", 0x0eecda0a88b0c3e5),
     ("lsm_churn_config/42", 0xd2fe8553a5086123),
+    ("noop_config+tsl/43", 0xef63acfb0bbb1b17),
+    ("bump_config+tsl/44", 0x51dd57c5de2d38b4),
 ];
 
 fn golden_run_digests() -> Vec<(&'static str, u64)> {
@@ -652,6 +690,18 @@ fn golden_run_digests() -> Vec<(&'static str, u64)> {
     // write's sub-IO completions interleave with the rest of the calendar.
     let mut wide_writes = tiered_config(41, Medium::Ssd, false);
     wide_writes.noise[1].kind = NoiseKind::SsdWrites { len: 256 << 10 };
+    // The two tsl-on runs whose timelines no other golden reaches: Noop
+    // dispatches, and MittCFQ bumps (late EBUSY) on a CFQ disk. Each digest
+    // covers the run and its exported timeline.
+    let tsl_digest = |cfg: ExperimentConfig| {
+        let res = run_experiment(cfg);
+        let mut h = Fnv1a::new();
+        fold_result(&mut h, &res);
+        h.write_str(&res.tsl.export_json());
+        h.finish()
+    };
+    let mut noop_tsl = noop_config(43);
+    noop_tsl.tsl = Some(TslConfig::default());
     vec![
         ("config/base/21", digest_of(config(21, Strategy::Base))),
         ("config/mittos/21", digest_of(config(21, mittos))),
@@ -667,6 +717,8 @@ fn golden_run_digests() -> Vec<(&'static str, u64)> {
         ("tsl_export/chaos_config+tsl/34", tsl_export.finish()),
         ("tiered_config+256k_writes/41", digest_of(wide_writes)),
         ("lsm_churn_config/42", digest_of(lsm_churn_config(42))),
+        ("noop_config+tsl/43", tsl_digest(noop_tsl)),
+        ("bump_config+tsl/44", tsl_digest(bump_config(44))),
     ]
 }
 
@@ -703,4 +755,13 @@ fn different_seed_different_digest() {
         digest_of(22),
         "digest is insensitive to the seed; it cannot be covering the run"
     );
+}
+
+/// The bump golden pins the late-EBUSY timeline records only while
+/// MittCFQ really bumps in it.
+#[test]
+fn bump_config_bumps_queued_ios() {
+    let res = run_experiment(bump_config(44));
+    let bumped = res.trace.metrics().counter_total("mittcfq.bumped");
+    assert!(bumped > 0, "no IO was bumped");
 }
