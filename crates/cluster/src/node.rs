@@ -28,6 +28,7 @@ use mitt_sched::{Cfq, CfqConfig, DiskScheduler, Noop};
 use mitt_sim::{Duration, FastMap, FastSet, SimRng, SimTime};
 use mitt_trace::report::{CACHE_HIT_COUNTER, EBUSY_COUNTER, PREDICT_ERROR_HIST, SUBMIT_COUNTER};
 use mitt_trace::{EventKind, Resource, Subsystem};
+use mitt_tsl::TslSink;
 use mittos::{
     admit, profile_disk, profile_ssd, Admission, CacheVerdict, Decision, DiskPredictor,
     DiskProfile, ErrorInjector, MittCache, MittCfq, MittNoop, MittSsd, Slo, ADDRCHECK_COST,
@@ -385,6 +386,10 @@ pub struct Node {
     fill_after_read: FastSet<IoId>,
     ebusy_times: Vec<SimTime>,
     ctx: NodeCtx,
+    /// This node's timeline row: every admit, reject, dispatch and device
+    /// service is recorded here, where the verdict or completion leaves
+    /// the storage stack.
+    tsl: TslSink,
     /// Predicted wait of each admitted, traced IO, resolved against the
     /// actual wait at completion to feed the prediction-error histogram.
     pred_wait: FastMap<IoId, Duration>,
@@ -456,6 +461,7 @@ impl Node {
             fill_after_read: FastSet::default(),
             ebusy_times: Vec::new(),
             ctx: NodeCtx::disabled(),
+            tsl: TslSink::disabled(),
             pred_wait: FastMap::default(),
         }
     }
@@ -477,6 +483,11 @@ impl Node {
             cs.mitt.set_ctx(ctx.clone());
         }
         self.ctx = ctx;
+    }
+
+    /// Attaches the run's timeline, tagged with this node's id.
+    pub fn set_tsl(&mut self, tsl: &TslSink) {
+        self.tsl = tsl.for_node(self.id as u32);
     }
 
     /// Runs pre-IO request-handler CPU work; returns when the IO can start.
@@ -505,6 +516,7 @@ impl Node {
                 let slo = req.deadline.map(Slo::deadline);
                 match cs.mitt.check(&cs.cache, req.offset, req.len, slo, now) {
                     CacheVerdict::Hit => {
+                        self.tsl.record_admit(now);
                         cs.cache.access(req.offset, req.len);
                         let latency = cs.cache.config().hit_latency + ADDRCHECK_COST;
                         self.ctx.trace.count(CACHE_HIT_COUNTER, 1);
@@ -548,6 +560,7 @@ impl Node {
                     CacheVerdict::Miss { .. } => {
                         // Fall through to storage with the deadline
                         // propagated; fill the cache on completion.
+                        self.tsl.record_admit(now);
                     }
                 }
             }
@@ -593,7 +606,7 @@ impl Node {
     /// Returns EBUSY for `io`: the node-level `Reject` event reporting
     /// `wait`, directly followed by its SLO-attribution companion carrying
     /// `attributed` (consumers pair them by order), plus the EBUSY and
-    /// per-resource counters.
+    /// per-resource counters and the timeline's reject record.
     fn reject(
         &mut self,
         io: u64,
@@ -604,6 +617,7 @@ impl Node {
         now: SimTime,
     ) {
         self.ebusy_times.push(now);
+        self.tsl.record_reject(now, resource);
         self.ctx.trace.count(EBUSY_COUNTER, 1);
         self.ctx.trace.emit(
             now,
@@ -651,6 +665,7 @@ impl Node {
                 })
             }
             Decision::Admit { predicted_wait } => {
+                self.tsl.record_admit(now);
                 if self.ctx.trace.is_enabled() {
                     self.pred_wait.insert(io.id, predicted_wait);
                 }
@@ -689,7 +704,6 @@ impl Node {
             ds.sched.cancel(*id);
         }
         for &id in &bumped {
-            self.ctx.tsl.record_reject(now, adm.resource);
             // The bumped IO's own Predict event carried its admission-time
             // wait; attribute with that value.
             let pw = self.pred_wait.remove(&id).unwrap_or(Duration::MAX);
@@ -700,6 +714,7 @@ impl Node {
         let out = ds.sched.enqueue(io, &mut ds.disk, now);
         for id in &out.dispatched {
             ds.mitt.on_dispatch(*id, now);
+            self.tsl.record_dispatch(now);
         }
         Submission {
             outcome: ReadOutcome::Submitted {
@@ -733,6 +748,11 @@ impl Node {
         }
         let ss = self.ssd.as_mut().expect("node has no SSD stack");
         let out = ss.ssd.submit(&io, now);
+        if self.tsl.is_enabled() {
+            for sub in &out.subs {
+                self.tsl.observe_service(sub.done_at, sub.busy);
+            }
+        }
         for gc in &out.gc {
             ss.mitt.on_gc(gc.chip, gc.busy, now);
         }
@@ -812,8 +832,10 @@ impl Node {
             .on_complete(&mut ds.disk, now)
             .expect("disk tick scheduled, so an IO is in flight");
         ds.mitt.on_complete(fin.io.id, fin.service);
+        self.tsl.observe_service(now, fin.service);
         for id in &out.dispatched {
             ds.mitt.on_dispatch(*id, now);
+            self.tsl.record_dispatch(now);
         }
         let wait = fin.started_at.saturating_since(fin.io.submit);
         self.resolve_prediction(fin.io.id, wait, now);

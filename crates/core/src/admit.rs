@@ -21,8 +21,8 @@ const BUMPED_COUNTER: &str = "mittcfq.bumped";
 
 /// What differs between the MittOS predictors.
 ///
-/// Predictors are pure mirrors: they hold no trace, profiling, timeline or
-/// fault handles. [`admit()`] applies those from the caller's [`NodeCtx`].
+/// Predictors are pure mirrors: they hold no trace, profiling or fault
+/// handles. [`admit()`] applies those from the caller's [`NodeCtx`].
 pub trait Predictor {
     /// Subsystem tag of the `predict` events and admit/reject counters.
     fn subsystem(&self) -> Subsystem;
@@ -79,8 +79,8 @@ pub struct Admission {
 /// Under one `Predict` timer: the wait estimate, distorted by any active
 /// `PredictorBias` fault; [`decide`]; the `predict` event and the
 /// subsystem's admit/reject counter for that raw verdict; then `policy`,
-/// which may overrule the verdict (audit mode, error injection); then the
-/// timeline record and, for an admitted IO, accounting in the mirror.
+/// which may overrule the verdict (audit mode, error injection); then, for
+/// an admitted IO, accounting in the mirror.
 pub fn admit<P: Predictor + ?Sized>(
     predictor: &mut P,
     io: &BlockIo,
@@ -113,7 +113,6 @@ pub fn admit<P: Predictor + ?Sized>(
     let decision = policy(io, raw);
     let mut bumped = Vec::new();
     if decision.is_admit() {
-        ctx.tsl.record_admit(now);
         bumped = predictor.account(io, now);
         if !bumped.is_empty() {
             ctx.trace.count(BUMPED_COUNTER, bumped.len() as u64);
@@ -122,13 +121,9 @@ pub fn admit<P: Predictor + ?Sized>(
         predictor.count_reject();
     }
     let (own, detail) = predictor.blame();
-    let resource = ctx.blame(now, own);
-    if !decision.is_admit() {
-        ctx.tsl.record_reject(now, resource);
-    }
     Admission {
         decision,
-        resource,
+        resource: ctx.blame(now, own),
         detail,
         bumped,
     }

@@ -171,8 +171,8 @@ impl Disk {
     }
 
     /// Attaches the node's handles: the device emits dispatch/complete
-    /// events and per-window service times, times submit/complete as the
-    /// `Device` phase, and fail-slow windows scale service times.
+    /// events, times submit/complete as the `Device` phase, and fail-slow
+    /// windows scale service times.
     pub fn set_ctx(&mut self, ctx: NodeCtx) {
         self.ctx = ctx;
     }
@@ -306,7 +306,6 @@ impl Disk {
             fl.done_at
         );
         self.served += 1;
-        self.ctx.tsl.observe_service(now, fl.service);
         self.ctx.trace.emit(
             now,
             Subsystem::Disk,

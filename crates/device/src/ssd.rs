@@ -268,8 +268,7 @@ impl Ssd {
     }
 
     /// Attaches the node's handles: stall windows extend every flash
-    /// sub-IO, submit/complete are timed as the `Device` phase, and each
-    /// sub-IO's busy time lands in its timeline window.
+    /// sub-IO, and submit/complete are timed as the `Device` phase.
     pub fn set_ctx(&mut self, ctx: NodeCtx) {
         self.ctx = ctx;
     }
@@ -369,7 +368,6 @@ impl Ssd {
                 self.spec.channel_delay * u64::from(self.channel_outstanding[channel]);
             let done_at = self.chips[chip].next_free + queue_delay;
             self.channel_outstanding[channel] += 1;
-            self.ctx.tsl.observe_service(done_at, busy);
             if io.kind == IoKind::Write {
                 self.chips[chip].writes_since_gc += 1;
                 if let Some(gc) = self.maybe_gc(chip) {

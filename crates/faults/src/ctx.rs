@@ -2,21 +2,22 @@
 //! takes.
 //!
 //! A node's devices, scheduler, page-cache check and admission path all
-//! consult the same four handles: the fault clock, the trace ring, the
-//! engine profiler and the windowed timeline. They travel together as one
-//! cheap-to-clone value, tagged once per node by [`NodeCtx::for_node`], so
-//! a component gains or loses an instrument without a new setter. Every
-//! handle is a no-op when disabled, and none of them ever alters a
-//! decision except the fault clock, whose effects are part of the plan.
+//! consult the same three handles: the fault clock, the trace ring and the
+//! engine profiler. They travel together as one cheap-to-clone value,
+//! tagged once per node by [`NodeCtx::for_node`], so a component gains or
+//! loses an instrument without a new setter. Every handle is a no-op when
+//! disabled, and none of them ever alters a decision except the fault
+//! clock, whose effects are part of the plan. The windowed timeline is not
+//! one of them: the cluster node records it from the verdicts and
+//! completions it already handles.
 
 use mitt_prof::ProfSink;
 use mitt_sim::SimTime;
 use mitt_trace::{Resource, TraceSink};
-use mitt_tsl::TslSink;
 
 use crate::FaultClock;
 
-/// The fault, trace, profiling and timeline handles of one node.
+/// The fault, trace and profiling handles of one node.
 #[derive(Debug, Clone, Default)]
 pub struct NodeCtx {
     /// Scheduled faults (`PredictorBias`, fail-slow, stalls, ...).
@@ -25,8 +26,6 @@ pub struct NodeCtx {
     pub trace: TraceSink,
     /// Engine phase timers (wall-clock only, digest-neutral).
     pub prof: ProfSink,
-    /// Windowed tail-latency and EBUSY timelines.
-    pub tsl: TslSink,
 }
 
 impl NodeCtx {
@@ -41,7 +40,6 @@ impl NodeCtx {
             faults: self.faults.for_node(node),
             trace: self.trace.for_node(node),
             prof: self.prof.clone(),
-            tsl: self.tsl.for_node(node),
         }
     }
 

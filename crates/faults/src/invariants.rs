@@ -38,7 +38,6 @@
 
 use mitt_sim::{Duration, SimTime};
 use mitt_trace::{EventKind, Subsystem, TraceEvent};
-use mitt_tsl::NearMiss;
 
 use crate::breaker::{BreakerState, BreakerTransition, TransitionCause};
 use crate::FaultPlan;
@@ -91,6 +90,26 @@ impl InvariantReport {
     /// True when no invariant was violated.
     pub fn pass(&self) -> bool {
         self.violations.is_empty()
+    }
+}
+
+/// An invariant that passed but came close to its budget (ROADMAP item 5's
+/// coverage signal for the fault-plan generator; `mitt-tsl` records it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NearMiss {
+    /// Name of the invariant that nearly failed.
+    pub invariant: &'static str,
+    /// Slack that remained (budget minus observed worst case).
+    pub margin: Duration,
+    /// The budget the invariant was checked against.
+    pub budget: Duration,
+}
+
+impl NearMiss {
+    /// True when the margin is under a quarter of the budget — the
+    /// threshold at which recording one also arms the flight recorder.
+    pub fn is_close(&self) -> bool {
+        self.margin.as_nanos() * 4 < self.budget.as_nanos()
     }
 }
 

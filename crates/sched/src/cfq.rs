@@ -155,7 +155,6 @@ impl Cfq {
             };
             self.index.remove(&io.id);
             out.dispatched.push(io.id);
-            self.ctx.tsl.record_dispatch(now);
             self.ctx.trace.emit(
                 now,
                 Subsystem::Sched,

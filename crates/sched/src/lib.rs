@@ -90,10 +90,9 @@ pub trait DiskScheduler {
 
     /// Attaches the node's handles: schedulers emit queued-span and
     /// queue-depth telemetry, time enqueue/completion as the `Sched` phase,
-    /// bucket each dispatch into its timeline window, and honour
-    /// `SchedDegrade` windows by capping how many IOs they keep in the
-    /// device (never below one, so completions always re-trigger dispatch
-    /// and the queue keeps draining). Observation never feeds back into
-    /// scheduling decisions.
+    /// and honour `SchedDegrade` windows by capping how many IOs they keep
+    /// in the device (never below one, so completions always re-trigger
+    /// dispatch and the queue keeps draining). Observation never feeds back
+    /// into scheduling decisions.
     fn set_ctx(&mut self, ctx: NodeCtx);
 }

@@ -37,7 +37,6 @@ impl Noop {
                 break;
             };
             out.dispatched.push(io.id);
-            self.ctx.tsl.record_dispatch(now);
             self.ctx.trace.emit(
                 now,
                 Subsystem::Sched,

@@ -29,13 +29,16 @@
 //!
 //! Like [`mitt_trace::TraceSink`], a [`TslSink`] is a cheap clonable handle
 //! over a shared collector: a disabled sink is one branch per call and
-//! allocates nothing, and [`TslSink::for_node`] re-tags a handle so every
-//! layer of the stack records under its own node id.
+//! allocates nothing, and [`TslSink::for_node`] re-tags a handle so the
+//! cluster and each node record under their own id. A node records its
+//! row where verdicts and completions leave it, so no layer below the
+//! node holds a handle.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use mitt_faults::invariants::NearMiss;
 use mitt_sim::{Duration, Fnv1a, Pow2Hist, SimTime};
 use mitt_trace::{Resource, TraceEvent, CLUSTER_NODE};
 
@@ -201,27 +204,6 @@ impl TslAlert {
         let end = (self.window + 1) * width;
         let start = end.saturating_sub(windows * width);
         (SimTime::from_nanos(start), SimTime::from_nanos(end))
-    }
-}
-
-/// An invariant that passed but came close to its budget (fed in from
-/// `mitt_faults::invariants` by the harness; ROADMAP item 5's coverage
-/// signal for the fault-plan generator).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NearMiss {
-    /// Name of the invariant that nearly failed.
-    pub invariant: &'static str,
-    /// Slack that remained (budget minus observed worst case).
-    pub margin: Duration,
-    /// The budget the invariant was checked against.
-    pub budget: Duration,
-}
-
-impl NearMiss {
-    /// True when the margin is under a quarter of the budget — the
-    /// threshold at which recording one also arms the flight recorder.
-    pub fn is_close(&self) -> bool {
-        self.margin.as_nanos() * 4 < self.budget.as_nanos()
     }
 }
 
