@@ -34,5 +34,5 @@ pub use dist::Distribution;
 pub use hash::{FastMap, FastSet};
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use stats::{reduction_pct, LatencyRecorder, OnlineStats, P2Quantile, Pow2Hist, TimeHistogram};
+pub use stats::{reduction_pct, LatencyRecorder, Pow2Hist};
 pub use time::{Duration, SimTime};

@@ -1,5 +1,5 @@
-//! Latency statistics: exact percentiles, CDF extraction, and streaming
-//! summaries.
+//! Latency statistics: exact percentiles, CDF extraction, and a
+//! power-of-two histogram.
 //!
 //! The paper reports latency CDFs (Figures 4-8, 11-13), percentile tables
 //! (p75/p90/p95/p99), and percentage latency reductions between strategies
@@ -141,54 +141,6 @@ pub fn reduction_pct(other: Duration, ours: Duration) -> f64 {
     100.0 * (other.as_nanos() as f64 - ours.as_nanos() as f64) / other.as_nanos() as f64
 }
 
-/// Streaming mean/variance via Welford's algorithm, for counters where
-/// keeping every sample would be wasteful.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean of the observations (0 if empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (0 if fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
-
 /// Power-of-two-bucket histogram of nanosecond samples: bucket `i` holds
 /// values in `[2^i, 2^(i+1))` (zero counts as one), so the whole
 /// nanosecond-to-centuries range fits in 64 fixed buckets with no
@@ -275,47 +227,6 @@ impl Pow2Hist {
                 h.write_u64(c);
             }
         }
-    }
-}
-
-/// Fixed-width histogram over durations, used for timeline plots such as
-/// the per-bucket noise occupancy of Figure 13b.
-#[derive(Debug, Clone)]
-pub struct TimeHistogram {
-    bucket: Duration,
-    counts: Vec<u64>,
-}
-
-impl TimeHistogram {
-    /// Creates a histogram with `buckets` buckets of width `bucket`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket` is zero or `buckets` is zero.
-    pub fn new(bucket: Duration, buckets: usize) -> Self {
-        assert!(!bucket.is_zero() && buckets > 0, "degenerate histogram");
-        TimeHistogram {
-            bucket,
-            counts: vec![0; buckets],
-        }
-    }
-
-    /// Adds `weight` at offset `at` from the histogram origin. Samples past
-    /// the last bucket are clamped into it.
-    pub fn add(&mut self, at: Duration, weight: u64) {
-        let idx = (at.as_nanos() / self.bucket.as_nanos()) as usize;
-        let idx = idx.min(self.counts.len() - 1);
-        self.counts[idx] += weight;
-    }
-
-    /// The per-bucket totals.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// The bucket width.
-    pub fn bucket_width(&self) -> Duration {
-        self.bucket
     }
 }
 
@@ -414,228 +325,8 @@ mod tests {
     }
 
     #[test]
-    fn online_stats_match_closed_form() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_histogram_buckets_and_clamps() {
-        let mut h = TimeHistogram::new(ms(10), 3);
-        h.add(ms(0), 1);
-        h.add(ms(9), 1);
-        h.add(ms(10), 2);
-        h.add(ms(500), 5); // clamped to last bucket
-        assert_eq!(h.counts(), &[2, 2, 5]);
-        assert_eq!(h.bucket_width(), ms(10));
-    }
-
-    #[test]
     #[should_panic(expected = "quantile of empty recorder")]
     fn quantile_empty_panics() {
         LatencyRecorder::new().quantile(0.5);
-    }
-}
-
-/// Streaming quantile estimation with the P² algorithm (Jain & Chlamtac,
-/// 1985): five markers, O(1) memory, no sample retention.
-///
-/// [`LatencyRecorder`] keeps every sample for exact figures; `P2Quantile`
-/// serves long-running monitors — e.g. the runtime p95 estimate a
-/// deployment would feed into its deadline choice (§7.2) without storing
-/// millions of latencies.
-#[derive(Debug, Clone)]
-pub struct P2Quantile {
-    q: f64,
-    heights: [f64; 5],
-    positions: [f64; 5],
-    desired: [f64; 5],
-    increments: [f64; 5],
-    count: usize,
-}
-
-impl P2Quantile {
-    /// Creates an estimator for quantile `q` in `(0, 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is not strictly between 0 and 1.
-    pub fn new(q: f64) -> Self {
-        assert!(q > 0.0 && q < 1.0, "quantile must be in (0,1)");
-        P2Quantile {
-            q,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            count: 0,
-        }
-    }
-
-    /// Observes one duration.
-    pub fn observe(&mut self, d: Duration) {
-        self.observe_f64(d.as_nanos() as f64);
-    }
-
-    /// Observes one raw value.
-    pub fn observe_f64(&mut self, x: f64) {
-        if self.count < 5 {
-            self.heights[self.count] = x;
-            self.count += 1;
-            if self.count == 5 {
-                self.heights.sort_by(f64::total_cmp);
-            }
-            return;
-        }
-        self.count += 1;
-        // Find the cell k the observation falls into and clamp extremes.
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            let mut cell = 0;
-            for i in 0..4 {
-                if x >= self.heights[i] && x < self.heights[i + 1] {
-                    cell = i;
-                    break;
-                }
-            }
-            cell
-        };
-        for p in self.positions.iter_mut().skip(k + 1) {
-            *p += 1.0;
-        }
-        for (d, inc) in self.desired.iter_mut().zip(self.increments) {
-            *d += inc;
-        }
-        // Adjust the three middle markers by parabolic (or linear)
-        // interpolation.
-        for i in 1..4 {
-            let delta = self.desired[i] - self.positions[i];
-            let below = self.positions[i] - self.positions[i - 1];
-            let above = self.positions[i + 1] - self.positions[i];
-            if (delta >= 1.0 && above > 1.0) || (delta <= -1.0 && below > 1.0) {
-                let sign = delta.signum();
-                let candidate = self.parabolic(i, sign);
-                self.heights[i] =
-                    if self.heights[i - 1] < candidate && candidate < self.heights[i + 1] {
-                        candidate
-                    } else {
-                        self.linear(i, sign)
-                    };
-                self.positions[i] += sign;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, sign: f64) -> f64 {
-        let p = &self.positions;
-        let h = &self.heights;
-        h[i] + sign / (p[i + 1] - p[i - 1])
-            * ((p[i] - p[i - 1] + sign) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
-                + (p[i + 1] - p[i] - sign) * (h[i] - h[i - 1]) / (p[i] - p[i - 1]))
-    }
-
-    fn linear(&self, i: usize, sign: f64) -> f64 {
-        let j = (i as f64 + sign) as usize;
-        self.heights[i]
-            + sign * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// The current quantile estimate.
-    ///
-    /// # Panics
-    ///
-    /// Panics before any observation.
-    pub fn estimate(&self) -> Duration {
-        Duration::from_nanos(self.estimate_f64().max(0.0) as u64)
-    }
-
-    /// The raw estimate (exact order statistic until five samples).
-    pub fn estimate_f64(&self) -> f64 {
-        assert!(self.count > 0, "estimate before any observation");
-        if self.count < 5 {
-            let mut tmp: Vec<f64> = self.heights[..self.count].to_vec();
-            tmp.sort_by(f64::total_cmp);
-            let rank = ((self.q * self.count as f64).ceil() as usize).clamp(1, self.count);
-            return tmp[rank - 1];
-        }
-        self.heights[2]
-    }
-
-    /// Observations seen so far.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-}
-
-#[cfg(test)]
-mod p2_tests {
-    use super::*;
-    use crate::rng::SimRng;
-
-    #[test]
-    fn tracks_uniform_p95_within_a_few_percent() {
-        let mut p2 = P2Quantile::new(0.95);
-        let mut exact = LatencyRecorder::new();
-        let mut rng = SimRng::new(9);
-        for _ in 0..50_000 {
-            let x = rng.range_u64(0, 1_000_000);
-            p2.observe(Duration::from_nanos(x));
-            exact.record(Duration::from_nanos(x));
-        }
-        let est = p2.estimate().as_nanos() as f64;
-        let truth = exact.quantile(0.95).as_nanos() as f64;
-        assert!(
-            (est - truth).abs() / truth < 0.03,
-            "p95 estimate {est} vs exact {truth}"
-        );
-    }
-
-    #[test]
-    fn tracks_heavy_tailed_median() {
-        use crate::dist::{Distribution, LogNormal};
-        let dist = LogNormal::from_median(5.0, 1.2);
-        let mut p2 = P2Quantile::new(0.5);
-        let mut rng = SimRng::new(10);
-        for _ in 0..100_000 {
-            p2.observe_f64(dist.sample(&mut rng));
-        }
-        let est = p2.estimate_f64();
-        assert!((est - 5.0).abs() / 5.0 < 0.05, "median estimate {est}");
-    }
-
-    #[test]
-    fn small_sample_is_exact() {
-        let mut p2 = P2Quantile::new(0.5);
-        for x in [30.0, 10.0, 20.0] {
-            p2.observe_f64(x);
-        }
-        assert_eq!(p2.estimate_f64(), 20.0);
-        assert_eq!(p2.count(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "estimate before any observation")]
-    fn empty_estimate_panics() {
-        P2Quantile::new(0.9).estimate_f64();
-    }
-
-    #[test]
-    fn monotone_inputs_stay_bracketed() {
-        let mut p2 = P2Quantile::new(0.9);
-        for i in 0..10_000 {
-            p2.observe_f64(f64::from(i));
-        }
-        let est = p2.estimate_f64();
-        assert!((8_000.0..10_000.0).contains(&est), "p90 estimate {est}");
     }
 }
