@@ -21,7 +21,6 @@
 //! | T001 | truncating casts / mixed-unit arithmetic on virtual-clock values |
 //! | T002 | float time state or float-literal equality in simulation crates |
 //! | E001 | `Submit` trace emit with no reachable terminal emit |
-//! | E002 | node-level `Reject` emit without an adjacent `Attribution` |
 //! | W001 | per-rule waiver count grew past `baselines/LINT_baseline.json` |
 //!
 //! Justified violations carry a pragma the scanner honors and tallies:

@@ -39,9 +39,6 @@ pub enum Rule {
     /// A function that emits a `Submit` trace event with no terminal emit
     /// (`Complete`/`Reject`/`Failover`) reachable from it or its callers.
     E001,
-    /// A node-level `Reject` emit with no adjacent `Attribution` emit — the
-    /// static mirror of `mitt_obs::verify_attribution_invariants`.
-    E002,
     /// Waiver ratchet: a per-rule waiver count grew past the committed
     /// `baselines/LINT_baseline.json`.
     W001,
@@ -49,7 +46,7 @@ pub enum Rule {
 
 impl Rule {
     /// All rules, in report order.
-    pub const ALL: [Rule; 12] = [
+    pub const ALL: [Rule; 11] = [
         Rule::D001,
         Rule::D002,
         Rule::D003,
@@ -60,7 +57,6 @@ impl Rule {
         Rule::T001,
         Rule::T002,
         Rule::E001,
-        Rule::E002,
         Rule::W001,
     ];
 
@@ -77,7 +73,6 @@ impl Rule {
             Rule::T001 => "T001",
             Rule::T002 => "T002",
             Rule::E001 => "E001",
-            Rule::E002 => "E002",
             Rule::W001 => "W001",
         }
     }
@@ -95,7 +90,6 @@ impl Rule {
             Rule::T001 => "truncating cast or mixed-unit arithmetic on virtual time",
             Rule::T002 => "float time state or float-literal equality in sim code",
             Rule::E001 => "Submit trace event with no reachable terminal emit",
-            Rule::E002 => "node-level Reject emit without adjacent Attribution",
             Rule::W001 => "waiver count grew past the committed baseline",
         }
     }
@@ -112,7 +106,7 @@ pub enum FileKind {
     /// `src/` of a crate: all rules apply.
     Library,
     /// `tests/`, `benches/`, or `examples/`: exempt from [`Rule::D003`],
-    /// [`Rule::R001`], [`Rule::S001`], the T-rules, and the E-rules.
+    /// [`Rule::R001`], [`Rule::S001`], the T-rules, and [`Rule::E001`].
     TestOnly,
 }
 
@@ -218,7 +212,6 @@ pub fn scan_source(
     rule_t001(&ctx, &mut raw);
     rule_t002(&ctx, &mut raw);
     rule_e001(&ctx, &mut raw);
-    rule_e002(&ctx, &mut raw);
     raw.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     raw.dedup_by(|a, b| a.line == b.line && a.rule == b.rule);
 
@@ -1605,10 +1598,10 @@ fn rule_t002(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
 }
 
 // ---------------------------------------------------------------------------
-// E001 / E002 — trace-event protocol coverage
+// E001 — trace-event protocol coverage
 // ---------------------------------------------------------------------------
 
-/// Per-function event-emission facts for the E-rules.
+/// Per-function event-emission facts for [`Rule::E001`].
 struct EmitFacts {
     /// Token index of a `Submit` emit statement in this fn (first one).
     submit_tok: Option<usize>,
@@ -1739,58 +1732,4 @@ fn ancestors_of(facts: &[EmitFacts], target: usize) -> Vec<usize> {
         }
     }
     (0..n).filter(|&i| anc[i]).collect()
-}
-
-/// How close (in lines) an `Attribution` emit must follow a node-level
-/// `Reject` emit to count as adjacent.
-const E002_ADJACENCY_LINES: usize = 12;
-
-fn rule_e002(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
-    if ctx.kind != FileKind::Library {
-        return;
-    }
-    let toks = ctx.toks();
-    for i in 0..toks.len() {
-        if !(toks[i].is("EventKind") && ctx.matches(i + 1, &["::"])) {
-            continue;
-        }
-        if !toks.get(i + 2).map(|t| t.is("Reject")).unwrap_or(false) {
-            continue;
-        }
-        let line = toks[i].line;
-        if ctx.in_test(line) {
-            continue;
-        }
-        let s = ctx.stmt_start(i);
-        let e = ctx.stmt_end(i);
-        let has_emit = (s..e).any(|k| toks[k].is_punct(".") && ctx.matches(k + 1, &["emit", "("]));
-        let node_level = (s..e).any(|k| ctx.matches(k, &["Subsystem", "::", "Node"]));
-        if !has_emit || !node_level {
-            continue;
-        }
-        let end_line = ctx.lx.line_of(e);
-        let cap = end_line + E002_ADJACENCY_LINES;
-        let mut k = e + 1;
-        let mut attributed = false;
-        while k < toks.len() && toks[k].line <= cap {
-            if toks[k].is("Attribution") || toks[k].is("emit_attribution") {
-                attributed = true;
-                break;
-            }
-            k += 1;
-        }
-        if !attributed {
-            ctx.push(
-                out,
-                Rule::E002,
-                line,
-                format!(
-                    "node-level Reject emit has no Attribution emit within {E002_ADJACENCY_LINES} \
-                     lines; mitt-obs requires every node Reject to be directly \
-                     followed by its SLO attribution (see \
-                     verify_attribution_invariants)"
-                ),
-            );
-        }
-    }
 }

@@ -1,4 +1,4 @@
-//! Fixture tests for the v2 semantic rules (T001/T002/E001/E002/W001), the
+//! Fixture tests for the v2 semantic rules (T001/T002/E001/W001), the
 //! new D003/R001 exemption analyses, waiver-pragma round-trips, and the
 //! byte-identical determinism of the JSON/SARIF writers.
 
@@ -215,50 +215,6 @@ fn e001_ignores_match_arms_and_test_code() {
     let src = "fn t(tr: &mut Tracer) {\n\
                tr.emit(now, Subsystem::Node, EventKind::Submit { io, len });\n}\n";
     assert!(lint("trace", FileKind::TestOnly, src).is_empty());
-}
-
-// --------------------------------------------------------------------------
-// E002 — node-level Reject must sit next to its Attribution
-// --------------------------------------------------------------------------
-
-#[test]
-fn e002_hits_unattributed_node_reject() {
-    let src = "impl Node {\n\
-               fn reject(&mut self, now: SimTime) {\n\
-               self.trace.emit(now, Subsystem::Node, EventKind::Reject { io, predicted_wait });\n\
-               }\n\
-               }\n";
-    assert_eq!(
-        lint("cluster", FileKind::Library, src),
-        vec![(Rule::E002, 3)]
-    );
-}
-
-#[test]
-fn e002_misses_attributed_and_non_node_rejects() {
-    // Adjacent emit_attribution helper call.
-    let src = "impl Node {\n\
-               fn reject(&mut self, now: SimTime) {\n\
-               self.trace.emit(now, Subsystem::Node, EventKind::Reject { io, predicted_wait });\n\
-               self.emit_attribution(now, io);\n\
-               }\n\
-               }\n";
-    assert!(lint_rules("cluster", src).is_empty());
-    // Adjacent inline Attribution emit.
-    let src = "impl Node {\n\
-               fn reject(&mut self, now: SimTime) {\n\
-               self.trace.emit(now, Subsystem::Node, EventKind::Reject { io, predicted_wait });\n\
-               self.trace.emit(now, Subsystem::Node, EventKind::Attribution { io, resource, predicted_wait, detail });\n\
-               }\n\
-               }\n";
-    assert!(lint_rules("cluster", src).is_empty());
-    // Device-level rejects carry no SLO attribution.
-    let src = "impl Disk {\n\
-               fn reject(&mut self, now: SimTime) {\n\
-               self.trace.emit(now, Subsystem::Disk, EventKind::Reject { io, predicted_wait });\n\
-               }\n\
-               }\n";
-    assert!(lint_rules("device", src).is_empty());
 }
 
 // --------------------------------------------------------------------------

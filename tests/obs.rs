@@ -4,7 +4,8 @@
 //! bench-report round trip with its regression gate.
 
 use mittos_repro::cluster::{
-    run_experiment, ExperimentConfig, InitialReplica, NodeConfig, NoiseKind, NoiseStream, Strategy,
+    run_experiment, ExperimentConfig, InitialReplica, Medium, NodeConfig, NoiseKind, NoiseStream,
+    Strategy,
 };
 use mittos_repro::device::IoClass;
 use mittos_repro::faults::{FaultKind, FaultPlan, FaultScope, ScopeLabel};
@@ -15,9 +16,9 @@ use mittos_repro::obs::{
     CompareThresholds, StrategyRow,
 };
 use mittos_repro::sim::{Duration, SimTime};
-use mittos_repro::trace::{EventKind, Resource};
+use mittos_repro::trace::{EventKind, Resource, Subsystem};
 use mittos_repro::tsl::TslConfig;
-use mittos_repro::workload::rotating_schedule;
+use mittos_repro::workload::{rotating_schedule, NoiseBurst};
 
 /// A contended traced MittOS cluster that generates plenty of rejections.
 fn traced_config(seed: u64) -> ExperimentConfig {
@@ -40,6 +41,65 @@ fn traced_config(seed: u64) -> ExperimentConfig {
             priority: 4,
         },
         schedules: rotating_schedule(3, Duration::from_secs(1), Duration::from_secs(600), 4),
+    }];
+    cfg
+}
+
+/// Tiered nodes read through the page cache under rotating swap-out noise:
+/// MittCache rejects, and each rejection issues a background refill.
+fn cached_traced_config(seed: u64) -> ExperimentConfig {
+    let mut cfg = ExperimentConfig::micro(
+        NodeConfig::tiered(),
+        Strategy::MittOs {
+            deadline: Duration::from_micros(100),
+        },
+    );
+    cfg.seed = seed;
+    cfg.clients = 3;
+    cfg.ops_per_client = 60;
+    cfg.record_count = 20_000;
+    cfg.medium = Medium::Disk;
+    cfg.via_cache = true;
+    cfg.preload_cache = true;
+    cfg.think_time = Duration::from_millis(5);
+    cfg.trace = true;
+    cfg.noise = vec![NoiseStream {
+        kind: NoiseKind::CacheSwap,
+        schedules: rotating_schedule(3, Duration::from_millis(200), Duration::from_secs(600), 30),
+    }];
+    cfg
+}
+
+/// A CFQ cluster whose node 0 takes short, frequent bursts of top-priority
+/// reads: IOs admitted between bursts are still queued when the next burst
+/// arrives, so MittCFQ bumps them (late EBUSY).
+fn bumping_traced_config(seed: u64) -> ExperimentConfig {
+    let mut cfg = ExperimentConfig::micro(
+        NodeConfig::disk_cfq(),
+        Strategy::MittOs {
+            deadline: Duration::from_millis(30),
+        },
+    );
+    cfg.seed = seed;
+    cfg.clients = 4;
+    cfg.ops_per_client = 60;
+    cfg.think_time = Duration::from_millis(3);
+    cfg.trace = true;
+    let mut schedules = vec![Vec::new(); 3];
+    schedules[0] = (0..6000)
+        .map(|i| NoiseBurst {
+            start: SimTime::ZERO + Duration::from_millis(100) * i,
+            duration: Duration::from_millis(20),
+            intensity: 8,
+        })
+        .collect();
+    cfg.noise = vec![NoiseStream {
+        kind: NoiseKind::DiskReads {
+            len: 4096,
+            class: IoClass::BestEffort,
+            priority: 0,
+        },
+        schedules,
     }];
     cfg
 }
@@ -69,19 +129,43 @@ fn faulted_traced_config(seed: u64) -> ExperimentConfig {
 
 #[test]
 fn every_reject_is_attributed_in_a_traced_run() {
-    let res = run_experiment(traced_config(61));
-    assert!(res.ebusy > 0, "need rejections to attribute");
-    let events = res.trace.events();
-    let pairs = verify_attribution_invariants(&events).expect("attribution invariant");
-    assert!(pairs > 0, "no reject/attribution pairs found");
+    // Every node-level reject source: predictor verdicts, MittCache
+    // verdicts and MittCFQ bumps.
+    let cached = run_experiment(cached_traced_config(66));
+    let cache_rejects = cached
+        .trace
+        .metrics()
+        .counter_total(Subsystem::MittCache.reject_counter());
+    assert!(cache_rejects > 0, "the cache run must reject in MittCache");
+    let bumping = run_experiment(bumping_traced_config(67));
+    let bumped = bumping.trace.metrics().counter_total("mittcfq.bumped");
+    assert!(bumped > 0, "the bumping run must bump queued IOs");
+    for (name, res) in [
+        ("disk", run_experiment(traced_config(61))),
+        ("cache", cached),
+        ("bump", bumping),
+    ] {
+        assert!(res.ebusy > 0, "{name}: need rejections to attribute");
+        let events = res.trace.events();
+        let pairs = verify_attribution_invariants(&events)
+            .unwrap_or_else(|e| panic!("{name}: attribution invariant: {e}"));
+        assert!(pairs > 0, "{name}: no reject/attribution pairs found");
 
-    let summary = AttributionSummary::from_events(&events, mittos_repro::os::DEFAULT_HOP);
-    assert_eq!(
-        summary.node_total(),
-        pairs,
-        "summary must count exactly the attributed rejects"
-    );
-    assert!(summary.completed > 0, "completions must be classified");
+        let summary = AttributionSummary::from_events(&events, mittos_repro::os::DEFAULT_HOP);
+        assert_eq!(
+            summary.node_total(),
+            pairs,
+            "{name}: summary must count exactly the attributed rejects"
+        );
+        // Cache hits complete no IO, and the cache run's only storage IOs
+        // are deadline-free refills, so it has nothing to classify.
+        if name != "cache" {
+            assert!(
+                summary.completed > 0,
+                "{name}: completions must be classified"
+            );
+        }
+    }
 }
 
 #[test]
