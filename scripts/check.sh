@@ -34,7 +34,7 @@ if command -v jq >/dev/null 2>&1; then
     jq -e '
         .version == "2.1.0"
         and (.runs[0].tool.driver.name == "mitt-lint")
-        and (.runs[0].tool.driver.rules | length >= 12)
+        and (.runs[0].tool.driver.rules | length >= 11)
         and (.runs[0].results | length == 0)
     ' results/lint.sarif >/dev/null
 else
@@ -43,7 +43,7 @@ import json, sys
 d = json.load(open('results/lint.sarif'))
 assert d['version'] == '2.1.0'
 drv = d['runs'][0]['tool']['driver']
-assert drv['name'] == 'mitt-lint' and len(drv['rules']) >= 12
+assert drv['name'] == 'mitt-lint' and len(drv['rules']) >= 11
 assert d['runs'][0]['results'] == []
 "
 fi
