@@ -7,8 +7,8 @@
 //! stalls, scheduler degradation, page-cache thrash, network spikes and
 //! drops, predictor miscalibration), realized at run time through a
 //! [`FaultClock`] handle that reaches the device, scheduler, admission and
-//! cluster layers inside each node's [`NodeCtx`], next to the trace,
-//! profiling and timeline handles.
+//! cluster layers inside each node's [`NodeCtx`], next to the trace and
+//! profiling handles.
 //!
 //! Three properties are load-bearing:
 //!
