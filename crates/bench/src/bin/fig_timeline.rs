@@ -20,9 +20,7 @@
 //! fires, no alert overlaps an injected window, or the double-run export
 //! diverges.
 
-use std::path::PathBuf;
-
-use mitt_bench::{bench_json, ops_from_env, progress, trace_flag};
+use mitt_bench::{bench_json, flag_value, ops_from_env, progress, trace_flag};
 use mitt_cluster::{
     run_experiment, ExperimentConfig, ExperimentResult, NodeConfig, Strategy, Topology,
     CRASH_REPLY_DELAY,
@@ -141,26 +139,6 @@ fn overlapping_alerts(res: &ExperimentResult, plan: &FaultPlan) -> u64 {
         .count() as u64
 }
 
-/// The `--tsl-json <file>` flag.
-fn tsl_json_path() -> Option<PathBuf> {
-    let mut args = std::env::args().skip(1);
-    let mut path = None;
-    while let Some(a) = args.next() {
-        if a == "--tsl-json" {
-            match args.next() {
-                Some(p) => path = Some(PathBuf::from(p)),
-                None => {
-                    println!("usage: --tsl-json <timeline.json>");
-                    std::process::exit(2);
-                }
-            }
-        } else if let Some(p) = a.strip_prefix("--tsl-json=") {
-            path = Some(PathBuf::from(p));
-        }
-    }
-    path
-}
-
 fn main() {
     let ops = ops_from_env(300);
     let deadline = Duration::from_millis(20);
@@ -219,12 +197,12 @@ fn main() {
         .strategies
         .push(StrategyRow::from_result("mittos", &mut mitt));
 
-    if let Some(path) = tsl_json_path() {
+    if let Some(path) = flag_value("--tsl-json", "timeline.json") {
         let doc = mitt.tsl.export_json_with_bench(Some(&report.to_json()));
         match std::fs::write(&path, &doc) {
-            Ok(()) => progress::note(&format!("wrote mitt-tsl/v1 export to {}", path.display())),
+            Ok(()) => progress::note(&format!("wrote mitt-tsl/v1 export to {path}")),
             Err(e) => {
-                println!("failed to write {}: {e}", path.display());
+                println!("failed to write {path}: {e}");
                 std::process::exit(1);
             }
         }

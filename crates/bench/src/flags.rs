@@ -16,6 +16,10 @@
 //! `PredictorBias` fault so the regression gate can be exercised, and
 //! `--latency-threshold-pct` / `--calibration-threshold-pp` tune the
 //! comparison.
+//!
+//! Every valued flag, here and in the binaries, is read by [`flag_value`],
+//! so each accepts both `--flag value` and `--flag=value` and a trailing
+//! bare `--flag` exits 2 with a usage line.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -25,6 +29,36 @@ use mitt_cluster::{run_experiment, ExperimentConfig, ExperimentResult};
 use mitt_obs::{BenchReport, CompareThresholds};
 
 use crate::progress;
+
+/// The value of the last `--name <value>` or `--name=<value>` among the
+/// process arguments, or `None` when the flag is absent. A bare `--name`
+/// with nothing after it prints `usage: --name <placeholder>` and exits 2.
+pub fn flag_value(name: &str, placeholder: &str) -> Option<String> {
+    value_in(std::env::args().skip(1), name, placeholder)
+}
+
+fn value_in(
+    args: impl IntoIterator<Item = String>,
+    name: &str,
+    placeholder: &str,
+) -> Option<String> {
+    let mut args = args.into_iter();
+    let mut value = None;
+    while let Some(a) = args.next() {
+        if a == name {
+            match args.next() {
+                Some(v) => value = Some(v),
+                None => {
+                    eprintln!("usage: {name} <{placeholder}>");
+                    std::process::exit(2);
+                }
+            }
+        } else if let Some(v) = a.strip_prefix(name).and_then(|r| r.strip_prefix('=')) {
+            value = Some(v.to_string());
+        }
+    }
+    value
+}
 
 /// The `--trace <out.json>` flag.
 #[derive(Debug, Default)]
@@ -40,26 +74,9 @@ pub fn trace_flag() -> &'static TraceFlag {
 }
 
 impl TraceFlag {
-    /// Parses the flag from `std::env::args`. Accepts `--trace out.json`
-    /// and `--trace=out.json`; a bare `--trace` aborts with usage help.
     fn from_args() -> Self {
-        let mut args = std::env::args().skip(1);
-        let mut path = None;
-        while let Some(a) = args.next() {
-            if a == "--trace" {
-                match args.next() {
-                    Some(p) => path = Some(PathBuf::from(p)),
-                    None => {
-                        eprintln!("usage: --trace <out.json>");
-                        std::process::exit(2);
-                    }
-                }
-            } else if let Some(p) = a.strip_prefix("--trace=") {
-                path = Some(PathBuf::from(p));
-            }
-        }
         TraceFlag {
-            path,
+            path: flag_value("--trace", "out.json").map(PathBuf::from),
             saved: AtomicBool::new(false),
         }
     }
@@ -138,48 +155,20 @@ pub fn bench_json() -> &'static BenchJsonFlag {
 
 impl BenchJsonFlag {
     fn from_args() -> Self {
-        let mut flag = BenchJsonFlag::default();
-        let mut args = std::env::args().skip(1);
-        let value = |args: &mut dyn Iterator<Item = String>, name: &str| match args.next() {
-            Some(v) => v,
-            None => {
-                eprintln!("usage: {name} <value>");
-                std::process::exit(2);
-            }
-        };
-        while let Some(a) = args.next() {
-            if a == "--bench-json" {
-                flag.path = Some(PathBuf::from(value(&mut args, "--bench-json")));
-            } else if let Some(p) = a.strip_prefix("--bench-json=") {
-                flag.path = Some(PathBuf::from(p));
-            } else if a == "--baseline" {
-                flag.baseline = Some(PathBuf::from(value(&mut args, "--baseline")));
-            } else if let Some(p) = a.strip_prefix("--baseline=") {
-                flag.baseline = Some(PathBuf::from(p));
-            } else if a == "--degrade" {
-                flag.degrade = true;
-            } else if a == "--latency-threshold-pct" {
-                flag.latency_pct = value(&mut args, &a).parse().ok();
-            } else if a == "--calibration-threshold-pp" {
-                flag.calibration_pp = value(&mut args, &a).parse().ok();
-            }
+        BenchJsonFlag {
+            path: flag_value("--bench-json", "BENCH_fig.json").map(PathBuf::from),
+            baseline: flag_value("--baseline", "BENCH_fig.json").map(PathBuf::from),
+            latency_pct: flag_value("--latency-threshold-pct", "pct").and_then(|v| v.parse().ok()),
+            calibration_pp: flag_value("--calibration-threshold-pp", "pp")
+                .and_then(|v| v.parse().ok()),
+            degrade: std::env::args().skip(1).any(|a| a == "--degrade"),
         }
-        flag
     }
 
     /// A flag set writing to `path` (for composing in code, e.g. tests).
     pub fn to_path(path: PathBuf) -> Self {
         BenchJsonFlag {
             path: Some(path),
-            ..BenchJsonFlag::default()
-        }
-    }
-
-    /// As [`BenchJsonFlag::to_path`], also comparing against `baseline`.
-    pub fn with_baseline(path: PathBuf, baseline: PathBuf) -> Self {
-        BenchJsonFlag {
-            path: Some(path),
-            baseline: Some(baseline),
             ..BenchJsonFlag::default()
         }
     }
@@ -254,6 +243,16 @@ mod tests {
         let mut cfg = ExperimentConfig::micro(NodeConfig::disk_cfq(), Strategy::Base);
         cfg.ops_per_client = 2;
         cfg
+    }
+
+    #[test]
+    fn flag_value_takes_both_spellings_and_the_last_wins() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let get = |v: &[&str]| value_in(args(v), "--out", "file");
+        assert_eq!(get(&["--out", "a.json"]).as_deref(), Some("a.json"));
+        assert_eq!(get(&["--out=b.json"]).as_deref(), Some("b.json"));
+        assert_eq!(get(&["--out=a", "-q", "--out", "c"]).as_deref(), Some("c"));
+        assert_eq!(get(&["--output=x", "--outx", "y"]), None);
     }
 
     #[test]

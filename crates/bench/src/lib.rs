@@ -30,7 +30,7 @@ pub mod progress;
 pub mod report;
 pub mod setups;
 
-pub use flags::{bench_json, trace_flag, BenchJsonFlag, TraceFlag};
+pub use flags::{bench_json, flag_value, trace_flag, BenchJsonFlag, TraceFlag};
 pub use report::{
     print_cdf, print_percentiles, print_reductions, print_trace_report, reduction_at,
 };

@@ -31,7 +31,7 @@ use mitt_trace::{EventKind, Resource, Subsystem};
 use mitt_tsl::TslSink;
 use mittos::{
     admit, profile_disk, profile_ssd, Admission, CacheVerdict, Decision, DiskPredictor,
-    DiskProfile, ErrorInjector, MittCache, MittCfq, MittNoop, MittSsd, Slo, ADDRCHECK_COST,
+    ErrorInjector, MittCache, MittCfq, MittNoop, MittSsd, Slo, ADDRCHECK_COST,
 };
 
 use crate::cpu::{CpuConfig, CpuModel};
@@ -309,7 +309,6 @@ struct DiskStack {
     sched: Box<dyn DiskScheduler>,
     mitt: Box<dyn DiskPredictor>,
     nvram: Option<NvramBuffer>,
-    profile: DiskProfile,
 }
 
 struct PendingSsd {
@@ -422,7 +421,6 @@ impl Node {
                 sched,
                 mitt,
                 nvram: d.nvram.then(NvramBuffer::default_disk_backed),
-                profile,
             }
         });
         let ssd = cfg.ssd.map(|spec| {
@@ -839,14 +837,6 @@ impl Node {
         }
         let wait = fin.started_at.saturating_since(fin.io.submit);
         self.resolve_prediction(fin.io.id, wait, now);
-        if let Some(open) = self.policy.open.remove(&fin.io.id) {
-            self.audit_pairs.push(AuditPair {
-                predicted_wait: open.predicted_wait,
-                actual_wait: wait,
-                would_reject: open.would_reject,
-                deadline: open.deadline,
-            });
-        }
         if self.fill_after_read.remove(&fin.io.id) {
             if let Some(cs) = &mut self.cache {
                 let evicted = cs.cache.insert_range(fin.io.offset, fin.io.len);
@@ -897,14 +887,6 @@ impl Node {
         }
         let pend = ss.pending.remove(&key.io).expect("entry exists");
         self.resolve_prediction(key.io, pend.worst_wait, now);
-        if let Some(open) = self.policy.open.remove(&key.io) {
-            self.audit_pairs.push(AuditPair {
-                predicted_wait: open.predicted_wait,
-                actual_wait: pend.worst_wait,
-                would_reject: open.would_reject,
-                deadline: open.deadline,
-            });
-        }
         // SSD reads filling the cache (tiered configuration).
         if self.fill_after_read.remove(&key.io) {
             // Offset/len are unavailable here (the SSD tracks sub-IOs);
@@ -916,9 +898,19 @@ impl Node {
         })
     }
 
-    /// Emits the node-level completion event and resolves the IO's
-    /// prediction-error sample (|predicted - actual| wait).
+    /// Resolves a finished IO: closes its audit record into an
+    /// [`AuditPair`] (audit mode, traced or not), then emits the node-level
+    /// completion event and resolves the IO's prediction-error sample
+    /// (|predicted - actual| wait).
     fn resolve_prediction(&mut self, id: IoId, actual_wait: Duration, now: SimTime) {
+        if let Some(open) = self.policy.open.remove(&id) {
+            self.audit_pairs.push(AuditPair {
+                predicted_wait: open.predicted_wait,
+                actual_wait,
+                would_reject: open.would_reject,
+                deadline: open.deadline,
+            });
+        }
         if !self.ctx.trace.is_enabled() {
             return;
         }
@@ -1002,16 +994,6 @@ impl Node {
     /// Resolved audit pairs (audit mode only).
     pub fn audit_pairs(&self) -> &[AuditPair] {
         &self.audit_pairs
-    }
-
-    /// The fitted disk profile, if a disk stack exists.
-    pub fn disk_profile(&self) -> Option<DiskProfile> {
-        self.disk.as_ref().map(|d| d.profile)
-    }
-
-    /// Cache hit ratio so far, if a cache exists.
-    pub fn cache_hit_ratio(&self) -> Option<f64> {
-        self.cache.as_ref().map(|c| c.cache.hit_ratio())
     }
 }
 

@@ -74,12 +74,6 @@ impl ErrorInjector {
     pub fn counters(&self) -> (u64, u64) {
         (self.injected_fn, self.injected_fp)
     }
-
-    /// True if this injector can flip an admit into a reject. Callers use
-    /// this to know whether an `apply` on admit-paths is needed at all.
-    pub fn can_false_positive(&self) -> bool {
-        self.false_positive_rate > 0.0
-    }
 }
 
 #[cfg(test)]

@@ -46,7 +46,7 @@
 //! assert!(decision.is_admit()); // idle disk: no wait predicted
 //! ```
 
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 pub mod admit;
 pub mod inject;

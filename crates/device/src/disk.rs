@@ -202,11 +202,6 @@ impl Disk {
         self.in_flight.is_none() && self.queue.is_empty()
     }
 
-    /// The IO currently executing, if any.
-    pub fn in_flight_id(&self) -> Option<IoId> {
-        self.in_flight.as_ref().map(|f| f.io.id)
-    }
-
     /// Total IOs served since creation.
     pub fn served(&self) -> u64 {
         self.served
@@ -348,11 +343,6 @@ impl Disk {
     pub fn cancel_queued(&mut self, id: IoId) -> Option<BlockIo> {
         let pos = self.queue.iter().position(|io| io.id == id)?;
         Some(self.queue.swap_remove(pos))
-    }
-
-    /// IDs of queued (not in-flight) IOs, in arrival order.
-    pub fn queued_ids(&self) -> impl Iterator<Item = IoId> + '_ {
-        self.queue.iter().map(|io| io.id)
     }
 }
 

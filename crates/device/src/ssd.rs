@@ -278,11 +278,6 @@ impl Ssd {
         &self.spec
     }
 
-    /// When `chip` becomes free (equals a past time if already idle).
-    pub fn chip_next_free(&self, chip: usize) -> SimTime {
-        self.chips[chip].next_free
-    }
-
     /// Outstanding sub-IOs currently on `channel`.
     pub fn channel_outstanding(&self, channel: usize) -> u32 {
         self.channel_outstanding[channel]

@@ -279,11 +279,6 @@ impl CircuitBreaker {
         self.opens
     }
 
-    /// Current consecutive-failure streak.
-    pub fn failure_streak(&self) -> u32 {
-        self.consecutive_failures
-    }
-
     /// Every reply-caused state change so far, in order.
     pub fn transitions(&self) -> &[BreakerTransition] {
         &self.transitions

@@ -75,21 +75,11 @@ pub struct Comment {
     pub span_lines: usize,
 }
 
-impl Comment {
-    /// True for outer/inner doc comments (`///`, `//!`, `/**`, `/*!`).
-    pub fn is_doc(&self) -> bool {
-        let t = self.text.as_str();
-        t.starts_with("///") || t.starts_with("//!") || t.starts_with("/**") || t.starts_with("/*!")
-    }
-}
-
 /// An attribute (`#[...]` / `#![...]`) lifted out of the token stream.
 #[derive(Debug, Clone)]
 pub struct Attribute {
     /// 1-based line on which the attribute starts.
     pub line: usize,
-    /// 1-based line on which the attribute's closing `]` sits.
-    pub end_line: usize,
     /// Index into [`Lexed::tokens`] of the first token *after* the
     /// attribute — i.e. the start of the item it decorates.
     pub tok_index: usize,
@@ -495,7 +485,6 @@ fn extract_attributes(raw: Vec<Token>) -> (Vec<Token>, Vec<Attribute>) {
         normalized.push(']');
         attributes.push(Attribute {
             line,
-            end_line: raw[end].line,
             tok_index: tokens.len(),
             normalized,
             inner,
@@ -659,7 +648,6 @@ mod tests {
         let l = lex(src);
         assert_eq!(l.attributes.len(), 1);
         assert_eq!(l.attributes[0].line, 1);
-        assert_eq!(l.attributes[0].end_line, 4);
         assert!(l.tokens[l.attributes[0].tok_index].is("pub"));
     }
 
@@ -673,13 +661,6 @@ mod tests {
         let g_pos = l.tokens.iter().position(|t| t.is("g")).unwrap();
         let end = l.item_end(g_pos);
         assert!(l.tokens[end].is_punct(";"));
-    }
-
-    #[test]
-    fn doc_comments_are_flagged() {
-        let l = lex("/// outer\n//! inner\n/** block */\n// plain\nfn f() {}\n");
-        let docs: Vec<bool> = l.comments.iter().map(Comment::is_doc).collect();
-        assert_eq!(docs, vec![true, true, true, false]);
     }
 
     #[test]

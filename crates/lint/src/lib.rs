@@ -16,11 +16,9 @@
 //! | D003 | order-dependent `HashMap`/`HashSet`/`FastMap`/`FastSet` iteration in non-test code |
 //! | D004 | `thread::sleep`/`std::process`/`env::var` in simulation crates |
 //! | R001 | `unwrap()`/`expect()` in library code of simcore/core/sched/device |
-//! | S001 | undocumented `pub` items in simcore/core |
 //! | O001 | direct `eprintln!` in figure binaries (use `mitt_bench::progress`) |
 //! | T001 | truncating casts / mixed-unit arithmetic on virtual-clock values |
 //! | T002 | float time state or float-literal equality in simulation crates |
-//! | E001 | `Submit` trace emit with no reachable terminal emit |
 //! | W001 | per-rule waiver count grew past `baselines/LINT_baseline.json` |
 //!
 //! Justified violations carry a pragma the scanner honors and tallies:

@@ -3,9 +3,9 @@
 //! Every rule works on the spanned token stream produced by [`crate::lexer`],
 //! so comments, string literals, and attribute arguments can never trigger a
 //! finding, and semantic analyses (statement extraction, loop-body effect
-//! classification, per-function event-flow tracking) have real structure to
-//! stand on. See DESIGN.md "Determinism rules" and "mitt-lint v2" for the
-//! rationale behind each rule ID.
+//! classification, assert-guard matching) have real structure to stand on.
+//! See DESIGN.md "Determinism rules" and "mitt-lint v2" for the rationale
+//! behind each rule ID.
 
 use crate::lexer::{lex, Lexed, TokKind, Token};
 
@@ -24,8 +24,6 @@ pub enum Rule {
     D004,
     /// `unwrap()`/`expect()` in non-test library code of the core crates.
     R001,
-    /// Undocumented `pub` item in `simcore`/`core`.
-    S001,
     /// Direct `eprintln!` in a figure binary (`crates/bench/src/bin/`);
     /// progress notes must go through `mitt_bench::progress` so `--quiet`
     /// works and stderr stays reserved for real errors.
@@ -36,9 +34,6 @@ pub enum Rule {
     /// `f32`/`f64` in digest-bearing simulation state: float-typed
     /// time-suffixed fields/params, or `==`/`!=` against a float literal.
     T002,
-    /// A function that emits a `Submit` trace event with no terminal emit
-    /// (`Complete`/`Reject`/`Failover`) reachable from it or its callers.
-    E001,
     /// Waiver ratchet: a per-rule waiver count grew past the committed
     /// `baselines/LINT_baseline.json`.
     W001,
@@ -46,17 +41,15 @@ pub enum Rule {
 
 impl Rule {
     /// All rules, in report order.
-    pub const ALL: [Rule; 11] = [
+    pub const ALL: [Rule; 9] = [
         Rule::D001,
         Rule::D002,
         Rule::D003,
         Rule::D004,
         Rule::R001,
-        Rule::S001,
         Rule::O001,
         Rule::T001,
         Rule::T002,
-        Rule::E001,
         Rule::W001,
     ];
 
@@ -68,11 +61,9 @@ impl Rule {
             Rule::D003 => "D003",
             Rule::D004 => "D004",
             Rule::R001 => "R001",
-            Rule::S001 => "S001",
             Rule::O001 => "O001",
             Rule::T001 => "T001",
             Rule::T002 => "T002",
-            Rule::E001 => "E001",
             Rule::W001 => "W001",
         }
     }
@@ -85,11 +76,9 @@ impl Rule {
             Rule::D003 => "order-dependent HashMap/HashSet iteration",
             Rule::D004 => "host-environment access in a simulation crate",
             Rule::R001 => "unwrap()/expect() in core library code",
-            Rule::S001 => "undocumented public item",
             Rule::O001 => "direct eprintln! in a figure binary",
             Rule::T001 => "truncating cast or mixed-unit arithmetic on virtual time",
             Rule::T002 => "float time state or float-literal equality in sim code",
-            Rule::E001 => "Submit trace event with no reachable terminal emit",
             Rule::W001 => "waiver count grew past the committed baseline",
         }
     }
@@ -106,7 +95,7 @@ pub enum FileKind {
     /// `src/` of a crate: all rules apply.
     Library,
     /// `tests/`, `benches/`, or `examples/`: exempt from [`Rule::D003`],
-    /// [`Rule::R001`], [`Rule::S001`], the T-rules, and [`Rule::E001`].
+    /// [`Rule::R001`] and the T-rules.
     TestOnly,
 }
 
@@ -172,9 +161,6 @@ const SIM_CRATES: [&str; 9] = [
 /// Crates whose library code must be panic-free for [`Rule::R001`].
 const R001_CRATES: [&str; 4] = ["simcore", "core", "sched", "device"];
 
-/// Crates whose public API must be documented for [`Rule::S001`].
-const S001_CRATES: [&str; 2] = ["simcore", "core"];
-
 /// Scans one file's source text and applies every applicable rule.
 ///
 /// `crate_name` is the workspace directory name (`simcore`, `core`, ...) or
@@ -207,11 +193,9 @@ pub fn scan_source(
     rule_d003(&ctx, &mut raw);
     rule_d004(&ctx, &mut raw);
     rule_r001(&ctx, &mut raw);
-    rule_s001(&ctx, &mut raw);
     rule_o001(&ctx, &mut raw);
     rule_t001(&ctx, &mut raw);
     rule_t002(&ctx, &mut raw);
-    rule_e001(&ctx, &mut raw);
     raw.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     raw.dedup_by(|a, b| a.line == b.line && a.rule == b.rule);
 
@@ -1283,141 +1267,6 @@ fn dotted_paths(ctx: &Ctx<'_>, from: usize, to: usize) -> Vec<Vec<String>> {
 }
 
 // ---------------------------------------------------------------------------
-// S001 — undocumented pub items
-// ---------------------------------------------------------------------------
-
-fn rule_s001(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
-    if !S001_CRATES.contains(&ctx.crate_name) || ctx.kind != FileKind::Library {
-        return;
-    }
-    let n = ctx.lx.n_lines;
-    // Lines carrying a doc comment (///, /** ... */ span) or #[doc] attr.
-    let mut has_doc = vec![false; n.max(1)];
-    // Lines fully covered by any comment (for trivia walking).
-    let mut comment_lines = vec![false; n.max(1)];
-    for c in &ctx.lx.comments {
-        for l in c.line..c.line + c.span_lines {
-            if let Some(f) = comment_lines.get_mut(l - 1) {
-                *f = true;
-            }
-            if c.is_doc() && !c.text.starts_with("//!") && !c.text.starts_with("/*!") {
-                if let Some(f) = has_doc.get_mut(l - 1) {
-                    *f = true;
-                }
-            }
-        }
-    }
-    let mut attr_lines = vec![false; n.max(1)];
-    for a in &ctx.lx.attributes {
-        for l in a.line..=a.end_line {
-            if let Some(f) = attr_lines.get_mut(l - 1) {
-                *f = true;
-            }
-        }
-        if a.normalized.starts_with("#[doc") {
-            if let Some(f) = has_doc.get_mut(a.line - 1) {
-                *f = true;
-            }
-        }
-    }
-    // Lines with at least one code token (a comment sharing a line with code
-    // is a trailing comment, not attached item trivia).
-    let mut code_lines = vec![false; n.max(1)];
-    for t in ctx.toks() {
-        if let Some(f) = code_lines.get_mut(t.line - 1) {
-            *f = true;
-        }
-    }
-
-    let toks = ctx.toks();
-    for i in 0..toks.len() {
-        if !toks[i].is("pub") {
-            continue;
-        }
-        // `pub(crate)` / `pub(super)` are not public API.
-        if ctx.matches(i + 1, &["("]) {
-            continue;
-        }
-        let Some(item) = pub_item_label(ctx, i) else {
-            continue;
-        };
-        let line = toks[i].line;
-        if ctx.in_test(line) {
-            continue;
-        }
-        // `pub mod name;` re-exports a file module whose docs live in that
-        // file's `//!` block — same exemption rustc's missing_docs applies.
-        if item == "pub mod"
-            && toks
-                .get(i + 2)
-                .map(|t| t.kind == TokKind::Ident)
-                .unwrap_or(false)
-            && ctx.matches(i + 3, &[";"])
-        {
-            continue;
-        }
-        // Walk upward over attached trivia (attributes, comment-only lines)
-        // looking for a doc comment; a blank line detaches the item.
-        let mut documented = has_doc[line - 1];
-        let mut cursor = line - 1; // 0-based index of the item line
-        while !documented && cursor > 0 {
-            let above = cursor - 1;
-            if has_doc[above] {
-                documented = true;
-                break;
-            }
-            let orig_blank = ctx
-                .original_lines
-                .get(above)
-                .map(|s| s.trim().is_empty())
-                .unwrap_or(true);
-            if orig_blank {
-                break;
-            }
-            let trivia = attr_lines[above] || (comment_lines[above] && !code_lines[above]);
-            if trivia {
-                cursor = above;
-            } else {
-                break;
-            }
-        }
-        if !documented {
-            ctx.push(
-                out,
-                Rule::S001,
-                line,
-                format!(
-                    "`{item}` item is public API of `{}` but has no doc comment",
-                    ctx.crate_name
-                ),
-            );
-        }
-    }
-}
-
-/// If the `pub` at token `i` introduces a documented-API item, returns the
-/// legacy item label ("pub fn", "pub unsafe fn", ...).
-fn pub_item_label(ctx: &Ctx<'_>, i: usize) -> Option<&'static str> {
-    let toks = ctx.toks();
-    let next = toks.get(i + 1)?;
-    let label = match next.text.as_str() {
-        "unsafe" if ctx.matches(i + 2, &["fn"]) => "pub unsafe fn",
-        "async" if ctx.matches(i + 2, &["fn"]) => "pub async fn",
-        "fn" => "pub fn",
-        "struct" => "pub struct",
-        "enum" => "pub enum",
-        "trait" => "pub trait",
-        "const" => "pub const",
-        "static" => "pub static",
-        "type" => "pub type",
-        "mod" => "pub mod",
-        "union" => "pub union",
-        _ => return None,
-    };
-    Some(label)
-}
-
-// ---------------------------------------------------------------------------
 // T001 — truncating casts and mixed-unit arithmetic on virtual time
 // ---------------------------------------------------------------------------
 
@@ -1595,141 +1444,4 @@ fn rule_t002(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// E001 — trace-event protocol coverage
-// ---------------------------------------------------------------------------
-
-/// Per-function event-emission facts for [`Rule::E001`].
-struct EmitFacts {
-    /// Token index of a `Submit` emit statement in this fn (first one).
-    submit_tok: Option<usize>,
-    /// This fn's body contains a terminal emit (Complete/Reject/Failover).
-    emits_terminal: bool,
-    /// Indices into `fns` of same-file functions this fn calls.
-    callees: Vec<usize>,
-}
-
-/// Collects emission facts per function. An "emit statement" must contain
-/// both `EventKind::X` and an `.emit(` call — a bare `EventKind::X` (enum
-/// declaration, match arm, struct literal passed elsewhere) never counts.
-fn emit_facts(ctx: &Ctx<'_>) -> Vec<EmitFacts> {
-    let toks = ctx.toks();
-    let mut facts: Vec<EmitFacts> = ctx
-        .fns
-        .iter()
-        .map(|_| EmitFacts {
-            submit_tok: None,
-            emits_terminal: false,
-            callees: Vec::new(),
-        })
-        .collect();
-    for (fi, f) in ctx.fns.iter().enumerate() {
-        let Some((open, close)) = f.body else {
-            continue;
-        };
-        for i in open + 1..close {
-            if !(toks[i].is("EventKind") && ctx.matches(i + 1, &["::"])) {
-                continue;
-            }
-            let Some(kind) = toks.get(i + 2) else {
-                continue;
-            };
-            let s = ctx.stmt_start(i);
-            let e = ctx.stmt_end(i);
-            let has_emit =
-                (s..e).any(|k| toks[k].is_punct(".") && ctx.matches(k + 1, &["emit", "("]));
-            if !has_emit {
-                continue;
-            }
-            if kind.is("Submit") && facts[fi].submit_tok.is_none() {
-                facts[fi].submit_tok = Some(i);
-            }
-            if kind.is("Complete") || kind.is("Reject") || kind.is("Failover") {
-                facts[fi].emits_terminal = true;
-            }
-        }
-        // Same-file call edges: `name(` for any fn defined here.
-        for i in open + 1..close {
-            if toks[i].kind != TokKind::Ident || !ctx.matches(i + 1, &["("]) {
-                continue;
-            }
-            for (gi, g) in ctx.fns.iter().enumerate() {
-                if gi != fi && g.name == toks[i].text && !facts[fi].callees.contains(&gi) {
-                    facts[fi].callees.push(gi);
-                }
-            }
-        }
-    }
-    facts
-}
-
-fn rule_e001(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
-    if ctx.kind != FileKind::Library {
-        return;
-    }
-    let facts = emit_facts(ctx);
-    if facts.iter().all(|f| f.submit_tok.is_none()) {
-        return;
-    }
-    // reaches[i]: fn i can reach a terminal emit through same-file calls.
-    let n = facts.len();
-    let mut reaches: Vec<bool> = facts.iter().map(|f| f.emits_terminal).collect();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for i in 0..n {
-            if !reaches[i] && facts[i].callees.iter().any(|&c| reaches[c]) {
-                reaches[i] = true;
-                changed = true;
-            }
-        }
-    }
-    for (i, f) in facts.iter().enumerate() {
-        let Some(submit_tok) = f.submit_tok else {
-            continue;
-        };
-        let line = ctx.lx.line_of(submit_tok);
-        if ctx.in_test(line) {
-            continue;
-        }
-        // Covered if this fn reaches a terminal, or some caller chain that
-        // reaches this fn also reaches a terminal (helper fns like `build_io`
-        // emit Submit while their callers emit the Reject/Complete).
-        let covered = reaches[i] || ancestors_of(&facts, i).iter().any(|&a| reaches[a]);
-        if !covered {
-            ctx.push(
-                out,
-                Rule::E001,
-                line,
-                format!(
-                    "function `{}` emits a Submit trace event but no terminal \
-                     emit (Complete/Reject/Failover) is reachable from it or \
-                     its callers — every submitted IO must resolve",
-                    ctx.fns[i].name
-                ),
-            );
-        }
-    }
-}
-
-/// Indices of functions that can reach fn `target` through call edges.
-fn ancestors_of(facts: &[EmitFacts], target: usize) -> Vec<usize> {
-    let n = facts.len();
-    let mut anc = vec![false; n];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for i in 0..n {
-            if anc[i] {
-                continue;
-            }
-            if facts[i].callees.iter().any(|&c| c == target || anc[c]) {
-                anc[i] = true;
-                changed = true;
-            }
-        }
-    }
-    (0..n).filter(|&i| anc[i]).collect()
 }

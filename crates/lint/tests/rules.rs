@@ -258,49 +258,6 @@ fn r001_string_and_comment_resistant() {
 }
 
 // --------------------------------------------------------------------------
-// S001 — undocumented pub items
-// --------------------------------------------------------------------------
-
-#[test]
-fn s001_hits_undocumented_pub_fn() {
-    let src = "pub fn naked() {}\n";
-    assert_eq!(lint_rules("simcore", src), vec![Rule::S001]);
-    let src = "pub struct Naked { pub x: u64 }\n";
-    assert_eq!(lint_rules("core", src), vec![Rule::S001]);
-}
-
-#[test]
-fn s001_misses_documented_and_scoped() {
-    let src = "/// Documented.\npub fn fine() {}\n";
-    assert!(lint_rules("simcore", src).is_empty());
-    // Doc comment separated by attributes still attaches.
-    let src = "/// Documented.\n#[derive(Debug)]\npub struct Fine;\n";
-    assert!(lint_rules("core", src).is_empty());
-    // Other crates are not under S001.
-    let src = "pub fn naked() {}\n";
-    assert!(lint_rules("cluster", src).is_empty());
-    // pub(crate) is not public API.
-    let src = "pub(crate) fn internal() {}\n";
-    assert!(lint_rules("simcore", src).is_empty());
-}
-
-#[test]
-fn s001_blank_line_detaches_docs() {
-    let src = "/// Stray comment.\n\npub fn naked() {}\n";
-    assert_eq!(lint_rules("simcore", src), vec![Rule::S001]);
-}
-
-#[test]
-fn s001_pragma_suppressed_and_test_exempt() {
-    let src = "// mitt-lint: allow(S001, \"internal shim, docs pending\")\n\
-               pub fn naked() {}\n";
-    let out = scan_source("core", FileKind::Library, "x.rs", src);
-    assert!(out.violations.is_empty());
-    let src = "#[cfg(test)]\nmod tests {\n  pub fn helper() {}\n}\n";
-    assert!(lint_rules("simcore", src).is_empty());
-}
-
-// --------------------------------------------------------------------------
 // O001 — eprintln! in figure binaries
 // --------------------------------------------------------------------------
 

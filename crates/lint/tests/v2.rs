@@ -1,4 +1,4 @@
-//! Fixture tests for the v2 semantic rules (T001/T002/E001/W001), the
+//! Fixture tests for the v2 semantic rules (T001/T002/W001), the
 //! new D003/R001 exemption analyses, waiver-pragma round-trips, and the
 //! byte-identical determinism of the JSON/SARIF writers.
 
@@ -146,75 +146,6 @@ fn t002_pragma_round_trip() {
                }\n";
     let out = scan_source("device", FileKind::Library, "x.rs", src);
     assert_eq!(out.unused_pragmas.len(), 1);
-}
-
-// --------------------------------------------------------------------------
-// E001 — Submit emits must have a reachable terminal emit
-// --------------------------------------------------------------------------
-
-#[test]
-fn e001_hits_submit_without_terminal() {
-    let src = "impl Node {\n\
-               fn submit(&mut self, now: SimTime) {\n\
-               self.trace.emit(now, Subsystem::Node, EventKind::Submit { io, len });\n\
-               }\n\
-               }\n";
-    assert_eq!(
-        lint("cluster", FileKind::Library, src),
-        vec![(Rule::E001, 3)]
-    );
-}
-
-#[test]
-fn e001_misses_terminal_in_same_fn_or_via_call_graph() {
-    // Terminal in the same function.
-    let src = "impl Node {\n\
-               fn submit(&mut self, now: SimTime) {\n\
-               self.trace.emit(now, Subsystem::Node, EventKind::Submit { io, len });\n\
-               self.trace.emit(now, Subsystem::Node, EventKind::Complete { io, wait });\n\
-               }\n\
-               }\n";
-    assert!(lint_rules("cluster", src).is_empty());
-    // Submit in a helper; the caller emits the terminal (the build_io
-    // pattern in cluster/src/node.rs).
-    let src = "impl Node {\n\
-               fn build_io(&mut self, now: SimTime) {\n\
-               self.trace.emit(now, Subsystem::Node, EventKind::Submit { io, len });\n\
-               }\n\
-               fn submit_disk(&mut self, now: SimTime) {\n\
-               self.build_io(now);\n\
-               self.trace.emit(now, Subsystem::Node, EventKind::Reject { io, predicted_wait });\n\
-               self.emit_attribution(now);\n\
-               }\n\
-               }\n";
-    assert!(lint_rules("cluster", src).is_empty());
-    // Submit in the caller; the terminal lives in a callee.
-    let src = "impl Node {\n\
-               fn submit(&mut self, now: SimTime) {\n\
-               self.trace.emit(now, Subsystem::Node, EventKind::Submit { io, len });\n\
-               self.finish(now);\n\
-               }\n\
-               fn finish(&mut self, now: SimTime) {\n\
-               self.trace.emit(now, Subsystem::Node, EventKind::Failover { op, from, to });\n\
-               }\n\
-               }\n";
-    assert!(lint_rules("cluster", src).is_empty());
-}
-
-#[test]
-fn e001_ignores_match_arms_and_test_code() {
-    // Pattern-matching on EventKind::Submit is consumption, not emission.
-    let src = "fn count(ev: &Event) -> u64 {\n\
-               match ev.kind { EventKind::Submit { .. } => 1, _ => 0 }\n\
-               }\n";
-    assert!(lint_rules("obs", src).is_empty());
-    // Test fixtures may emit bare Submits.
-    let src = "#[cfg(test)]\nmod tests {\n  fn t(tr: &mut Tracer) {\n\
-               tr.emit(now, Subsystem::Node, EventKind::Submit { io, len });\n  }\n}\n";
-    assert!(lint_rules("trace", src).is_empty());
-    let src = "fn t(tr: &mut Tracer) {\n\
-               tr.emit(now, Subsystem::Node, EventKind::Submit { io, len });\n}\n";
-    assert!(lint("trace", FileKind::TestOnly, src).is_empty());
 }
 
 // --------------------------------------------------------------------------

@@ -120,11 +120,6 @@ impl AttributionSummary {
         self.node_counts.iter().sum()
     }
 
-    /// Total cluster-level attributions.
-    pub fn cluster_total(&self) -> u64 {
-        self.cluster_counts.iter().sum()
-    }
-
     /// Mean |predicted - actual| over misses, in milliseconds.
     pub fn mean_miss_delta_ms(&self) -> f64 {
         if self.misses == 0 {

@@ -15,7 +15,6 @@
 use mitt_cluster::ExperimentResult;
 use mitt_sim::Fnv1a;
 
-use crate::calibration::CalibrationStream;
 use crate::json::{escape, num3, JsonValue};
 use crate::replay::AuditStats;
 
@@ -93,23 +92,6 @@ pub struct CalibrationRow {
 }
 
 impl CalibrationRow {
-    /// Rows for every predictor a calibration stream observed.
-    pub fn from_stream(stream: &CalibrationStream) -> Vec<Self> {
-        stream
-            .stats()
-            .iter()
-            .map(|(name, s)| CalibrationRow {
-                predictor: (*name).to_string(),
-                total: s.total,
-                fp_pct: s.fp_pct(),
-                fn_pct: s.fn_pct(),
-                inaccuracy_pct: s.inaccuracy_pct(),
-                mean_err_ms: s.mean_err_ms(),
-                max_err_ms: s.max_err_ms(),
-            })
-            .collect()
-    }
-
     /// A row from offline audit-pair classification.
     pub fn from_audit(predictor: &str, s: &AuditStats) -> Self {
         CalibrationRow {

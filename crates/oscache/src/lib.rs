@@ -233,16 +233,6 @@ impl PageCache {
         self.pages.len()
     }
 
-    /// Fraction of accesses served fully from cache.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// (hits, misses) counters.
     pub fn counters(&self) -> (u64, u64) {
         (self.hits, self.misses)
@@ -336,12 +326,12 @@ mod tests {
     }
 
     #[test]
-    fn hit_ratio_tracks_accesses() {
+    fn counters_track_hits_and_misses() {
         let mut c = cache(16);
         c.insert_range(0, 4096);
         c.access(0, 4096);
         c.access(4096, 4096);
-        assert!((c.hit_ratio() - 0.5).abs() < 1e-9);
+        assert_eq!(c.counters(), (1, 1));
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl Fnv1a {
         self.write_u64(x as u64);
     }
 
-    /// Folds an `f64` through its IEEE-754 bit pattern (exact, not rounded).
-    pub fn write_f64(&mut self, x: f64) {
-        self.write_u64(x.to_bits());
-    }
-
     /// Folds a string's UTF-8 bytes, length-prefixed so concatenations
     /// cannot collide (`"ab" + "c"` vs `"a" + "bc"`).
     pub fn write_str(&mut self, s: &str) {

@@ -223,11 +223,6 @@ impl Zipfian {
         ((self.n as f64) * spread.powf(self.alpha)) as u64
     }
 
-    /// The size of the item space.
-    pub fn item_count(&self) -> u64 {
-        self.n
-    }
-
     /// The zeta(2, theta) constant, exposed for testing.
     #[doc(hidden)]
     pub fn zeta2(&self) -> f64 {

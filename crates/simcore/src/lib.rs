@@ -19,7 +19,7 @@
 //! reproduces its figure bit-for-bit. Nothing in this crate reads the wall
 //! clock or ambient entropy.
 
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 pub mod digest;
 pub mod dist;

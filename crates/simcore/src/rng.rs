@@ -115,16 +115,6 @@ impl SimRng {
             slice.swap(i, j);
         }
     }
-
-    /// Picks a uniformly random element of a non-empty slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice is empty.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> &'a T {
-        assert!(!slice.is_empty(), "choose from empty slice");
-        &slice[self.index(slice.len())]
-    }
 }
 
 #[cfg(test)]

@@ -8,8 +8,16 @@
 //! calibration counter tracks merged in — open it at `chrome://tracing` or
 //! <https://ui.perfetto.dev>.
 //!
+//! The run is also self-profiled (`ExperimentConfig::prof`): the
+//! `mitt-prof/v1` report goes to `<out>.prof.json` and folded stacks for
+//! flamegraph tools (`flamegraph.pl`, inferno, speedscope) to
+//! `<out>.folded`, beside the trace. Profiling leaves the trace unchanged.
+//!
 //! Run with: `cargo run --release --example trace_run [out.json]`
-//! (default output path: `trace_run.json`)
+//! (default output path: `trace_run.json`); add `--features prof` to
+//! install the counting allocator and get per-phase allocation telemetry.
+
+use std::path::Path;
 
 use mitt_bench::print_trace_report;
 use mitt_obs::attribution::AttributionSummary;
@@ -46,6 +54,7 @@ fn main() {
         schedules: rotating_schedule(3, Duration::from_secs(1), Duration::from_secs(600), 4),
     }];
     cfg.trace = true;
+    cfg.prof = true;
 
     let mut res = run_experiment(cfg);
     println!(
@@ -71,4 +80,14 @@ fn main() {
         json.len()
     );
     println!("open chrome://tracing (or https://ui.perfetto.dev) and load the file.");
+
+    let prof = res.prof.report();
+    let out = Path::new(&out_path);
+    for (path, contents) in [
+        (out.with_extension("prof.json"), prof.to_json()),
+        (out.with_extension("folded"), prof.folded_stacks()),
+    ] {
+        std::fs::write(&path, contents).expect("write profile");
+        println!("wrote {}", path.display());
+    }
 }

@@ -1,9 +1,10 @@
 //! Tier-1 gate: the workspace must stay `mitt-lint` clean forever.
 //!
 //! Every figure in EXPERIMENTS.md depends on bit-for-bit determinism, so the
-//! determinism rules (D001–D004) and robustness rules (R001, S001) are
-//! enforced on every `cargo test`, not just when someone remembers to run
-//! the binary. See DESIGN.md "Determinism rules".
+//! determinism rules (D001–D004) and the robustness rule R001 are enforced
+//! on every `cargo test`, not just when someone remembers to run the binary.
+//! Public-API docs in `simcore` and `core` are rustc's job: both crates
+//! deny `missing_docs`. See DESIGN.md "Determinism rules".
 
 use std::path::Path;
 

@@ -1,24 +1,28 @@
 //! Observability integration tests (`mitt-obs` over the full stack):
-//! SLO-attribution invariants on traced cluster runs, calibration
-//! telemetry vs the audit-mode classifier, and the machine-readable
-//! bench-report round trip with its regression gate.
+//! SLO-attribution invariants on traced cluster runs, every submitted IO
+//! resolving in the trace, calibration telemetry vs the audit-mode
+//! classifier, and the machine-readable bench-report round trip with its
+//! regression gate.
+
+use std::collections::BTreeMap;
 
 use mittos_repro::cluster::{
-    run_experiment, ExperimentConfig, InitialReplica, Medium, NodeConfig, NoiseKind, NoiseStream,
-    Strategy,
+    run_experiment, ExperimentConfig, InitialReplica, Medium, Node, NodeConfig, NoiseKind,
+    NoiseStream, ReadOutcome, ReadReq, Strategy,
 };
-use mittos_repro::device::IoClass;
-use mittos_repro::faults::{FaultKind, FaultPlan, FaultScope, ScopeLabel};
+use mittos_repro::device::{IoClass, ProcessId, GB};
+use mittos_repro::faults::{FaultKind, FaultPlan, FaultScope, NodeCtx, ScopeLabel};
 use mittos_repro::obs::attribution::AttributionSummary;
 use mittos_repro::obs::calibration::{CalibrationConfig, CalibrationStream};
+use mittos_repro::obs::replay::{replay_audit_traced, REPLAY_RING};
 use mittos_repro::obs::{
     chrome_export_with_timeline, verify_attribution_invariants, BenchReport, CalibrationRow,
     CompareThresholds, StrategyRow,
 };
-use mittos_repro::sim::{Duration, SimTime};
-use mittos_repro::trace::{EventKind, Resource, Subsystem};
+use mittos_repro::sim::{Duration, SimRng, SimTime};
+use mittos_repro::trace::{EventKind, Resource, Subsystem, TraceEvent, TraceSink};
 use mittos_repro::tsl::TslConfig;
-use mittos_repro::workload::{rotating_schedule, NoiseBurst};
+use mittos_repro::workload::{rotating_schedule, NoiseBurst, TraceSpec};
 
 /// A contended traced MittOS cluster that generates plenty of rejections.
 fn traced_config(seed: u64) -> ExperimentConfig {
@@ -166,6 +170,142 @@ fn every_reject_is_attributed_in_a_traced_run() {
             );
         }
     }
+}
+
+/// Walks the node-level events of a drained run and checks that every
+/// `Submit` is closed, later, by exactly one terminal event for the same
+/// `(node, io)`: a `Complete`, or a `Reject` (EBUSY at admission or a
+/// late bump). Returns the (completed, rejected) counts.
+fn every_submit_resolves(name: &str, events: &[TraceEvent]) -> (u64, u64) {
+    let mut open: BTreeMap<(u32, u64), SimTime> = BTreeMap::new();
+    let (mut completed, mut rejected) = (0, 0);
+    for ev in events.iter().filter(|ev| ev.subsystem == Subsystem::Node) {
+        let (io, counter) = match ev.kind {
+            EventKind::Submit { io, .. } => {
+                let again = open.insert((ev.node, io), ev.at);
+                assert!(
+                    again.is_none(),
+                    "{name}: node {} resubmitted io {io}",
+                    ev.node
+                );
+                continue;
+            }
+            EventKind::Complete { io, .. } => (io, &mut completed),
+            EventKind::Reject { io, .. } => (io, &mut rejected),
+            _ => continue,
+        };
+        assert!(
+            open.remove(&(ev.node, io)).is_some(),
+            "{name}: node {} resolved io {io} at {:?} with no open Submit",
+            ev.node,
+            ev.at
+        );
+        *counter += 1;
+    }
+    assert!(
+        open.is_empty(),
+        "{name}: {} submitted IOs never resolved, first (node, io) and submit time: {:?}",
+        open.len(),
+        open.iter().next()
+    );
+    (completed, rejected)
+}
+
+#[test]
+fn every_submitted_io_completes_in_an_audit_replay() {
+    // Audit mode never enforces EBUSY, and the replay runs until its event
+    // queue is empty, so every node-level Submit must meet its Complete.
+    for (name, cfg, medium, spec, rerate) in [
+        (
+            "cfq",
+            NodeConfig::disk_cfq(),
+            Medium::Disk,
+            TraceSpec::tpcc(),
+            1.0,
+        ),
+        (
+            "noop",
+            NodeConfig::disk_noop(),
+            Medium::Disk,
+            TraceSpec::tpcc(),
+            1.0,
+        ),
+        (
+            "ssd",
+            NodeConfig::ssd(),
+            Medium::Ssd,
+            TraceSpec::dtrs(),
+            128.0,
+        ),
+    ] {
+        let trace = spec.generate(Duration::from_secs(2), &mut SimRng::new(70));
+        let out = replay_audit_traced(
+            cfg,
+            medium,
+            &trace,
+            rerate,
+            71,
+            FaultPlan::new(),
+            REPLAY_RING,
+        );
+        assert_eq!(
+            out.trace.dropped(),
+            0,
+            "{name}: ring too small for the replay"
+        );
+        let (completed, rejected) = every_submit_resolves(name, &out.trace.events());
+        assert!(completed > 0, "{name}: no IO completed");
+        assert_eq!(rejected, 0, "{name}: audit mode must not reject");
+    }
+}
+
+#[test]
+fn every_submitted_io_completes_or_is_rejected_when_enforcing() {
+    // One CFQ node driven until idle. Eight no-deadline fillers from
+    // another process fill the queues; a deadline read is admitted with
+    // ~5ms to spare over its ~50ms predicted wait; two RealTime reads jump
+    // ahead and bump it (late EBUSY); four 1ms-deadline reads are rejected
+    // at admission. A revoked tied request (`Node::cancel_read`) emits no
+    // terminal event yet, so this test does not revoke.
+    let mut node = Node::new(0, NodeConfig::disk_cfq(), &mut SimRng::new(72));
+    let trace = TraceSink::enabled(1 << 12);
+    node.set_ctx(&NodeCtx {
+        trace: trace.clone(),
+        ..NodeCtx::disabled()
+    });
+    let read = |gb: u64| ReadReq::client(gb * GB, 4096, ProcessId(1));
+    let victim = read(100).with_deadline(Duration::from_millis(55));
+    let urgent = |gb: u64| read(gb).with_ionice(IoClass::RealTime, 4);
+    let filler = |gb: u64| ReadReq::client(gb * GB, 4096, ProcessId(9));
+    let mut reqs: Vec<ReadReq> = (0..8).map(|i| filler(900 - 10 * i)).collect();
+    reqs.extend([victim, urgent(200), urgent(300)]);
+    reqs.extend((0..4).map(|i| read(400 + 50 * i).with_deadline(Duration::from_millis(1))));
+    let (mut first, mut busy, mut bumped) = (None, 0, 0);
+    for req in &reqs {
+        let sub = node.submit_read(req, SimTime::ZERO);
+        bumped += sub.bumped.len();
+        match sub.outcome {
+            ReadOutcome::Submitted { ticks, .. } => first = first.or(ticks.disk),
+            ReadOutcome::Busy { .. } => busy += 1,
+            other => panic!("unexpected outcome {other:?}"),
+        }
+    }
+    assert!(
+        bumped > 0,
+        "the RealTime reads must bump the queued deadline read"
+    );
+    assert!(
+        busy > 0,
+        "deadline reads behind the backlog must be rejected"
+    );
+    let mut tick = first;
+    while let Some(s) = tick {
+        tick = node.on_disk_tick(s.done_at).next;
+    }
+    assert_eq!(trace.dropped(), 0);
+    let (completed, rejected) = every_submit_resolves("enforcing", &trace.events());
+    assert_eq!(rejected, (busy + bumped) as u64);
+    assert_eq!(completed as usize, reqs.len() - busy - bumped);
 }
 
 #[test]
