@@ -17,15 +17,26 @@
 //! kernel would. The node also hosts the audit mode of §7.6 (predictions
 //! attached to descriptors instead of enforced) and the §7.7 error
 //! injector.
+//!
+//! An admitted SSD request costs its driver one calendar event, at the key
+//! its last page would have popped at. Each page's completion (its device
+//! channel slot, MittSSD's channel count and chip calibration) is a
+//! deferred release carrying the key the calendar would have given it;
+//! `submit_ssd`, the one place SSD state is read, first applies every
+//! release at or below the current event's key (read from the driver's
+//! [`EventClock`], see [`Node::set_clock`]), so every submission sees the
+//! state a per-page event stream would have left.
+
+use std::cmp::Reverse;
 
 use mitt_device::{
     BlockIo, Disk, DiskSpec, IoClass, IoId, IoIdGen, IoKind, NvramBuffer, ProcessId, Ssd, SsdSpec,
-    Started, SubCompletion, SubIoKey,
+    SsdSubmit, Started,
 };
 use mitt_faults::NodeCtx;
 use mitt_oscache::{PageCache, PageCacheConfig};
 use mitt_sched::{Cfq, CfqConfig, DiskScheduler, Noop};
-use mitt_sim::{Duration, FastMap, FastSet, SimRng, SimTime};
+use mitt_sim::{Duration, EventClock, EventKey, FastMap, FastSet, SimRng, SimTime};
 use mitt_trace::report::{CACHE_HIT_COUNTER, EBUSY_COUNTER, PREDICT_ERROR_HIST, SUBMIT_COUNTER};
 use mitt_trace::{EventKind, Resource, Subsystem};
 use mitt_tsl::TslSink;
@@ -232,8 +243,21 @@ impl ReadReq {
 pub struct Ticks {
     /// Disk head started an IO: schedule a disk tick at `done_at`.
     pub disk: Option<Started>,
-    /// SSD sub-IOs: schedule an SSD tick for each.
-    pub ssd: Vec<SubCompletion>,
+    /// An SSD request was admitted: schedule its completion at its key.
+    pub ssd: Option<SsdDone>,
+}
+
+/// The completion of an admitted SSD request. Schedule it under `key`
+/// (`EventQueue::schedule_keyed`), the calendar position of its last page,
+/// and hand it back to [`Node::on_ssd_done`] when it pops.
+#[derive(Debug, Clone, Copy)]
+pub struct SsdDone {
+    /// Where the request's last page completes.
+    pub key: EventKey,
+    /// The request.
+    pub io: IoId,
+    /// Its wait before service: the longest any of its pages queued.
+    pub wait: Duration,
 }
 
 /// Outcome of submitting a read.
@@ -311,16 +335,57 @@ struct DiskStack {
     nvram: Option<NvramBuffer>,
 }
 
-struct PendingSsd {
-    remaining: u32,
-    submit: SimTime,
-    worst_wait: Duration,
+/// One page of an admitted SSD request whose completion is not applied
+/// yet: it settles once the calendar reaches `key`.
+struct PageRelease {
+    key: EventKey,
+    io: IoId,
+    index: u32,
+    chip: u16,
+    channel: u16,
+    busy: Duration,
 }
 
 struct SsdStack {
     ssd: Ssd,
     mitt: MittSsd,
-    pending: FastMap<IoId, PendingSsd>,
+    /// The buffer `Ssd::submit_into` refills on every submission.
+    submitted: SsdSubmit,
+    /// The unsettled pages of each request in flight, latest key first.
+    requests: Vec<Vec<PageRelease>>,
+    /// Emptied page lists, reused by later requests.
+    spare: Vec<Vec<PageRelease>>,
+}
+
+impl SsdStack {
+    /// Applies every page release keyed at or below `upto`, passing each
+    /// page's completion time to `on_page`. A release only returns a
+    /// channel slot and corrects one chip's mirror by a fixed amount, so
+    /// releases commute and apply request by request.
+    fn settle(&mut self, upto: EventKey, mut on_page: impl FnMut(SimTime)) {
+        let mut i = 0;
+        while let Some(pages) = self.requests.get_mut(i) {
+            if pages.last().is_some_and(|p| p.key > upto) {
+                i += 1;
+                continue;
+            }
+            let due = pages.partition_point(|p| p.key > upto);
+            self.ssd
+                .complete_subs(pages[due..].iter().map(|p| usize::from(p.channel)));
+            for p in &pages[due..] {
+                self.mitt
+                    .on_complete_sub(p.io, p.index, p.busy, usize::from(p.chip));
+                on_page(p.key.at);
+            }
+            pages.truncate(due);
+            if pages.is_empty() {
+                let pages = self.requests.swap_remove(i);
+                self.spare.push(pages);
+            } else {
+                i += 1;
+            }
+        }
+    }
 }
 
 struct CacheStack {
@@ -392,6 +457,9 @@ pub struct Node {
     /// Predicted wait of each admitted, traced IO, resolved against the
     /// actual wait at completion to feed the prediction-error histogram.
     pred_wait: FastMap<IoId, Duration>,
+    /// The driving calendar's position: SSD page releases settle against
+    /// its current key and draw their sequence numbers from it.
+    clock: EventClock,
 }
 
 impl Node {
@@ -431,7 +499,9 @@ impl Node {
             SsdStack {
                 ssd,
                 mitt,
-                pending: FastMap::default(),
+                submitted: SsdSubmit::default(),
+                requests: Vec::new(),
+                spare: Vec::new(),
             }
         });
         let cache = cfg.cache.map(|c| CacheStack {
@@ -461,6 +531,7 @@ impl Node {
             ctx: NodeCtx::disabled(),
             tsl: TslSink::disabled(),
             pred_wait: FastMap::default(),
+            clock: EventClock::default(),
         }
     }
 
@@ -486,6 +557,13 @@ impl Node {
     /// Attaches the run's timeline, tagged with this node's id.
     pub fn set_tsl(&mut self, tsl: &TslSink) {
         self.tsl = tsl.for_node(self.id as u32);
+    }
+
+    /// Attaches the clock of the calendar that drives this node. SSD
+    /// submissions must happen while that calendar's current event is
+    /// being handled; a node without a clock never releases SSD pages.
+    pub fn set_clock(&mut self, clock: &EventClock) {
+        self.clock = clock.clone();
     }
 
     /// Runs pre-IO request-handler CPU work; returns when the IO can start.
@@ -719,15 +797,17 @@ impl Node {
                 io: io_id,
                 ticks: Ticks {
                     disk: out.started,
-                    ssd: Vec::new(),
+                    ssd: None,
                 },
             },
             bumped,
         }
     }
 
-    /// Admits and submits a request to the SSD stack; the returned ticks
-    /// hold one completion per page sub-IO.
+    /// Admits and submits a request to the SSD stack, after settling every
+    /// page release at or below the current event's key; the returned
+    /// ticks hold the request's one completion, and each page becomes a
+    /// release keyed where its own completion would have popped.
     ///
     /// # Panics
     ///
@@ -735,6 +815,13 @@ impl Node {
     /// complete it, so it would never finish.
     fn submit_ssd(&mut self, req: &ReadReq, kind: IoKind, now: SimTime) -> Submission {
         assert!(req.len > 0, "an SSD request must cover at least one byte");
+        let upto = self.clock.key();
+        debug_assert_eq!(
+            upto.at, now,
+            "SSD submission outside the driving calendar's current event"
+        );
+        let ss = self.ssd.as_mut().expect("node has no SSD stack");
+        ss.settle(upto, |_| {});
         let io = self.build_io(req, kind, now);
         let ss = self.ssd.as_mut().expect("node has no SSD stack");
         let policy = &mut self.policy;
@@ -745,29 +832,45 @@ impl Node {
             return busy;
         }
         let ss = self.ssd.as_mut().expect("node has no SSD stack");
-        let out = ss.ssd.submit(&io, now);
-        if self.tsl.is_enabled() {
-            for sub in &out.subs {
+        ss.ssd.submit_into(&io, now, &mut ss.submitted);
+        let subs = &ss.submitted.subs;
+        let base = self.clock.reserve(subs.len() as u64);
+        let tsl_on = self.tsl.is_enabled();
+        let mut pages = ss.spare.pop().unwrap_or_default();
+        let mut wait = Duration::ZERO;
+        for (sub, seq) in subs.iter().zip(base..) {
+            wait = wait.max(sub.done_at.saturating_since(now).saturating_sub(sub.busy));
+            if tsl_on {
                 self.tsl.observe_service(sub.done_at, sub.busy);
             }
+            pages.push(PageRelease {
+                key: EventKey {
+                    at: sub.done_at,
+                    seq,
+                },
+                io: io.id,
+                index: sub.key.index,
+                chip: u16::try_from(sub.chip).expect("chip index fits in u16"),
+                channel: u16::try_from(sub.channel).expect("channel index fits in u16"),
+                busy: sub.busy,
+            });
         }
-        for gc in &out.gc {
+        pages.sort_unstable_by_key(|p| Reverse(p.key));
+        let last = pages[0].key;
+        ss.requests.push(pages);
+        for gc in &ss.submitted.gc {
             ss.mitt.on_gc(gc.chip, gc.busy, now);
         }
-        ss.pending.insert(
-            io.id,
-            PendingSsd {
-                remaining: out.subs.len() as u32,
-                submit: now,
-                worst_wait: Duration::ZERO,
-            },
-        );
         Submission {
             outcome: ReadOutcome::Submitted {
                 io: io.id,
                 ticks: Ticks {
                     disk: None,
-                    ssd: out.subs,
+                    ssd: Some(SsdDone {
+                        key: last,
+                        io: io.id,
+                        wait,
+                    }),
                 },
             },
             bumped: Vec::new(),
@@ -862,40 +965,24 @@ impl Node {
         }
     }
 
-    /// Handles one SSD sub-IO completion; returns the finished request
-    /// once its last sub-page lands.
-    pub fn on_ssd_tick(
-        &mut self,
-        key: SubIoKey,
-        channel: usize,
-        chip: usize,
-        busy: Duration,
-        now: SimTime,
-    ) -> Option<DoneIo> {
-        let ss = self.ssd.as_mut().expect("node has no SSD stack");
-        ss.ssd.complete_sub(channel, now);
-        ss.mitt.on_complete_sub(key.io, key.index, busy, chip);
-        let pend = ss
-            .pending
-            .get_mut(&key.io)
-            .expect("sub completion for unknown IO");
-        let sub_wait = now.saturating_since(pend.submit).saturating_sub(busy);
-        pend.worst_wait = pend.worst_wait.max(sub_wait);
-        pend.remaining -= 1;
-        if pend.remaining > 0 {
-            return None;
+    /// Finishes an SSD request when its [`SsdDone`] pops. Its pages are
+    /// settled by the next submission that reads SSD state.
+    pub fn on_ssd_done(&mut self, io: IoId, wait: Duration, now: SimTime) {
+        self.resolve_prediction(io, wait, now);
+        // Tiered SSD reads refill the cache through submit_read's hit
+        // path, not here: the SSD keeps no offset per request.
+        self.fill_after_read.remove(&io);
+    }
+
+    /// Applies every SSD page release keyed at or below `upto`, in key
+    /// order, passing each page's completion time to `on_page`. Drivers
+    /// that must observe page completion times (the timeline's clock) call
+    /// this before handling each event; otherwise the next SSD submission
+    /// settles them.
+    pub fn settle_ssd(&mut self, upto: EventKey, on_page: impl FnMut(SimTime)) {
+        if let Some(ss) = &mut self.ssd {
+            ss.settle(upto, on_page);
         }
-        let pend = ss.pending.remove(&key.io).expect("entry exists");
-        self.resolve_prediction(key.io, pend.worst_wait, now);
-        // SSD reads filling the cache (tiered configuration).
-        if self.fill_after_read.remove(&key.io) {
-            // Offset/len are unavailable here (the SSD tracks sub-IOs);
-            // tiered reads re-insert via submit_read's hit path instead.
-        }
-        Some(DoneIo {
-            io: key.io,
-            wait: pend.worst_wait,
-        })
     }
 
     /// Resolves a finished IO: closes its audit record into an
@@ -928,9 +1015,10 @@ impl Node {
         }
     }
 
-    /// Cancels a still-queued disk IO (tied-request revocation). Returns
-    /// true if the IO was revoked before reaching the device.
-    pub fn cancel_read(&mut self, id: IoId) -> bool {
+    /// Cancels a still-queued disk IO (tied-request revocation), ending it
+    /// with a node-level `Revoke` event. Returns true if the IO was revoked
+    /// before reaching the device.
+    pub fn cancel_read(&mut self, id: IoId, now: SimTime) -> bool {
         let Some(ds) = self.disk.as_mut() else {
             return false;
         };
@@ -938,6 +1026,9 @@ impl Node {
             ds.mitt.on_cancel(id);
             self.fill_after_read.remove(&id);
             self.pred_wait.remove(&id);
+            self.ctx
+                .trace
+                .emit(now, Subsystem::Node, EventKind::Revoke { io: id.0 });
             true
         } else {
             false
@@ -1012,6 +1103,7 @@ pub enum WriteOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mittos::Predictor;
 
     fn rng() -> SimRng {
         SimRng::new(42)
@@ -1075,6 +1167,8 @@ mod tests {
     fn ssd_read_completes_and_releases_channels() {
         let mut r = rng();
         let mut node = Node::new(0, NodeConfig::ssd(), &mut r);
+        let mut q = mitt_sim::EventQueue::new();
+        node.set_clock(&q.clock());
         let req = ReadReq::client(0, 4096, ProcessId(1))
             .on_ssd()
             .with_deadline(Duration::from_millis(2));
@@ -1082,10 +1176,297 @@ mod tests {
         let ReadOutcome::Submitted { io, ticks } = sub.outcome else {
             panic!("expected submission");
         };
-        assert_eq!(ticks.ssd.len(), 1);
-        let sc = ticks.ssd[0];
-        let done = node.on_ssd_tick(sc.key, sc.channel, sc.chip, sc.busy, sc.done_at);
-        assert_eq!(done.expect("request finishes").io, io);
+        let done = ticks.ssd.expect("one completion per request");
+        assert_eq!(done.io, io);
+        q.schedule_keyed(done.key, done.io);
+        let (now, popped) = q.pop().expect("completion scheduled");
+        assert_eq!((now, popped), (done.key.at, io));
+        node.on_ssd_done(io, done.wait, now);
+        let ss = node.ssd.as_ref().expect("SSD node");
+        assert_eq!(ss.ssd.channel_outstanding(0), 1, "not settled yet");
+        let mut settled = Vec::new();
+        node.settle_ssd(q.key(), |at| settled.push(at));
+        assert_eq!(settled, [now]);
+        let ss = node.ssd.as_ref().expect("SSD node");
+        assert_eq!(ss.ssd.channel_outstanding(0), 0, "channel released");
+        assert_eq!(ss.mitt.blame().1, 0, "MittSSD released the sub-IO");
+    }
+
+    /// A calendar event of [`deferred_ssd_pages_match_an_eager_per_page_reference`].
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Drive {
+        Read {
+            lpn: u64,
+            deadline: Option<Duration>,
+        },
+        Write {
+            lpn: u64,
+            pages: u32,
+        },
+        Done {
+            io: IoId,
+            wait: Duration,
+        },
+        /// One page's completion: the eager reference's own events only.
+        Page {
+            io: IoId,
+            index: u32,
+            chip: usize,
+            channel: usize,
+            busy: Duration,
+        },
+    }
+
+    /// The eager reference: the SSD and MittSSD driven by one calendar
+    /// event per page, settled the moment each page pops.
+    struct Eager {
+        ssd: Ssd,
+        mitt: MittSsd,
+        q: mitt_sim::EventQueue<Drive>,
+        ids: IoIdGen,
+        /// Each request's last page key and wait, until that page pops.
+        last: FastMap<IoId, (EventKey, Duration)>,
+    }
+
+    impl Eager {
+        /// Pops up to the next event that is not a mid-request page,
+        /// settling pages on the way; a request's last page pops as its
+        /// `Done`.
+        fn pop(&mut self) -> Option<(SimTime, Drive)> {
+            loop {
+                let (now, ev) = self.q.pop()?;
+                let Drive::Page {
+                    io,
+                    index,
+                    chip,
+                    channel,
+                    busy,
+                } = ev
+                else {
+                    return Some((now, ev));
+                };
+                self.ssd.complete_sub(channel, now);
+                self.mitt.on_complete_sub(io, index, busy, chip);
+                if self.last.get(&io).is_some_and(|l| l.0 == self.q.key()) {
+                    let (_, wait) = self.last.remove(&io).expect("just found");
+                    return Some((now, Drive::Done { io, wait }));
+                }
+            }
+        }
+
+        /// Admits and submits like `Node::submit_ssd`, one event per page;
+        /// returns the completion, or `None` on EBUSY.
+        fn submit(
+            &mut self,
+            req: &ReadReq,
+            kind: IoKind,
+            now: SimTime,
+        ) -> Option<(SsdDone, Vec<SimTime>)> {
+            let id = self.ids.next_id();
+            let mut io = match kind {
+                IoKind::Read => BlockIo::read(id, req.offset, req.len, req.owner, now),
+                IoKind::Write => BlockIo::write(id, req.offset, req.len, req.owner, now),
+            };
+            io.deadline = req.deadline;
+            if !self.mitt.admit(&io, now).is_admit() {
+                return None;
+            }
+            let out = self.ssd.submit(&io, now);
+            for gc in &out.gc {
+                self.mitt.on_gc(gc.chip, gc.busy, now);
+            }
+            let base = self.q.clock().reserve(0);
+            let (mut last, mut wait) = (EventKey::default(), Duration::ZERO);
+            for (sub, seq) in out.subs.iter().zip(base..) {
+                last = last.max(EventKey {
+                    at: sub.done_at,
+                    seq,
+                });
+                wait = wait.max(sub.done_at.saturating_since(now).saturating_sub(sub.busy));
+                let (index, chip, channel, busy) = (sub.key.index, sub.chip, sub.channel, sub.busy);
+                self.q.schedule(
+                    sub.done_at,
+                    Drive::Page {
+                        io: id,
+                        index,
+                        chip,
+                        channel,
+                        busy,
+                    },
+                );
+            }
+            self.last.insert(id, (last, wait));
+            let times = out.subs.iter().map(|s| s.done_at).collect();
+            Some((
+                SsdDone {
+                    key: last,
+                    io: id,
+                    wait,
+                },
+                times,
+            ))
+        }
+    }
+
+    /// Differential check of the deferred SSD path against an eager
+    /// reference that pops one calendar event per page. The drive has no
+    /// jitter and no ECC retries and every request starts on a 20 µs grid,
+    /// so page completions tie on the nanosecond with each other and with
+    /// reads: probe reads scheduled up front (below every page's key),
+    /// reads scheduled at one of a request's page completion times after
+    /// the request (above that page's key), and reads issued while a
+    /// request's completion is handled (at its last page's key). After
+    /// every submission both sides agree on the verdict, the completion
+    /// key and wait, every channel's occupancy and MittSSD's predicted
+    /// wait on every chip in play.
+    #[test]
+    fn deferred_ssd_pages_match_an_eager_per_page_reference() {
+        let spec = SsdSpec {
+            jitter: 0.0,
+            retry_prob: 0.0,
+            ..SsdSpec::default()
+        };
+        let page = u64::from(spec.page_size);
+        let grid = Duration::from_micros(20);
+        let mut cfg = NodeConfig::ssd();
+        cfg.ssd = Some(spec.clone());
+        let mut node = Node::new(0, cfg, &mut rng());
+        let mut q = mitt_sim::EventQueue::new();
+        node.set_clock(&q.clock());
+        let profile = profile_ssd(&mut Ssd::new(spec.clone(), SimRng::new(1)), 200);
+        let mut eager = Eager {
+            ssd: Ssd::new(spec.clone(), SimRng::new(2)),
+            mitt: MittSsd::new(&spec, profile, mittos::DEFAULT_HOP),
+            q: mitt_sim::EventQueue::new(),
+            ids: IoIdGen::new(),
+            last: FastMap::default(),
+        };
+        let mut drive = SimRng::new(0xd1ff);
+        // Chips 0..32: two chips behind each of the 16 channels.
+        let schedule = |q: &mut mitt_sim::EventQueue<Drive>, e: &mut Eager, at, ev| {
+            q.schedule(at, ev);
+            e.q.schedule(at, ev);
+        };
+        for step in 0..2_000u64 {
+            let at = SimTime::ZERO + grid * step;
+            let deadline = drive.chance(0.5).then(|| grid * drive.range_u64(1, 40));
+            let read = Drive::Read {
+                lpn: drive.range_u64(0, 32),
+                deadline,
+            };
+            schedule(&mut q, &mut eager, at, read);
+            if step % 25 == 0 {
+                let write = Drive::Write {
+                    lpn: drive.range_u64(0, 32),
+                    pages: drive.range_u64(1, 7) as u32,
+                };
+                schedule(&mut q, &mut eager, at, write);
+            }
+        }
+        let probe = |lpn: u64| {
+            BlockIo::read(
+                IoId(u64::MAX),
+                lpn * page,
+                4096,
+                ProcessId(0),
+                SimTime::ZERO,
+            )
+        };
+        let (mut reads, mut tied, mut admitted) = (0, 0, 0);
+        while let Some((now, ev)) = q.pop() {
+            let (eager_now, eager_ev) = eager.pop().expect("the reference has the same events");
+            assert_eq!((now, ev), (eager_now, eager_ev));
+            assert_eq!(q.key(), eager.q.key());
+            let submission = match ev {
+                Drive::Read { lpn, deadline } => {
+                    let mut req = ReadReq::client(lpn * page, 4096, ProcessId(1)).on_ssd();
+                    req.deadline = deadline;
+                    Some((req, IoKind::Read))
+                }
+                Drive::Write { lpn, pages } => {
+                    let req =
+                        ReadReq::client(lpn * page, pages * spec.page_size, ProcessId(9)).on_ssd();
+                    Some((req, IoKind::Write))
+                }
+                Drive::Done { io, wait } => {
+                    node.on_ssd_done(io, wait, now);
+                    let read =
+                        ReadReq::client(drive.range_u64(0, 32) * page, 4096, ProcessId(1)).on_ssd();
+                    drive.chance(0.5).then_some((read, IoKind::Read))
+                }
+                Drive::Page { .. } => unreachable!("the deferred calendar has no page events"),
+            };
+            let Some((req, kind)) = submission else {
+                continue;
+            };
+            tied += usize::from(eager.q.peek_time() == Some(now));
+            reads += usize::from(kind == IoKind::Read);
+            let sub = match kind {
+                IoKind::Read => node.submit_read(&req, now),
+                IoKind::Write => match node.submit_write(&req, now) {
+                    WriteOutcome::Submitted(sub) => sub,
+                    WriteOutcome::Buffered { .. } => unreachable!("SSD nodes buffer no writes"),
+                },
+            };
+            let reference = eager.submit(&req, kind, now);
+            match (sub.outcome, reference) {
+                (ReadOutcome::Busy { .. }, None) => {}
+                (ReadOutcome::Submitted { ticks, .. }, Some((want, times))) => {
+                    admitted += 1;
+                    let done = ticks.ssd.expect("an SSD completion");
+                    assert_eq!(
+                        (done.key, done.io, done.wait),
+                        (want.key, want.io, want.wait)
+                    );
+                    q.schedule_keyed(
+                        done.key,
+                        Drive::Done {
+                            io: done.io,
+                            wait: done.wait,
+                        },
+                    );
+                    if drive.chance(0.3) {
+                        // A read at one page's completion time, scheduled
+                        // after the request: it pops after that page.
+                        let at = times[drive.index(times.len())];
+                        let read = Drive::Read {
+                            lpn: drive.range_u64(0, 32),
+                            deadline: None,
+                        };
+                        schedule(&mut q, &mut eager, at, read);
+                    }
+                }
+                (got, want) => panic!(
+                    "at {now}: deferred {got:?}, eager admitted {}",
+                    want.is_some()
+                ),
+            }
+            let ss = node.ssd.as_ref().expect("SSD node");
+            for c in 0..spec.channels {
+                assert_eq!(
+                    ss.ssd.channel_outstanding(c),
+                    eager.ssd.channel_outstanding(c),
+                    "channel {c} at {now}"
+                );
+            }
+            for lpn in 0..32 {
+                assert_eq!(
+                    ss.mitt.predicted_wait(&probe(lpn), now),
+                    eager.mitt.predicted_wait(&probe(lpn), now),
+                    "chip {lpn} at {now}"
+                );
+            }
+            assert_eq!(ss.mitt.blame(), eager.mitt.blame());
+        }
+        assert!(eager.pop().is_none(), "the reference drained too");
+        assert!(
+            reads > 2_000 && admitted > 1_000,
+            "{reads} reads, {admitted} admitted"
+        );
+        assert!(
+            tied > 500,
+            "only {tied} submissions tied with a pending event"
+        );
     }
 
     #[test]
@@ -1233,8 +1614,14 @@ mod tests {
             }
         }
         let victim = queued_id.expect("at least one IO queued");
-        assert!(node.cancel_read(victim), "queued IO must be cancellable");
-        assert!(!node.cancel_read(victim), "double cancel is a no-op");
+        assert!(
+            node.cancel_read(victim, SimTime::ZERO),
+            "queued IO must be cancellable"
+        );
+        assert!(
+            !node.cancel_read(victim, SimTime::ZERO),
+            "double cancel is a no-op"
+        );
         // Drain to make sure the cancelled IO never completes.
         let done = drain_disk(&mut node, ticks.disk);
         assert!(done.iter().all(|&(id, _)| id != victim));

@@ -25,7 +25,7 @@
 //!   three are busy (§7.8.1 extension). **MittOsAuto** tunes the deadline
 //!   from EBUSY-rate feedback (§8.1 extension).
 
-use mitt_device::{IoClass, IoId, ProcessId, SubIoKey, GB};
+use mitt_device::{IoClass, IoId, ProcessId, GB};
 use mitt_faults::{
     BreakerState, BreakerTransition, CircuitBreaker, FaultClock, FaultKind, FaultPlan, NodeCtx,
     ResilienceConfig,
@@ -454,15 +454,12 @@ enum Ev {
     DiskTick {
         node: usize,
     },
-    /// One page sub-IO of a striped SSD request completed. Kept within 32
-    /// payload bytes: it is the most frequent event and sizes every `Ev`.
-    SsdTick {
+    /// An SSD request's last page completed (its other pages are settled
+    /// by the node as deferred releases).
+    SsdDone {
         node: u32,
-        index: u32,
         io: IoId,
-        chip: u16,
-        channel: u16,
-        busy: Duration,
+        wait: Duration,
     },
     LocalDone {
         op: usize,
@@ -631,6 +628,8 @@ pub struct ClusterSim {
     /// `cfg.tsl`). Window advancement happens inline in `handle()` so no
     /// extra events perturb the queue.
     tsl: TslSink,
+    /// Scratch for `tsl_tick_pages`: the settled pages' completion times.
+    page_times: Vec<SimTime>,
     result: ExperimentResult,
     completed_users: usize,
     target_users: usize,
@@ -740,13 +739,15 @@ impl ClusterSim {
                 ProfSink::disabled()
             },
         };
+        let q = EventQueue::new();
         for node in &mut nodes {
             node.set_ctx(&ctx);
             node.set_tsl(&tsl);
+            node.set_clock(&q.clock());
         }
         let cluster = ctx.for_node(CLUSTER_NODE);
         let mut sim = ClusterSim {
-            q: EventQueue::new(),
+            q,
             nodes,
             clients,
             ycsb,
@@ -765,6 +766,7 @@ impl ClusterSim {
             prof: ctx.prof,
             next_prof_sample: SimTime::ZERO,
             tsl: tsl.clone(),
+            page_times: Vec::new(),
             result: ExperimentResult {
                 user_latencies: LatencyRecorder::new(),
                 get_latencies: LatencyRecorder::new(),
@@ -962,11 +964,34 @@ impl ClusterSim {
         }
     }
 
+    /// Settles every node's SSD page releases at or below the current
+    /// event and ticks the timeline at each page's completion time, in time
+    /// order, so windows close and flight dumps land where they would if
+    /// every page were its own event. Ties need no seq order: a tick
+    /// depends only on the time, and settling emits nothing.
+    fn tsl_tick_pages(&mut self) {
+        if self.cfg.node_cfg.ssd.is_none() {
+            return;
+        }
+        let upto = self.q.key();
+        let mut times = std::mem::take(&mut self.page_times);
+        for node in &mut self.nodes {
+            node.settle_ssd(upto, |at| times.push(at));
+        }
+        times.sort_unstable();
+        for &at in &times {
+            self.tsl_tick(at);
+        }
+        times.clear();
+        self.page_times = times;
+    }
+
     fn handle(&mut self, now: SimTime, ev: Ev) {
         if self.prof.is_enabled() {
             self.prof_tick(now);
         }
         if self.tsl.is_enabled() {
+            self.tsl_tick_pages();
             self.tsl_tick(now);
         }
         let _dispatch = self.prof.phase(Phase::Dispatch);
@@ -980,14 +1005,11 @@ impl ClusterSim {
                 }
             }
             Ev::DiskTick { node } => self.disk_tick(node, now),
-            Ev::SsdTick {
-                node,
-                index,
-                io,
-                chip,
-                channel,
-                busy,
-            } => self.ssd_tick(node, SubIoKey { io, index }, channel, chip, busy, now),
+            Ev::SsdDone { node, io, wait } => {
+                let node = node as usize;
+                self.nodes[node].on_ssd_done(io, wait, now);
+                self.io_done(node, io, now);
+            }
             Ev::LocalDone { op, attempt } => self.local_done(op, attempt, now),
             Ev::Reply {
                 op,
@@ -1000,7 +1022,7 @@ impl ClusterSim {
             Ev::TiedCancel { node, io } => {
                 // Revocation only wins if the IO is still queued; an
                 // executing IO keeps its context and completes normally.
-                if self.nodes[node].cancel_read(io) {
+                if self.nodes[node].cancel_read(io, now) {
                     self.io_ctx.remove(&(node, io));
                 }
             }
@@ -1642,23 +1664,12 @@ impl ClusterSim {
             self.on_started(node, s.id, now);
             self.q.schedule(s.done_at, Ev::DiskTick { node });
         }
-        if ticks.ssd.is_empty() {
-            return;
+        if let Some(done) = ticks.ssd {
+            let node = u32::try_from(node).expect("node index fits in u32");
+            let (io, wait) = (done.io, done.wait);
+            self.q
+                .schedule_keyed(done.key, Ev::SsdDone { node, io, wait });
         }
-        // One run per request: the sub-IOs pop in `done_at` order among
-        // the other events without a heap push each.
-        let node = u32::try_from(node).expect("node index fits in u32");
-        self.q.schedule_batch(ticks.ssd.into_iter().map(|sc| {
-            let tick = Ev::SsdTick {
-                node,
-                index: sc.key.index,
-                io: sc.key.io,
-                chip: u16::try_from(sc.chip).expect("chip index fits in u16"),
-                channel: u16::try_from(sc.channel).expect("channel index fits in u16"),
-                busy: sc.busy,
-            };
-            (sc.done_at, tick)
-        }));
     }
 
     /// Begin-execution hook: drives tied-request revocation.
@@ -1703,22 +1714,6 @@ impl ClusterSim {
             self.q.schedule(next.done_at, Ev::DiskTick { node });
         }
         self.io_done(node, out.done.io, now);
-    }
-
-    fn ssd_tick(
-        &mut self,
-        node: u32,
-        key: SubIoKey,
-        channel: u16,
-        chip: u16,
-        busy: Duration,
-        now: SimTime,
-    ) {
-        let node = node as usize;
-        let (channel, chip) = (usize::from(channel), usize::from(chip));
-        if let Some(done) = self.nodes[node].on_ssd_tick(key, channel, chip, busy, now) {
-            self.io_done(node, done.io, now);
-        }
     }
 
     fn io_done(&mut self, node: usize, io: IoId, now: SimTime) {
@@ -2459,8 +2454,8 @@ mod tests {
 
     #[test]
     fn events_stay_within_forty_bytes() {
-        // Every calendar entry carries an `Ev`; `SsdTick`, the most
-        // frequent, must not widen it again.
+        // Every calendar entry carries an `Ev`; a wider one makes every
+        // heap move wider.
         let size = std::mem::size_of::<Ev>();
         assert!(size <= 40, "Ev grew to {size} bytes");
     }

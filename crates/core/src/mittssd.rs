@@ -15,24 +15,19 @@
 //! deadline the whole request is rejected and nothing is submitted.
 
 use mitt_device::{BlockIo, IoId, IoKind, SsdSpec};
-use mitt_sim::{Duration, FastMap, SimTime};
+use mitt_sim::{Duration, SimTime};
 use mitt_trace::{Resource, Subsystem};
 
 use crate::admit::{admit_bare, Predictor};
 use crate::profile::SsdProfile;
 use crate::slo::Decision;
 
-/// One admitted sub-IO awaiting its completion.
+/// One admitted sub-IO awaiting its completion, kept with its chip.
 struct SubRec {
-    channel: usize,
+    io: IoId,
+    index: u32,
+    channel: u32,
     busy_pred_ns: i64,
-    live: bool,
-}
-
-/// The sub-IOs of one admitted request, indexed by page index.
-struct ReqRec {
-    subs: Vec<SubRec>,
-    live: u32,
 }
 
 /// The MittSSD admission predictor.
@@ -44,9 +39,9 @@ pub struct MittSsd {
     chan_outstanding: Vec<u32>,
     /// Mirror of each chip's append pointer, for program-time prediction.
     append_page: Vec<u32>,
-    pending: FastMap<IoId, ReqRec>,
-    /// Emptied `ReqRec::subs` buffers, reused by the next admissions.
-    spare: Vec<Vec<SubRec>>,
+    /// Each chip's admitted sub-IOs not yet completed: a chip's queue is
+    /// short, so a completion finds its record by a scan.
+    chip_subs: Vec<Vec<SubRec>>,
     /// Admitted sub-IOs not yet completed, across all requests.
     in_flight: u64,
     admitted: u64,
@@ -64,8 +59,7 @@ impl MittSsd {
             chip_free_ns: vec![0; spec.num_chips()],
             chan_outstanding: vec![0; spec.channels],
             append_page: vec![0; spec.num_chips()],
-            pending: FastMap::default(),
-            spare: Vec::new(),
+            chip_subs: (0..spec.num_chips()).map(|_| Vec::new()).collect(),
             in_flight: 0,
             admitted: 0,
             rejected: 0,
@@ -105,8 +99,7 @@ impl MittSsd {
     pub fn account(&mut self, io: &BlockIo, now: SimTime) {
         self.admitted += 1;
         let now_ns = now.as_nanos() as i64;
-        let mut subs = self.spare.pop().unwrap_or_default();
-        for (_, chip, channel) in self.spec.stripe(io.offset, io.len) {
+        for (index, chip, channel) in self.spec.stripe(io.offset, io.len) {
             let busy = match io.kind {
                 IoKind::Read => self.profile.read_page,
                 IoKind::Write => {
@@ -123,16 +116,21 @@ impl MittSsd {
             let busy_ns = busy.as_nanos() as i64;
             self.chip_free_ns[chip] = self.chip_free_ns[chip].max(now_ns) + busy_ns;
             self.chan_outstanding[channel] += 1;
-            subs.push(SubRec {
-                channel,
+            self.in_flight += 1;
+            debug_assert!(
+                !self.chip_subs[chip]
+                    .iter()
+                    .any(|s| s.io == io.id && s.index == index),
+                "{:?} admitted twice",
+                io.id
+            );
+            self.chip_subs[chip].push(SubRec {
+                io: io.id,
+                index,
+                channel: channel as u32,
                 busy_pred_ns: busy_ns,
-                live: true,
             });
         }
-        self.in_flight += subs.len() as u64;
-        let live = subs.len() as u32;
-        let old = self.pending.insert(io.id, ReqRec { subs, live });
-        debug_assert!(old.is_none(), "{:?} admitted twice", io.id);
     }
 
     /// Accounts a GC burst the OS-side FTL just issued on `chip`.
@@ -147,28 +145,21 @@ impl MittSsd {
         self.on_gc(chip, erase, now);
     }
 
-    /// Completes a sub-IO: releases its channel slot and calibrates the
-    /// chip mirror with the actual busy time. A sub-IO that was never
-    /// admitted, or has already completed, is ignored.
+    /// Completes page `index` of `io` on `chip`: releases its channel slot
+    /// and calibrates the chip mirror with the actual busy time. A sub-IO
+    /// that was never admitted on `chip`, or has already completed, is
+    /// ignored.
     pub fn on_complete_sub(&mut self, io: IoId, index: u32, actual_busy: Duration, chip: usize) {
-        let Some(req) = self.pending.get_mut(&io) else {
+        let subs = &mut self.chip_subs[chip];
+        let Some(at) = subs.iter().position(|s| s.io == io && s.index == index) else {
             return;
         };
-        let Some(sub) = req.subs.get_mut(index as usize).filter(|s| s.live) else {
-            return;
-        };
-        sub.live = false;
-        debug_assert!(self.chan_outstanding[sub.channel] > 0);
-        self.chan_outstanding[sub.channel] = self.chan_outstanding[sub.channel].saturating_sub(1);
+        let sub = subs.swap_remove(at);
+        let channel = sub.channel as usize;
+        debug_assert!(self.chan_outstanding[channel] > 0);
+        self.chan_outstanding[channel] = self.chan_outstanding[channel].saturating_sub(1);
         self.chip_free_ns[chip] += actual_busy.as_nanos() as i64 - sub.busy_pred_ns;
         self.in_flight -= 1;
-        req.live -= 1;
-        if req.live == 0 {
-            if let Some(mut done) = self.pending.remove(&io).map(|r| r.subs) {
-                done.clear();
-                self.spare.push(done);
-            }
-        }
     }
 
     /// (admitted, rejected) counters.

@@ -348,12 +348,24 @@ impl Ssd {
     ///
     /// Panics if `io.len` is 0 (see [`SsdSpec::stripe`]).
     pub fn submit(&mut self, io: &BlockIo, now: SimTime) -> SsdSubmit {
+        let mut out = SsdSubmit::default();
+        self.submit_into(io, now, &mut out);
+        out
+    }
+
+    /// [`Ssd::submit`] into a caller-owned buffer: clears `out`, then
+    /// fills it as `submit` would, so a caller that submits often reuses
+    /// one pair of allocations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `io.len` is 0 (see [`SsdSpec::stripe`]).
+    pub fn submit_into(&mut self, io: &BlockIo, now: SimTime, out: &mut SsdSubmit) {
         let _t = self.ctx.prof.phase(Phase::Device);
         let stripe = self.spec.stripe(io.offset, io.len);
-        let mut out = SsdSubmit {
-            subs: Vec::with_capacity(stripe.len()),
-            gc: Vec::new(),
-        };
+        out.subs.clear();
+        out.gc.clear();
+        out.subs.reserve(stripe.len());
         let stall = self.ctx.faults.ssd_stall(now);
         for (index, chip, channel) in stripe {
             let busy = self.page_busy(io.kind, chip) + stall;
@@ -377,7 +389,6 @@ impl Ssd {
                 busy,
             });
         }
-        out
     }
 
     /// Records completion of a sub-IO, releasing its channel slot.
@@ -386,13 +397,25 @@ impl Ssd {
     ///
     /// Panics if the channel has no outstanding IO (double completion).
     pub fn complete_sub(&mut self, channel: usize, _now: SimTime) {
+        self.complete_subs([channel]);
+    }
+
+    /// [`Ssd::complete_sub`] for a batch of sub-IOs, one per channel
+    /// listed, timed as one `Device` activation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a channel has no outstanding IO (double completion).
+    pub fn complete_subs(&mut self, channels: impl IntoIterator<Item = usize>) {
         let _t = self.ctx.prof.phase(Phase::Device);
-        assert!(
-            self.channel_outstanding[channel] > 0,
-            "double completion on channel {channel}"
-        );
-        self.channel_outstanding[channel] -= 1;
-        self.served_pages += 1;
+        for channel in channels {
+            assert!(
+                self.channel_outstanding[channel] > 0,
+                "double completion on channel {channel}"
+            );
+            self.channel_outstanding[channel] -= 1;
+            self.served_pages += 1;
+        }
     }
 
     /// Issues an explicit block erase on `chip` (wear-leveling, trim).

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 
 use mitt_cluster::node::{AuditPair, Medium, Node, NodeConfig, ReadOutcome, ReadReq, Ticks};
 use mitt_cluster::WriteOutcome;
-use mitt_device::{IoId, ProcessId, SubIoKey};
+use mitt_device::{IoId, ProcessId};
 use mitt_faults::{FaultClock, FaultPlan, NodeCtx};
 use mitt_sim::{Duration, EventQueue, SimRng, SimTime};
 use mitt_trace::TraceSink;
@@ -38,12 +38,7 @@ pub const REPLAY_RING: usize = 1 << 20;
 enum Ev {
     Submit(usize),
     DiskTick,
-    SsdTick {
-        key: SubIoKey,
-        channel: usize,
-        chip: usize,
-        busy: Duration,
-    },
+    SsdDone { io: IoId, wait: Duration },
 }
 
 /// A shadow predictor maintained alongside the real MittOS mirrors during
@@ -147,6 +142,7 @@ pub fn replay_audit_traced(
     let mut naive_open: BTreeMap<IoId, Duration> = BTreeMap::new();
     let mut naive_pairs: Vec<AuditPair> = Vec::new();
     let mut q: EventQueue<Ev> = EventQueue::new();
+    node.set_clock(&q.clock());
     for (i, io) in trace.iter().enumerate() {
         let at = SimTime::from_nanos((io.at.as_nanos() as f64 / rerate) as u64);
         q.schedule(at, Ev::Submit(i));
@@ -158,6 +154,7 @@ pub fn replay_audit_traced(
         Medium::Ssd => Duration::from_millis(1),
     };
     while let Some((now, ev)) = q.pop() {
+        let mut done = None;
         match ev {
             Ev::Submit(i) => {
                 let t = trace[i];
@@ -193,35 +190,26 @@ pub fn replay_audit_traced(
             }
             Ev::DiskTick => {
                 let out = node.on_disk_tick(now);
-                if let Some(pred) = naive_open.remove(&out.done.io) {
-                    naive_pairs.push(AuditPair {
-                        predicted_wait: pred,
-                        actual_wait: out.done.wait,
-                        would_reject: false,
-                        deadline: placeholder,
-                    });
-                }
                 if let Some(next) = out.next {
                     q.schedule(next.done_at, Ev::DiskTick);
                 }
+                done = Some((out.done.io, out.done.wait));
             }
-            Ev::SsdTick {
-                key,
-                channel,
-                chip,
-                busy,
-            } => {
-                if let Some(done) = node.on_ssd_tick(key, channel, chip, busy, now) {
-                    if let Some(pred) = naive_open.remove(&done.io) {
-                        naive_pairs.push(AuditPair {
-                            predicted_wait: pred,
-                            actual_wait: done.wait,
-                            would_reject: false,
-                            deadline: placeholder,
-                        });
-                    }
-                }
+            Ev::SsdDone { io, wait } => {
+                node.on_ssd_done(io, wait, now);
+                done = Some((io, wait));
             }
+        }
+        let Some((io, actual_wait)) = done else {
+            continue;
+        };
+        if let Some(pred) = naive_open.remove(&io) {
+            naive_pairs.push(AuditPair {
+                predicted_wait: pred,
+                actual_wait,
+                would_reject: false,
+                deadline: placeholder,
+            });
         }
     }
     TracedReplay {
@@ -236,16 +224,9 @@ fn schedule_ticks(q: &mut EventQueue<Ev>, ticks: Ticks) {
     if let Some(s) = ticks.disk {
         q.schedule(s.done_at, Ev::DiskTick);
     }
-    for sc in ticks.ssd {
-        q.schedule(
-            sc.done_at,
-            Ev::SsdTick {
-                key: sc.key,
-                channel: sc.channel,
-                chip: sc.chip,
-                busy: sc.busy,
-            },
-        );
+    if let Some(done) = ticks.ssd {
+        let (io, wait) = (done.io, done.wait);
+        q.schedule_keyed(done.key, Ev::SsdDone { io, wait });
     }
 }
 

@@ -32,7 +32,7 @@ pub mod time;
 pub use digest::Fnv1a;
 pub use dist::Distribution;
 pub use hash::{FastMap, FastSet};
-pub use queue::EventQueue;
+pub use queue::{EventClock, EventKey, EventQueue};
 pub use rng::SimRng;
 pub use stats::{reduction_pct, LatencyRecorder, Pow2Hist};
 pub use time::{Duration, SimTime};

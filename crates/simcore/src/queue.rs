@@ -13,20 +13,31 @@
 //! numbers exactly as `schedule` would, the pop order is the same as if
 //! every event had gone through the heap.
 //!
-//! Events that arrive together, such as the per-page completions of one
-//! striped SSD request, can go in as a *run* via
-//! [`EventQueue::schedule_batch`]: the batch is sorted once and only its
-//! earliest member is keyed, in a small second heap of run heads. Popping a
-//! run's head re-keys that entry to the next member in place. Run members
-//! draw their sequence numbers exactly as `schedule` would too, and `pop`
-//! consults the run heads only while a run is live, so a calendar without
-//! runs pops exactly as before.
+//! That `(at, seq)` pair is an event's [`EventKey`]. A component that
+//! settles some completions itself, outside the calendar, can still settle
+//! them in calendar order: [`EventClock::reserve`] hands out the sequence
+//! numbers `schedule` would have drawn, [`EventQueue::schedule_keyed`]
+//! schedules an event under a reserved key, and [`EventClock::key`] reports
+//! the key of the event being handled. The cluster's SSD stack gives each
+//! striped request one calendar event this way, at its last page's key,
+//! and releases the other pages as deferred records.
 
+use std::cell::Cell;
 use std::cmp::Ordering;
-use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
+use std::rc::Rc;
 
 use crate::time::{Duration, SimTime};
+
+/// An event's place in the total pop order: its time, then the sequence
+/// number that breaks ties on time. Smaller keys pop first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+pub struct EventKey {
+    /// When the event fires.
+    pub at: SimTime,
+    /// The sequence number drawn when the event was scheduled or reserved.
+    pub seq: u64,
+}
 
 /// Aligned to 16 bytes so that the heap moves entries in whole 16-byte
 /// words: with the cluster's 40-byte events an entry would be 56 bytes,
@@ -38,13 +49,6 @@ struct Entry<E> {
     at: SimTime,
     seq: u64,
     event: E,
-}
-
-impl<E> Entry<E> {
-    /// The position in the total pop order: smaller pops first.
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
-    }
 }
 
 impl<E> PartialEq for Entry<E> {
@@ -67,6 +71,41 @@ impl<E> Ord for Entry<E> {
             .at
             .cmp(&self.at)
             .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+/// The calendar position a queue shares with its [`EventClock`]s.
+#[derive(Default)]
+struct Position {
+    /// Key of the most recently popped event.
+    key: Cell<EventKey>,
+    /// The next sequence number to hand out.
+    next_seq: Cell<u64>,
+}
+
+/// A shared handle on an [`EventQueue`]'s position (see
+/// [`EventQueue::clock`]), for a component that settles work in calendar
+/// order without owning the calendar. A default clock belongs to no queue:
+/// its key stays at time zero, sequence 0.
+#[derive(Clone, Default)]
+pub struct EventClock(Rc<Position>);
+
+impl EventClock {
+    /// The key of the event being handled: the queue's most recently
+    /// popped event.
+    pub fn key(&self) -> EventKey {
+        self.0.key.get()
+    }
+
+    /// Reserves `n` consecutive sequence numbers and returns the first.
+    /// They come from the counter [`EventQueue::schedule`] draws from, so
+    /// an event scheduled later under one of them with
+    /// [`EventQueue::schedule_keyed`] pops exactly where it would have, had
+    /// it been scheduled at the moment of the reservation.
+    pub fn reserve(&self, n: u64) -> u64 {
+        let first = self.0.next_seq.get();
+        self.0.next_seq.set(first + n);
+        first
     }
 }
 
@@ -94,18 +133,8 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     /// Preloaded entries in ascending `Entry` order: the earliest is last.
     lane: Vec<Entry<E>>,
-    /// One `(at, seq, run)` key per live run, keyed by the run's head.
-    run_heads: BinaryHeap<Entry<u32>>,
-    /// Batches from [`EventQueue::schedule_batch`], each in ascending
-    /// `Entry` order (earliest last). Emptied runs keep their buffers and
-    /// are reused through `free_runs`.
-    runs: Vec<Vec<Entry<E>>>,
-    free_runs: Vec<u32>,
-    /// Run members beyond each live run's head (the head is counted by
-    /// `run_heads`).
-    run_tails: usize,
     now: SimTime,
-    seq: u64,
+    clock: EventClock,
     popped: u64,
 }
 
@@ -121,12 +150,8 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             lane: Vec::new(),
-            run_heads: BinaryHeap::new(),
-            runs: Vec::new(),
-            free_runs: Vec::new(),
-            run_tails: 0,
             now: SimTime::ZERO,
-            seq: 0,
+            clock: EventClock::default(),
             popped: 0,
         }
     }
@@ -136,15 +161,25 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Stamps `event` with its (clamped) time and the next sequence number.
-    fn entry(&mut self, at: SimTime, event: E) -> Entry<E> {
+    /// The key of the most recently popped event (time zero, sequence 0
+    /// before the first pop).
+    pub fn key(&self) -> EventKey {
+        self.clock.key()
+    }
+
+    /// A handle that follows this calendar's position and reserves
+    /// sequence numbers from it.
+    pub fn clock(&self) -> EventClock {
+        self.clock.clone()
+    }
+
+    /// Stamps `event` with its (clamped) time and sequence number `seq`.
+    fn entry(&self, at: SimTime, seq: u64, event: E) -> Entry<E> {
         debug_assert!(
             at >= self.now,
             "scheduled event in the past: at={at} now={}",
             self.now
         );
-        let seq = self.seq;
-        self.seq += 1;
         Entry {
             at: at.max(self.now),
             seq,
@@ -158,7 +193,7 @@ impl<E> EventQueue<E> {
     ///
     /// Panics in debug builds if `at` is earlier than the current time.
     pub fn schedule(&mut self, at: SimTime, event: E) {
-        let entry = self.entry(at, event);
+        let entry = self.entry(at, self.clock.reserve(1), event);
         self.heap.push(entry);
     }
 
@@ -168,42 +203,22 @@ impl<E> EventQueue<E> {
         self.schedule(at, event);
     }
 
-    /// Schedules a batch of `(at, event)` pairs as one presorted run.
-    ///
-    /// Sequence numbers are assigned in iteration order, so the pop order is
-    /// exactly that of calling [`EventQueue::schedule`] for each pair in
-    /// turn. The batch is sorted once and only its earliest member is keyed
-    /// among the run heads; popping it re-keys that key to the next member in
-    /// place. A batch of one event goes into the heap like `schedule`'s.
-    /// Meant for the completions of one striped request, which arrive
-    /// together and pop in any interleaving with the rest of the calendar.
+    /// Schedules `event` under `key`, whose sequence number was reserved
+    /// with [`EventClock::reserve`]: it pops where an event scheduled at
+    /// `key.at` at the moment of the reservation would have.
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if any `at` is earlier than the current time.
-    pub fn schedule_batch(&mut self, events: impl IntoIterator<Item = (SimTime, E)>) {
-        let id = self.free_runs.pop().unwrap_or_else(|| {
-            self.runs.push(Vec::new());
-            (self.runs.len() - 1) as u32
-        });
-        let mut run = std::mem::take(&mut self.runs[id as usize]);
-        for (at, event) in events {
-            let entry = self.entry(at, event);
-            run.push(entry);
-        }
-        run.sort_unstable();
-        if run.len() > 1 {
-            self.run_tails += run.len() - 1;
-            if let Some(&Entry { at, seq, .. }) = run.last() {
-                self.run_heads.push(Entry { at, seq, event: id });
-            }
-        } else {
-            if let Some(entry) = run.pop() {
-                self.heap.push(entry);
-            }
-            self.free_runs.push(id);
-        }
-        self.runs[id as usize] = run;
+    /// Panics in debug builds if `key.at` is earlier than the current time
+    /// or `key.seq` was never handed out.
+    pub fn schedule_keyed(&mut self, key: EventKey, event: E) {
+        debug_assert!(
+            key.seq < self.clock.0.next_seq.get(),
+            "sequence number {} was never reserved",
+            key.seq
+        );
+        let entry = self.entry(key.at, key.seq, event);
+        self.heap.push(entry);
     }
 
     /// Schedules a batch of `(at, event)` pairs outside the heap.
@@ -218,7 +233,7 @@ impl<E> EventQueue<E> {
     /// Panics in debug builds if any `at` is earlier than the current time.
     pub fn preload(&mut self, events: impl IntoIterator<Item = (SimTime, E)>) {
         for (at, event) in events {
-            let entry = self.entry(at, event);
+            let entry = self.entry(at, self.clock.reserve(1), event);
             self.lane.push(entry);
         }
         self.lane.sort_unstable();
@@ -227,11 +242,6 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, advancing the clock to its
     /// timestamp. Returns `None` when the calendar is exhausted.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if !self.run_heads.is_empty() {
-            if let Some(popped) = self.pop_run() {
-                return Some(popped);
-            }
-        }
         // `Entry` order is reversed and `None` sorts below `Some`, so the
         // greater side holds the earliest event.
         let entry = if self.lane.last() > self.heap.peek() {
@@ -240,59 +250,27 @@ impl<E> EventQueue<E> {
             self.heap.pop()
         }?;
         self.now = entry.at;
+        self.clock.0.key.set(EventKey {
+            at: entry.at,
+            seq: entry.seq,
+        });
         self.popped += 1;
         Some((entry.at, entry.event))
     }
 
-    /// [`EventQueue::pop`] while runs are live: if the earliest run head
-    /// precedes both the lane's tail and the heap's top, takes it and
-    /// re-keys its `run_heads` entry in place to the run's next member (one
-    /// sift-down instead of a pop and a push), or retires the entry with
-    /// the run's last member. Returns `None`, touching nothing, when a
-    /// single event comes first. Kept out of line so the single-event path
-    /// of a calendar without runs is what it always was.
-    #[inline(never)]
-    fn pop_run(&mut self) -> Option<(SimTime, E)> {
-        let mut top = self.run_heads.peek_mut()?;
-        let key = top.key();
-        let single_first = |e: Option<&Entry<E>>| e.is_some_and(|e| e.key() < key);
-        if single_first(self.lane.last()) || single_first(self.heap.peek()) {
-            return None;
-        }
-        let run = &mut self.runs[top.event as usize];
-        let head = run.pop()?;
-        if let Some(next) = run.last() {
-            top.at = next.at;
-            top.seq = next.seq;
-            self.run_tails -= 1;
-        } else {
-            let id = PeekMut::pop(top).event;
-            self.free_runs.push(id);
-        }
-        self.now = head.at;
-        self.popped += 1;
-        Some((head.at, head.event))
-    }
-
     /// The timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let singles = self.lane.last().max(self.heap.peek()).map(Entry::key);
-        let runs = self.run_heads.peek().map(Entry::key);
-        match (singles, runs) {
-            (Some(s), Some(r)) => Some(s.min(r).0),
-            (s, r) => s.or(r).map(|(at, _)| at),
-        }
+        self.lane.last().max(self.heap.peek()).map(|e| e.at)
     }
 
     /// True if no events remain.
     pub fn is_empty(&self) -> bool {
-        self.lane.is_empty() && self.heap.is_empty() && self.run_heads.is_empty()
+        self.lane.is_empty() && self.heap.is_empty()
     }
 
-    /// Number of pending events, preloaded ones and every run member
-    /// included.
+    /// Number of pending events, preloaded ones included.
     pub fn raw_len(&self) -> usize {
-        self.heap.len() + self.lane.len() + self.run_heads.len() + self.run_tails
+        self.heap.len() + self.lane.len()
     }
 
     /// Total number of events delivered so far.
@@ -364,37 +342,84 @@ mod tests {
     }
 
     #[test]
-    fn batch_members_interleave_with_singles() {
+    fn keyed_events_pop_at_their_reserved_place() {
         let mut q = EventQueue::new();
         let t = SimTime::from_nanos;
+        let clock = q.clock();
         q.schedule(t(5), "s5");
-        q.schedule_batch([(t(9), "b9"), (t(2), "b2"), (t(5), "b5"), (t(7), "b7")]);
+        let base = clock.reserve(3);
         q.schedule(t(7), "s7");
-        assert_eq!(q.raw_len(), 6);
+        // Scheduled out of order and after `s7`, yet each pops where a
+        // plain `schedule` at reservation time would have put it.
+        q.schedule_keyed(
+            EventKey {
+                at: t(7),
+                seq: base + 2,
+            },
+            "k7",
+        );
+        q.schedule_keyed(
+            EventKey {
+                at: t(2),
+                seq: base,
+            },
+            "k2",
+        );
+        q.schedule_keyed(
+            EventKey {
+                at: t(5),
+                seq: base + 1,
+            },
+            "k5",
+        );
+        assert_eq!(q.raw_len(), 5);
         assert_eq!(q.peek_time(), Some(t(2)));
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, ["b2", "s5", "b5", "b7", "s7", "b9"]);
+        let mut order = Vec::new();
+        while let Some((at, e)) = q.pop() {
+            assert_eq!(q.key().at, at);
+            assert_eq!(clock.key(), q.key(), "the clock follows every pop");
+            order.push(e);
+        }
+        assert_eq!(order, ["k2", "s5", "k5", "k7", "s7"]);
+        assert_eq!(q.key(), EventKey { at: t(7), seq: 4 }, "s7 drew seq 4");
         assert!(q.is_empty() && q.raw_len() == 0);
-        // Emptied runs are reused; empty and one-event batches work too.
-        q.schedule_batch([]);
-        q.schedule_batch([(t(12), "one")]);
-        q.schedule_batch([(t(11), "x"), (t(11), "y")]);
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, ["x", "y", "one"]);
-        assert_eq!(q.runs.len(), 1, "one run buffer served every batch");
     }
 
-    /// Differential check: a calendar fed through `schedule_batch` runs and
-    /// `preload` batches pops the same `(time, payload)` sequence as one fed
-    /// through `schedule` alone, under random interleavings with `schedule`
-    /// and `pop`. Times are drawn from a narrow window so ties on `at` are
-    /// frequent, and batch sizes include 0 and 1.
+    /// Pops `fast`'s next event into `got`, preceded by the `deferred`
+    /// members keyed at or below it in key order; returns its key.
+    fn pop_settling(
+        fast: &mut EventQueue<u32>,
+        deferred: &mut Vec<(EventKey, u32)>,
+        got: &mut Vec<(SimTime, u32)>,
+    ) -> Option<EventKey> {
+        let (at, p) = fast.pop()?;
+        let key = fast.key();
+        deferred.sort_unstable_by_key(|d| std::cmp::Reverse(d.0));
+        while let Some(&(k, p)) = deferred.last().filter(|d| d.0 <= key) {
+            deferred.pop();
+            got.push((k.at, p));
+        }
+        got.push((at, p));
+        Some(key)
+    }
+
+    /// Differential check of deferred settling against a calendar fed
+    /// through `schedule` alone, under random interleavings with
+    /// `schedule`, `preload` and `pop`. The fast side reserves each batch's
+    /// sequence numbers, schedules only the batch's greatest key and keeps
+    /// the other members aside; before each event it pops, it settles the
+    /// kept members keyed at or below that event, in key order. Other
+    /// batches go in through `schedule_keyed` in reverse order. Times are
+    /// drawn from a narrow window so ties on `at` are frequent, and batch
+    /// sizes include 0 and 1.
     #[test]
-    fn batches_and_preload_pop_exactly_like_schedule() {
+    fn deferred_batches_settle_exactly_like_schedule() {
         let mut rng = SimRng::new(0x5eed);
         for _ in 0..300 {
             let mut fast = EventQueue::new();
             let mut reference = EventQueue::new();
+            let clock = fast.clock();
+            let mut deferred: Vec<(EventKey, u32)> = Vec::new();
             let (mut got, mut want) = (Vec::new(), Vec::new());
             let mut payload = 0u32;
             let mut draw = |rng: &mut SimRng, now: SimTime| {
@@ -411,34 +436,58 @@ mod tests {
                         for &(at, p) in &batch {
                             reference.schedule(at, p);
                         }
-                        let before = fast.raw_len();
+                        let base = clock.reserve(n as u64);
+                        let mut keyed: Vec<(EventKey, u32)> = batch
+                            .iter()
+                            .zip(base..)
+                            .map(|(&(at, p), seq)| (EventKey { at, seq }, p))
+                            .collect();
                         if op == 0 {
-                            fast.schedule_batch(batch);
+                            keyed.sort_unstable();
+                            if let Some((key, p)) = keyed.pop() {
+                                fast.schedule_keyed(key, p);
+                            }
+                            deferred.extend(keyed);
                         } else {
-                            fast.preload(batch);
+                            for (key, p) in keyed.into_iter().rev() {
+                                fast.schedule_keyed(key, p);
+                            }
                         }
-                        assert_eq!(fast.raw_len(), before + n, "raw_len counts every member");
                     }
                     2 => {
+                        let batch: Vec<(SimTime, u32)> =
+                            (0..rng.index(4)).map(|_| draw(&mut rng, now)).collect();
+                        reference.preload(batch.iter().copied());
+                        fast.preload(batch);
+                    }
+                    3 => {
                         let (at, p) = draw(&mut rng, now);
                         fast.schedule(at, p);
                         reference.schedule(at, p);
                     }
                     _ => {
-                        got.extend(fast.pop());
-                        want.extend(reference.pop());
+                        if let Some(key) = pop_settling(&mut fast, &mut deferred, &mut got) {
+                            while want.len() < got.len() {
+                                want.extend(reference.pop());
+                            }
+                            assert_eq!(reference.key(), key);
+                        }
                     }
                 }
-                assert_eq!(fast.raw_len(), reference.raw_len());
-                assert_eq!(fast.peek_time(), reference.peek_time());
+                assert_eq!(got, want);
                 assert_eq!(fast.now(), reference.now());
-                assert_eq!(fast.events_delivered(), reference.events_delivered());
-                assert_eq!(fast.is_empty(), reference.is_empty());
+                assert_eq!(fast.key(), reference.key());
+                assert_eq!(clock.key(), fast.key());
+                assert_eq!(
+                    fast.raw_len() + deferred.len(),
+                    reference.raw_len(),
+                    "every event is in the calendar or deferred"
+                );
             }
-            got.extend(std::iter::from_fn(|| fast.pop()));
+            while pop_settling(&mut fast, &mut deferred, &mut got).is_some() {}
             want.extend(std::iter::from_fn(|| reference.pop()));
             assert_eq!(got, want);
-            assert_eq!(fast.events_delivered(), reference.events_delivered());
+            assert!(deferred.is_empty(), "every deferred member settled");
             assert_eq!(fast.raw_len(), 0);
         }
     }

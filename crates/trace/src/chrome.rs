@@ -67,7 +67,7 @@ fn push_event(out: &mut String, ev: &TraceEvent) {
                 predicted_wait.as_nanos()
             );
         }
-        EventKind::Dispatch { io } => {
+        EventKind::Dispatch { io } | EventKind::Revoke { io } => {
             let _ = write!(out, "\"io\":{io}");
         }
         EventKind::Complete { io, wait } => {

@@ -230,6 +230,12 @@ pub enum EventKind {
         /// IO id.
         io: u64,
     },
+    /// A queued IO was withdrawn before reaching the device (tied-request
+    /// revocation): like `Complete` and `Reject`, it ends the IO.
+    Revoke {
+        /// IO id.
+        io: u64,
+    },
     /// An IO completed.
     Complete {
         /// IO id.
@@ -344,6 +350,7 @@ impl EventKind {
             EventKind::Reject { .. } => "reject",
             EventKind::Dispatch { .. } => "dispatch",
             EventKind::Complete { .. } => "complete",
+            EventKind::Revoke { .. } => "revoke",
             EventKind::Failover { .. } => "failover",
             EventKind::Hedge { .. } => "hedge",
             EventKind::CacheHit { .. } => "cache_hit",
@@ -465,6 +472,10 @@ impl EventKind {
                 h.write_u64(15);
                 h.write_str(name);
                 h.write_u64(value);
+            }
+            EventKind::Revoke { io } => {
+                h.write_u64(16);
+                h.write_u64(io);
             }
         }
     }

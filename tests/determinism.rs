@@ -15,7 +15,7 @@ use mittos_repro::cluster::{
     run_experiment, ExperimentConfig, ExperimentResult, InitialReplica, Medium, NodeConfig,
     NoiseKind, NoiseStream, Strategy, Topology,
 };
-use mittos_repro::device::IoClass;
+use mittos_repro::device::{IoClass, SsdSpec};
 use mittos_repro::faults::{FaultPlan, FaultPlanGen, PlanGenConfig, ResilienceConfig};
 use mittos_repro::lsm::LsmConfig;
 use mittos_repro::obs::attribution::AttributionSummary;
@@ -23,7 +23,7 @@ use mittos_repro::obs::replay::{replay_audit_traced, REPLAY_RING};
 use mittos_repro::sim::digest::{double_run, Fnv1a};
 use mittos_repro::sim::{Duration, SimTime};
 use mittos_repro::tsl::TslConfig;
-use mittos_repro::workload::{rotating_schedule, NoiseBurst, TraceSpec};
+use mittos_repro::workload::{rotating_schedule, NoiseBurst, TraceIo, TraceSpec};
 
 /// A contended three-replica cluster, small enough for a debug-build test.
 /// Tracing is on so the digest also covers the event ring and metrics.
@@ -63,6 +63,48 @@ fn ssd_config(seed: u64) -> ExperimentConfig {
         kind: NoiseKind::SsdWrites { len: 64 << 10 },
         schedules: rotating_schedule(3, Duration::from_secs(1), Duration::from_secs(600), 4),
     }];
+    cfg
+}
+
+/// SSD reads under SSD write noise on a drive with no jitter and no ECC
+/// retries, plus a background stream on node 0 that submits a page read
+/// every 100 µs and a two-page write every 500 µs, all behind channel 0.
+/// Every service time is then an exact sum of the spec's constants, so
+/// sub-IO completions tie on the nanosecond with each other and with later
+/// submissions: the order of those ties decides the channel counts and chip
+/// mirrors every submission reads.
+fn ssd_ties_config(seed: u64) -> ExperimentConfig {
+    let mut cfg = ssd_config(seed);
+    cfg.node_cfg.ssd = Some(SsdSpec {
+        jitter: 0.0,
+        retry_prob: 0.0,
+        ..SsdSpec::default()
+    });
+    let page = 16 << 10;
+    let grid = (0..6_000u64)
+        .map(|k| TraceIo {
+            at: SimTime::ZERO + Duration::from_micros(100) * k,
+            // Chips 0, 16, 32 and 48: four chips behind one channel.
+            offset: (k % 4) * 16 * page,
+            len: if k % 5 == 4 { 2 * (16 << 10) } else { 4096 },
+            is_read: k % 5 != 4,
+        })
+        .collect();
+    cfg.background = vec![(0, grid)];
+    cfg
+}
+
+/// `ssd_config` with tsl on, 1 ms windows and a 300 µs timeline SLO: the
+/// SSD write noise makes gets miss it often enough for the burn-rate
+/// alerts to take several flight dumps, and windows close between page
+/// completions, so some dumps are taken at a page's completion time.
+fn ssd_tsl_config(seed: u64) -> ExperimentConfig {
+    let mut cfg = ssd_config(seed);
+    cfg.tsl = Some(TslConfig {
+        window: Duration::from_millis(1),
+        deadline: Duration::from_micros(300),
+        ..TslConfig::default()
+    });
     cfg
 }
 
@@ -638,7 +680,7 @@ fn audit_replay_digest(seed: u64) -> u64 {
 /// To regenerate after a deliberate behaviour change, run
 /// `cargo test --test determinism golden -- --nocapture`: the failure
 /// message lists every run's current digest in this table's format.
-const GOLDEN_DIGESTS: [(&str, u64); 16] = [
+const GOLDEN_DIGESTS: [(&str, u64); 18] = [
     ("config/base/21", 0x218c0b21de18c9c0),
     ("config/mittos/21", 0xad50989445b3df27),
     ("ssd_config/23", 0x396929dd2f56f4a3),
@@ -655,6 +697,8 @@ const GOLDEN_DIGESTS: [(&str, u64); 16] = [
     ("lsm_churn_config/42", 0xd2fe8553a5086123),
     ("noop_config+tsl/43", 0xef63acfb0bbb1b17),
     ("bump_config+tsl/44", 0x51dd57c5de2d38b4),
+    ("ssd_ties_config/45", 0x846f62195fd1a677),
+    ("ssd_config+tsl/46", 0xb2fbed994edd4492),
 ];
 
 fn golden_run_digests() -> Vec<(&'static str, u64)> {
@@ -719,6 +763,8 @@ fn golden_run_digests() -> Vec<(&'static str, u64)> {
         ("lsm_churn_config/42", digest_of(lsm_churn_config(42))),
         ("noop_config+tsl/43", tsl_digest(noop_tsl)),
         ("bump_config+tsl/44", tsl_digest(bump_config(44))),
+        ("ssd_ties_config/45", digest_of(ssd_ties_config(45))),
+        ("ssd_config+tsl/46", tsl_digest(ssd_tsl_config(46))),
     ]
 }
 

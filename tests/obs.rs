@@ -19,7 +19,7 @@ use mittos_repro::obs::{
     chrome_export_with_timeline, verify_attribution_invariants, BenchReport, CalibrationRow,
     CompareThresholds, StrategyRow,
 };
-use mittos_repro::sim::{Duration, SimRng, SimTime};
+use mittos_repro::sim::{Duration, EventQueue, SimRng, SimTime};
 use mittos_repro::trace::{EventKind, Resource, Subsystem, TraceEvent, TraceSink};
 use mittos_repro::tsl::TslConfig;
 use mittos_repro::workload::{rotating_schedule, NoiseBurst, TraceSpec};
@@ -174,11 +174,12 @@ fn every_reject_is_attributed_in_a_traced_run() {
 
 /// Walks the node-level events of a drained run and checks that every
 /// `Submit` is closed, later, by exactly one terminal event for the same
-/// `(node, io)`: a `Complete`, or a `Reject` (EBUSY at admission or a
-/// late bump). Returns the (completed, rejected) counts.
-fn every_submit_resolves(name: &str, events: &[TraceEvent]) -> (u64, u64) {
+/// `(node, io)`: a `Complete`, a `Reject` (EBUSY at admission or a late
+/// bump), or a `Revoke` (a tied copy withdrawn while queued). Returns the
+/// (completed, rejected, revoked) counts.
+fn every_submit_resolves(name: &str, events: &[TraceEvent]) -> (u64, u64, u64) {
     let mut open: BTreeMap<(u32, u64), SimTime> = BTreeMap::new();
-    let (mut completed, mut rejected) = (0, 0);
+    let (mut completed, mut rejected, mut revoked) = (0, 0, 0);
     for ev in events.iter().filter(|ev| ev.subsystem == Subsystem::Node) {
         let (io, counter) = match ev.kind {
             EventKind::Submit { io, .. } => {
@@ -192,6 +193,7 @@ fn every_submit_resolves(name: &str, events: &[TraceEvent]) -> (u64, u64) {
             }
             EventKind::Complete { io, .. } => (io, &mut completed),
             EventKind::Reject { io, .. } => (io, &mut rejected),
+            EventKind::Revoke { io } => (io, &mut revoked),
             _ => continue,
         };
         assert!(
@@ -208,7 +210,7 @@ fn every_submit_resolves(name: &str, events: &[TraceEvent]) -> (u64, u64) {
         open.len(),
         open.iter().next()
     );
-    (completed, rejected)
+    (completed, rejected, revoked)
 }
 
 #[test]
@@ -253,9 +255,13 @@ fn every_submitted_io_completes_in_an_audit_replay() {
             0,
             "{name}: ring too small for the replay"
         );
-        let (completed, rejected) = every_submit_resolves(name, &out.trace.events());
+        let (completed, rejected, revoked) = every_submit_resolves(name, &out.trace.events());
         assert!(completed > 0, "{name}: no IO completed");
-        assert_eq!(rejected, 0, "{name}: audit mode must not reject");
+        assert_eq!(
+            (rejected, revoked),
+            (0, 0),
+            "{name}: audit mode neither rejects nor revokes"
+        );
     }
 }
 
@@ -265,8 +271,7 @@ fn every_submitted_io_completes_or_is_rejected_when_enforcing() {
     // another process fill the queues; a deadline read is admitted with
     // ~5ms to spare over its ~50ms predicted wait; two RealTime reads jump
     // ahead and bump it (late EBUSY); four 1ms-deadline reads are rejected
-    // at admission. A revoked tied request (`Node::cancel_read`) emits no
-    // terminal event yet, so this test does not revoke.
+    // at admission.
     let mut node = Node::new(0, NodeConfig::disk_cfq(), &mut SimRng::new(72));
     let trace = TraceSink::enabled(1 << 12);
     node.set_ctx(&NodeCtx {
@@ -303,9 +308,76 @@ fn every_submitted_io_completes_or_is_rejected_when_enforcing() {
         tick = node.on_disk_tick(s.done_at).next;
     }
     assert_eq!(trace.dropped(), 0);
-    let (completed, rejected) = every_submit_resolves("enforcing", &trace.events());
+    let (completed, rejected, revoked) = every_submit_resolves("enforcing", &trace.events());
     assert_eq!(rejected, (busy + bumped) as u64);
     assert_eq!(completed as usize, reqs.len() - busy - bumped);
+    assert_eq!(revoked, 0);
+}
+
+#[test]
+fn every_submitted_io_completes_or_is_revoked_in_a_tied_run() {
+    // Two CFQ nodes, each behind eight no-deadline fillers, serve six tied
+    // reads: every read goes to both nodes, and when one copy reaches its
+    // disk head the other copy is revoked if it is still queued
+    // (`Node::cancel_read`), as the cluster's tied strategy does. Driven
+    // until both disks are idle, every Submit must end in a Complete or a
+    // Revoke, and some copies must be revoked.
+    let trace = TraceSink::enabled(1 << 12);
+    let mut nodes: Vec<Node> = (0..2)
+        .map(|i| {
+            let mut node = Node::new(i, NodeConfig::disk_cfq(), &mut SimRng::new(73 + i as u64));
+            node.set_ctx(&NodeCtx {
+                trace: trace.clone(),
+                ..NodeCtx::disabled()
+            });
+            node
+        })
+        .collect();
+    let read = |gb: u64, owner: u32| ReadReq::client(gb * GB, 4096, ProcessId(owner));
+    let mut q = EventQueue::new();
+    let mut twin = BTreeMap::new();
+    let mut submit = |nodes: &mut [Node], node: usize, req: &ReadReq| match nodes[node]
+        .submit_read(req, SimTime::ZERO)
+        .outcome
+    {
+        ReadOutcome::Submitted { io, ticks } => {
+            if let Some(s) = ticks.disk {
+                q.schedule(s.done_at, node);
+            }
+            io
+        }
+        other => panic!("no-deadline reads are admitted, got {other:?}"),
+    };
+    for node in 0..2 {
+        for i in 0..8 {
+            submit(&mut nodes, node, &read(900 - 10 * i - 5 * node as u64, 9));
+        }
+    }
+    let mut submitted = 16;
+    for k in 0..6 {
+        let req = read(100 + 50 * k, 1);
+        let copies = [submit(&mut nodes, 0, &req), submit(&mut nodes, 1, &req)];
+        twin.insert((0, copies[0]), (1, copies[1]));
+        twin.insert((1, copies[1]), (0, copies[0]));
+        submitted += 2;
+    }
+    let mut revoked_here = 0;
+    while let Some((now, node)) = q.pop() {
+        let out = nodes[node].on_disk_tick(now);
+        if let Some(next) = out.next {
+            q.schedule(next.done_at, node);
+            if let Some((other, copy)) = twin.remove(&(node, next.id)) {
+                twin.remove(&(other, copy));
+                revoked_here += usize::from(nodes[other].cancel_read(copy, now));
+            }
+        }
+    }
+    assert_eq!(trace.dropped(), 0);
+    let (completed, rejected, revoked) = every_submit_resolves("tied", &trace.events());
+    assert!(revoked > 0, "no tied copy was revoked while queued");
+    assert_eq!(revoked as usize, revoked_here);
+    assert_eq!(rejected, 0);
+    assert_eq!(completed as usize + revoked as usize, submitted);
 }
 
 #[test]
