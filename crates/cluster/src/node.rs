@@ -974,11 +974,11 @@ impl Node {
         self.fill_after_read.remove(&io);
     }
 
-    /// Applies every SSD page release keyed at or below `upto`, in key
-    /// order, passing each page's completion time to `on_page`. Drivers
-    /// that must observe page completion times (the timeline's clock) call
-    /// this before handling each event; otherwise the next SSD submission
-    /// settles them.
+    /// Applies every SSD page release keyed at or below `upto`, passing
+    /// each page's completion time to `on_page` (not in time order).
+    /// Drivers that must observe page completion times (the timeline's
+    /// clock) call this before handling each event; otherwise the next SSD
+    /// submission settles them.
     pub fn settle_ssd(&mut self, upto: EventKey, on_page: impl FnMut(SimTime)) {
         if let Some(ss) = &mut self.ssd {
             ss.settle(upto, on_page);
@@ -1208,13 +1208,7 @@ mod tests {
             wait: Duration,
         },
         /// One page's completion: the eager reference's own events only.
-        Page {
-            io: IoId,
-            index: u32,
-            chip: usize,
-            channel: usize,
-            busy: Duration,
-        },
+        Page(mitt_device::SubCompletion),
     }
 
     /// The eager reference: the SSD and MittSSD driven by one calendar
@@ -1235,18 +1229,13 @@ mod tests {
         fn pop(&mut self) -> Option<(SimTime, Drive)> {
             loop {
                 let (now, ev) = self.q.pop()?;
-                let Drive::Page {
-                    io,
-                    index,
-                    chip,
-                    channel,
-                    busy,
-                } = ev
-                else {
+                let Drive::Page(sub) = ev else {
                     return Some((now, ev));
                 };
-                self.ssd.complete_sub(channel, now);
-                self.mitt.on_complete_sub(io, index, busy, chip);
+                let io = sub.key.io;
+                self.ssd.complete_sub(sub.channel, now);
+                self.mitt
+                    .on_complete_sub(io, sub.key.index, sub.busy, sub.chip);
                 if self.last.get(&io).is_some_and(|l| l.0 == self.q.key()) {
                     let (_, wait) = self.last.remove(&io).expect("just found");
                     return Some((now, Drive::Done { io, wait }));
@@ -1283,17 +1272,7 @@ mod tests {
                     seq,
                 });
                 wait = wait.max(sub.done_at.saturating_since(now).saturating_sub(sub.busy));
-                let (index, chip, channel, busy) = (sub.key.index, sub.chip, sub.channel, sub.busy);
-                self.q.schedule(
-                    sub.done_at,
-                    Drive::Page {
-                        io: id,
-                        index,
-                        chip,
-                        channel,
-                        busy,
-                    },
-                );
+                self.q.schedule(sub.done_at, Drive::Page(*sub));
             }
             self.last.insert(id, (last, wait));
             let times = out.subs.iter().map(|s| s.done_at).collect();

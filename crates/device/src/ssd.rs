@@ -195,7 +195,7 @@ pub struct SubIoKey {
 }
 
 /// A scheduled sub-IO completion.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SubCompletion {
     /// Which sub-IO.
     pub key: SubIoKey,
