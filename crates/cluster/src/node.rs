@@ -370,9 +370,8 @@ impl SsdStack {
                 continue;
             }
             let due = pages.partition_point(|p| p.key > upto);
-            self.ssd
-                .complete_subs(pages[due..].iter().map(|p| usize::from(p.channel)));
             for p in &pages[due..] {
+                self.ssd.complete_sub(usize::from(p.channel), p.key.at);
                 self.mitt
                     .on_complete_sub(p.io, p.index, p.busy, usize::from(p.chip));
                 on_page(p.key.at);
@@ -561,7 +560,8 @@ impl Node {
 
     /// Attaches the clock of the calendar that drives this node. SSD
     /// submissions must happen while that calendar's current event is
-    /// being handled; a node without a clock never releases SSD pages.
+    /// being handled, and panic otherwise (a node without a clock stays at
+    /// time zero, so its first SSD submission after time zero panics).
     pub fn set_clock(&mut self, clock: &EventClock) {
         self.clock = clock.clone();
     }
@@ -812,11 +812,14 @@ impl Node {
     /// # Panics
     ///
     /// Panics if `req.len` is 0: an empty request would have no sub-IO to
-    /// complete it, so it would never finish.
+    /// complete it, so it would never finish. Panics if `now` is not the
+    /// time of the current event of the calendar attached with
+    /// [`Node::set_clock`]: pages released against any other clock would
+    /// never settle, or settle out of order.
     fn submit_ssd(&mut self, req: &ReadReq, kind: IoKind, now: SimTime) -> Submission {
         assert!(req.len > 0, "an SSD request must cover at least one byte");
         let upto = self.clock.key();
-        debug_assert_eq!(
+        assert_eq!(
             upto.at, now,
             "SSD submission outside the driving calendar's current event"
         );
@@ -1457,6 +1460,15 @@ mod tests {
         let mut node = Node::new(0, NodeConfig::ssd(), &mut r);
         let req = ReadReq::client(3 * 16_384, 0, ProcessId(1)).on_ssd();
         node.submit_read(&req, SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the driving calendar")]
+    fn ssd_request_without_a_calendar_panics() {
+        let mut r = rng();
+        let mut node = Node::new(0, NodeConfig::ssd(), &mut r);
+        let req = ReadReq::client(0, 4096, ProcessId(1)).on_ssd();
+        node.submit_read(&req, SimTime::from_nanos(1));
     }
 
     #[test]

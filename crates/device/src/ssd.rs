@@ -397,25 +397,13 @@ impl Ssd {
     ///
     /// Panics if the channel has no outstanding IO (double completion).
     pub fn complete_sub(&mut self, channel: usize, _now: SimTime) {
-        self.complete_subs([channel]);
-    }
-
-    /// [`Ssd::complete_sub`] for a batch of sub-IOs, one per channel
-    /// listed, timed as one `Device` activation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a channel has no outstanding IO (double completion).
-    pub fn complete_subs(&mut self, channels: impl IntoIterator<Item = usize>) {
         let _t = self.ctx.prof.phase(Phase::Device);
-        for channel in channels {
-            assert!(
-                self.channel_outstanding[channel] > 0,
-                "double completion on channel {channel}"
-            );
-            self.channel_outstanding[channel] -= 1;
-            self.served_pages += 1;
-        }
+        assert!(
+            self.channel_outstanding[channel] > 0,
+            "double completion on channel {channel}"
+        );
+        self.channel_outstanding[channel] -= 1;
+        self.served_pages += 1;
     }
 
     /// Issues an explicit block erase on `chip` (wear-leveling, trim).

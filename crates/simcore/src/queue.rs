@@ -133,7 +133,7 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     /// Preloaded entries in ascending `Entry` order: the earliest is last.
     lane: Vec<Entry<E>>,
-    now: SimTime,
+    /// The calendar position; its key's time is the current virtual time.
     clock: EventClock,
     popped: u64,
 }
@@ -150,7 +150,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             lane: Vec::new(),
-            now: SimTime::ZERO,
             clock: EventClock::default(),
             popped: 0,
         }
@@ -158,7 +157,7 @@ impl<E> EventQueue<E> {
 
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.clock.key().at
     }
 
     /// The key of the most recently popped event (time zero, sequence 0
@@ -175,13 +174,10 @@ impl<E> EventQueue<E> {
 
     /// Stamps `event` with its (clamped) time and sequence number `seq`.
     fn entry(&self, at: SimTime, seq: u64, event: E) -> Entry<E> {
-        debug_assert!(
-            at >= self.now,
-            "scheduled event in the past: at={at} now={}",
-            self.now
-        );
+        let now = self.now();
+        debug_assert!(at >= now, "scheduled event in the past: at={at} now={now}");
         Entry {
-            at: at.max(self.now),
+            at: at.max(now),
             seq,
             event,
         }
@@ -199,7 +195,7 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` after `delay` from the current time.
     pub fn schedule_in(&mut self, delay: Duration, event: E) {
-        let at = self.now + delay;
+        let at = self.now() + delay;
         self.schedule(at, event);
     }
 
@@ -249,7 +245,6 @@ impl<E> EventQueue<E> {
         } else {
             self.heap.pop()
         }?;
-        self.now = entry.at;
         self.clock.0.key.set(EventKey {
             at: entry.at,
             seq: entry.seq,
@@ -457,7 +452,9 @@ mod tests {
                     2 => {
                         let batch: Vec<(SimTime, u32)> =
                             (0..rng.index(4)).map(|_| draw(&mut rng, now)).collect();
-                        reference.preload(batch.iter().copied());
+                        for &(at, p) in &batch {
+                            reference.schedule(at, p);
+                        }
                         fast.preload(batch);
                     }
                     3 => {
