@@ -26,6 +26,7 @@ pub mod cpu;
 pub mod mmapdb;
 pub mod node;
 pub mod nosql;
+mod ops;
 pub mod sim;
 pub mod topology;
 

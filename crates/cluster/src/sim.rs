@@ -41,6 +41,7 @@ use mittos::DeadlineTuner;
 
 use crate::mmapdb::{BtreeConfig, BtreePlanner};
 use crate::node::{Medium, Node, NodeConfig, ReadOutcome, ReadReq, Ticks, WriteOutcome};
+use crate::ops::{AccessStep, AttemptState, OpState, OpTable, UserReq};
 
 /// How long a client waits before concluding a request sent to a crashed
 /// node is lost (the failure-detection timeout). Every strategy without a
@@ -417,6 +418,10 @@ pub struct ExperimentResult {
     /// Per-replica breaker transition logs as `(node, transition)` pairs,
     /// drained at finalize; the invariant checker audits their legality.
     pub breaker_transitions: Vec<(usize, BreakerTransition)>,
+    /// Most ops the simulator held at once: unfinished ones plus finished
+    /// ones still named by a pending event or in-flight IO. It follows the
+    /// ops in flight, not the run length.
+    pub peak_live_ops: usize,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -514,6 +519,25 @@ enum Ev {
     },
 }
 
+impl Ev {
+    /// The op this event names, if any. Such an event pins its op from
+    /// `ClusterSim::schedule` until its handler returns.
+    fn op(&self) -> Option<usize> {
+        match *self {
+            Ev::OpArrive { op, .. }
+            | Ev::SubmitIo { op, .. }
+            | Ev::PlanStep { op, .. }
+            | Ev::LocalDone { op, .. }
+            | Ev::Reply { op, .. }
+            | Ev::HedgeFire { op }
+            | Ev::TimeoutFire { op, .. }
+            | Ev::TiedSend { op }
+            | Ev::RetryOp { op } => Some(op),
+            _ => None,
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 enum IoCtx {
     Get {
@@ -526,57 +550,6 @@ enum IoCtx {
         idx: usize,
     },
     Background,
-}
-
-/// One step of a multi-access lookup (LSM engine or mmap B-tree walk).
-#[derive(Debug, Clone, Copy)]
-enum AccessStep {
-    /// Served from process memory (memtable); no IO.
-    Memory,
-    /// A storage access, optionally through the page cache (mmap path).
-    Storage {
-        offset: u64,
-        len: u32,
-        via_cache: bool,
-    },
-}
-
-struct AttemptState {
-    node: usize,
-    io: Option<IoId>,
-    resolved: bool,
-    deadline: Option<Duration>,
-    /// Multi-step lookup plan and the next step to execute. The plan is
-    /// emptied once its last step is issued (see `engine_step`).
-    plan: Option<Vec<AccessStep>>,
-    step: usize,
-    /// True when this try carries the replica's half-open breaker probe:
-    /// its reply must route to the probe-aware breaker feedback so a
-    /// fault-window EBUSY cannot close the breaker.
-    probe: bool,
-}
-
-struct OpState {
-    client: usize,
-    user: usize,
-    key: u64,
-    offset: u64,
-    replicas: Vec<usize>,
-    attempts: Vec<AttemptState>,
-    busy_waits: Vec<(usize, Duration)>,
-    done: bool,
-    started: SimTime,
-    is_write: bool,
-    /// Attempts before this index belong to previous backoff rounds; the
-    /// failover walk counts tries from here.
-    round_base: usize,
-    /// Backoff rounds consumed so far (bounded by the policy).
-    backoff_round: u32,
-}
-
-struct UserReq {
-    remaining: usize,
-    started: SimTime,
 }
 
 struct ClientState {
@@ -600,8 +573,8 @@ pub struct ClusterSim {
     nodes: Vec<Node>,
     clients: Vec<ClientState>,
     ycsb: YcsbGenerator,
-    ops: Vec<OpState>,
-    users: Vec<UserReq>,
+    ops: OpTable<OpState>,
+    users: OpTable<UserReq>,
     io_ctx: FastMap<(usize, IoId), IoCtx>,
     engines: Vec<LsmEngine>,
     btree: Option<BtreePlanner>,
@@ -751,8 +724,8 @@ impl ClusterSim {
             nodes,
             clients,
             ycsb,
-            ops: Vec::new(),
-            users: Vec::new(),
+            ops: OpTable::new(),
+            users: OpTable::new(),
             io_ctx: FastMap::default(),
             engines,
             btree,
@@ -788,6 +761,7 @@ impl ClusterSim {
                 completion_times: Vec::new(),
                 degraded_ios: 0,
                 breaker_transitions: Vec::new(),
+                peak_live_ops: 0,
             },
             completed_users: 0,
             target_users,
@@ -901,7 +875,14 @@ impl ClusterSim {
                     self.stuck_ops_debug()
                 );
             };
+            let op = ev.op();
             self.handle(now, ev);
+            if let Some(op) = op {
+                self.unpin(op);
+            }
+            // The safe point: no handler holds an op or user id here.
+            self.ops.retire_while(|o| o.done && o.pins == 0);
+            self.users.retire_while(|u| u.remaining == 0);
         }
         self.finalize();
         if let (Some(w), Some(node)) = (&mut self.result.watch, self.cfg.watch_node) {
@@ -912,7 +893,7 @@ impl ClusterSim {
 
     fn stuck_ops_debug(&self) -> String {
         let mut out = String::new();
-        for (i, op) in self.ops.iter().enumerate().filter(|(_, o)| !o.done).take(5) {
+        for (i, op) in self.ops.iter().filter(|(_, o)| !o.done).take(5) {
             out.push_str(&format!(
                 "[op {i}: key={} attempts={:?}] ",
                 op.key,
@@ -923,6 +904,41 @@ impl ClusterSim {
             ));
         }
         out
+    }
+
+    /// Schedules `ev` at `at`, pinning the op it names. Every op-naming
+    /// event must come through here: the run loop unpins after handling
+    /// it, and an unpin without a pin panics.
+    fn schedule(&mut self, at: SimTime, ev: Ev) {
+        if let Some(op) = ev.op() {
+            self.ops[op].pins += 1;
+        }
+        self.q.schedule(at, ev);
+    }
+
+    fn unpin(&mut self, op: usize) {
+        let pins = &mut self.ops[op].pins;
+        *pins = pins
+            .checked_sub(1)
+            .expect("op unpinned more often than pinned");
+    }
+
+    /// Remembers what IO `io` on `node` is for; a client IO pins its op.
+    fn ctx_insert(&mut self, node: usize, io: IoId, ctx: IoCtx) {
+        if let IoCtx::Get { op, .. } = ctx {
+            self.ops[op].pins += 1;
+        }
+        let old = self.io_ctx.insert((node, io), ctx);
+        debug_assert!(old.is_none(), "IO {io:?} on node {node} registered twice");
+    }
+
+    /// Forgets IO `io` on `node`, unpinning its op for a client IO.
+    fn ctx_remove(&mut self, node: usize, io: IoId) -> Option<IoCtx> {
+        let ctx = self.io_ctx.remove(&(node, io));
+        if let Some(IoCtx::Get { op, .. }) = ctx {
+            self.unpin(op);
+        }
+        ctx
     }
 
     /// Per-event profiler bookkeeping: the dispatch counter plus live
@@ -1023,7 +1039,7 @@ impl ClusterSim {
                 // Revocation only wins if the IO is still queued; an
                 // executing IO keeps its context and completes normally.
                 if self.nodes[node].cancel_read(io, now) {
-                    self.io_ctx.remove(&(node, io));
+                    self.ctx_remove(node, io);
                 }
             }
             Ev::NoiseBurst { stream, node, idx } => self.noise_burst(stream, node, idx, now),
@@ -1054,8 +1070,7 @@ impl ClusterSim {
             return;
         }
         self.clients[client].issued += 1;
-        let user = self.users.len();
-        self.users.push(UserReq {
+        let user = self.users.push(UserReq {
             remaining: self.cfg.scale_factor,
             started: now,
         });
@@ -1065,8 +1080,7 @@ impl ClusterSim {
             let is_write = op_rng.chance(self.cfg.write_fraction);
             let offset = self.offset_of(key);
             let replicas = self.replicas_of(key);
-            let op = self.ops.len();
-            self.ops.push(OpState {
+            let op = self.ops.push(OpState {
                 client,
                 user,
                 key,
@@ -1079,6 +1093,7 @@ impl ClusterSim {
                 is_write,
                 round_base: 0,
                 backoff_round: 0,
+                pins: 0,
             });
             self.start_op(op, now);
         }
@@ -1152,12 +1167,10 @@ impl ClusterSim {
                 self.send_try(op, node, now, self.deadline_for(op, 0));
                 match self.cfg.strategy {
                     Strategy::AppTimeout { timeout } => {
-                        self.q
-                            .schedule(now + timeout, Ev::TimeoutFire { op, attempt: 0 });
+                        self.schedule(now + timeout, Ev::TimeoutFire { op, attempt: 0 });
                     }
                     Strategy::NosqlProfile { timeout, .. } => {
-                        self.q
-                            .schedule(now + timeout, Ev::TimeoutFire { op, attempt: 0 });
+                        self.schedule(now + timeout, Ev::TimeoutFire { op, attempt: 0 });
                     }
                     _ => {}
                 }
@@ -1178,13 +1191,13 @@ impl ClusterSim {
                 let replica_idx = self.pick_initial(op);
                 let node = self.ops[op].replicas[replica_idx];
                 self.send_try(op, node, now, None);
-                self.q.schedule(now + after, Ev::HedgeFire { op });
+                self.schedule(now + after, Ev::HedgeFire { op });
             }
             Strategy::Tied { delay } => {
                 let replica_idx = self.pick_initial(op);
                 let node = self.ops[op].replicas[replica_idx];
                 self.send_try(op, node, now, None);
-                self.q.schedule(now + delay, Ev::TiedSend { op });
+                self.schedule(now + delay, Ev::TiedSend { op });
             }
             Strategy::Snitch { alpha: _ } | Strategy::C3 => {
                 let node = self.adaptive_pick(op);
@@ -1270,7 +1283,7 @@ impl ClusterSim {
         let client = self.ops[op].client;
         self.clients[client].outstanding[node] += 1;
         let delay = self.net_delay_node(node, now);
-        self.q.schedule(now + delay, Ev::OpArrive { op, attempt });
+        self.schedule(now + delay, Ev::OpArrive { op, attempt });
     }
 
     /// One-way delay to or from `node`, honouring any active network fault
@@ -1334,13 +1347,13 @@ impl ClusterSim {
             return;
         }
         let ready = self.nodes[node].cpu_pre(now);
-        self.q.schedule(ready, Ev::SubmitIo { op, attempt });
+        self.schedule(ready, Ev::SubmitIo { op, attempt });
     }
 
     /// Schedules the delayed failure-detector verdict for a try that was
     /// lost to a crash.
     fn crashed_reply(&mut self, op: usize, attempt: usize, now: SimTime) {
-        self.q.schedule(
+        self.schedule(
             now + CRASH_REPLY_DELAY,
             Ev::Reply {
                 op,
@@ -1431,8 +1444,7 @@ impl ClusterSim {
         if is_write {
             match self.nodes[node_id].submit_write(&req, now) {
                 WriteOutcome::Buffered { latency } => {
-                    self.q
-                        .schedule(now + latency, Ev::LocalDone { op, attempt });
+                    self.schedule(now + latency, Ev::LocalDone { op, attempt });
                 }
                 WriteOutcome::Submitted(sub) => {
                     self.after_submission(op, attempt, node_id, sub.outcome, sub.bumped, now);
@@ -1461,7 +1473,7 @@ impl ClusterSim {
         let step = att.plan.as_ref().and_then(|p| p.get(step_idx)).copied();
         let Some(step) = step else {
             // Plan exhausted: the lookup answered.
-            self.q.schedule(now, Ev::LocalDone { op, attempt });
+            self.schedule(now, Ev::LocalDone { op, attempt });
             return;
         };
         let att = &mut self.ops[op].attempts[attempt];
@@ -1475,7 +1487,7 @@ impl ClusterSim {
         match step {
             AccessStep::Memory => {
                 // Memory lookup: ~memtable search cost.
-                self.q.schedule(
+                self.schedule(
                     now + Duration::from_micros(20),
                     Ev::LocalDone { op, attempt },
                 );
@@ -1541,7 +1553,7 @@ impl ClusterSim {
             self.submit_untracked(node_id, &req, io.is_read, IoCtx::Background, now);
         }
         // The user-visible put commits at memtable speed.
-        self.q.schedule(
+        self.schedule(
             now + Duration::from_micros(50),
             Ev::LocalDone { op, attempt },
         );
@@ -1556,10 +1568,10 @@ impl ClusterSim {
             if let Some(IoCtx::Get {
                 op: bop,
                 attempt: batt,
-            }) = self.io_ctx.remove(&(node_id, id))
+            }) = self.ctx_remove(node_id, id)
             {
                 let delay = self.net_delay_node(node_id, now);
-                self.q.schedule(
+                self.schedule(
                     now + delay,
                     Ev::Reply {
                         op: bop,
@@ -1599,7 +1611,7 @@ impl ClusterSim {
         };
         self.handle_bumped(node, sub.bumped, now);
         if let ReadOutcome::Submitted { io, ticks } = sub.outcome {
-            self.io_ctx.insert((node, io), ctx);
+            self.ctx_insert(node, io, ctx);
             self.schedule_ticks(node, ticks, now);
         }
         None
@@ -1625,10 +1637,9 @@ impl ClusterSim {
                     .as_ref()
                     .is_some_and(|p| self.ops[op].attempts[attempt].step < p.len());
                 if more_steps {
-                    self.q.schedule(now + latency, Ev::PlanStep { op, attempt });
+                    self.schedule(now + latency, Ev::PlanStep { op, attempt });
                 } else {
-                    self.q
-                        .schedule(now + latency, Ev::LocalDone { op, attempt });
+                    self.schedule(now + latency, Ev::LocalDone { op, attempt });
                 }
             }
             ReadOutcome::Busy {
@@ -1638,7 +1649,7 @@ impl ClusterSim {
             } => {
                 self.schedule_ticks(node_id, ticks, now);
                 let delay = self.net_delay_node(node_id, now) + Duration::from_micros(5);
-                self.q.schedule(
+                self.schedule(
                     now + delay,
                     Ev::Reply {
                         op,
@@ -1652,8 +1663,7 @@ impl ClusterSim {
             }
             ReadOutcome::Submitted { io, ticks } => {
                 self.ops[op].attempts[attempt].io = Some(io);
-                self.io_ctx
-                    .insert((node_id, io), IoCtx::Get { op, attempt });
+                self.ctx_insert(node_id, io, IoCtx::Get { op, attempt });
                 self.schedule_ticks(node_id, ticks, now);
             }
         }
@@ -1662,7 +1672,7 @@ impl ClusterSim {
     fn schedule_ticks(&mut self, node: usize, ticks: Ticks, now: SimTime) {
         if let Some(s) = ticks.disk {
             self.on_started(node, s.id, now);
-            self.q.schedule(s.done_at, Ev::DiskTick { node });
+            self.schedule(s.done_at, Ev::DiskTick { node });
         }
         if let Some(done) = ticks.ssd {
             let node = u32::try_from(node).expect("node index fits in u32");
@@ -1696,7 +1706,7 @@ impl ClusterSim {
         if let Some(other_io) = other_att.io {
             let other_node = other_att.node;
             let delay = self.net_delay_node(other_node, now);
-            self.q.schedule(
+            self.schedule(
                 now + delay,
                 Ev::TiedCancel {
                     node: other_node,
@@ -1711,13 +1721,13 @@ impl ClusterSim {
         let out = self.nodes[node].on_disk_tick(now);
         if let Some(next) = out.next {
             self.on_started(node, next.id, now);
-            self.q.schedule(next.done_at, Ev::DiskTick { node });
+            self.schedule(next.done_at, Ev::DiskTick { node });
         }
         self.io_done(node, out.done.io, now);
     }
 
     fn io_done(&mut self, node: usize, io: IoId, now: SimTime) {
-        match self.io_ctx.remove(&(node, io)) {
+        match self.ctx_remove(node, io) {
             Some(IoCtx::Get { op, attempt }) => {
                 // Engine mode: continue the lookup plan until it runs dry.
                 let more_steps = self.ops[op].attempts[attempt]
@@ -1727,13 +1737,13 @@ impl ClusterSim {
                 if more_steps && !self.ops[op].done {
                     self.engine_step(op, attempt, now);
                 } else {
-                    self.q.schedule(now, Ev::LocalDone { op, attempt });
+                    self.schedule(now, Ev::LocalDone { op, attempt });
                 }
             }
             Some(IoCtx::Noise { stream, node, idx }) => {
                 // Keep the noise slot occupied until the burst ends.
                 if self.burst_active(stream, node, idx, now) {
-                    self.q.schedule(now, Ev::NoiseIo { stream, node, idx });
+                    self.schedule(now, Ev::NoiseIo { stream, node, idx });
                 }
             }
             Some(IoCtx::Background) | None => {}
@@ -1752,7 +1762,7 @@ impl ClusterSim {
         // Piggyback the server's current IO backlog on the reply
         // (C3-style feedback; other strategies ignore it).
         let server_queue = self.nodes[node].disk_occupancy();
-        self.q.schedule(
+        self.schedule(
             ready + delay,
             Ev::Reply {
                 op,
@@ -1912,7 +1922,7 @@ impl ClusterSim {
                             self.ops[op].round_base = self.ops[op].attempts.len();
                             self.result.backoff_retries += 1;
                             self.result.trace.count("cluster.backoff", 1);
-                            self.q.schedule(now + delay, Ev::RetryOp { op });
+                            self.schedule(now + delay, Ev::RetryOp { op });
                         } else {
                             self.result.errors += 1;
                             self.complete_op(op, attempt, now);
@@ -2100,8 +2110,7 @@ impl ClusterSim {
             self.result.ops += 1;
             self.completed_users += 1;
             let client = self.ops[op].client;
-            self.q
-                .schedule(now + self.cfg.think_time, Ev::ClientIssue { client });
+            self.schedule(now + self.cfg.think_time, Ev::ClientIssue { client });
         }
     }
 
@@ -2141,7 +2150,7 @@ impl ClusterSim {
         self.ops[op].attempts[attempt].resolved = true;
         if let Some(io) = self.ops[op].attempts[attempt].io {
             let node = self.ops[op].attempts[attempt].node;
-            self.io_ctx.remove(&(node, io));
+            self.ctx_remove(node, io);
         }
         match self.cfg.strategy {
             Strategy::NosqlProfile {
@@ -2165,7 +2174,7 @@ impl ClusterSim {
                 // The final try never times out (avoids user-visible
                 // errors, §7.2).
                 if tries + 1 < self.cfg.replication {
-                    self.q.schedule(
+                    self.schedule(
                         now + timeout,
                         Ev::TimeoutFire {
                             op,
@@ -2221,7 +2230,7 @@ impl ClusterSim {
             }
             NoiseKind::DiskReads { .. } | NoiseKind::SsdWrites { .. } => {
                 for _ in 0..burst.intensity {
-                    self.q.schedule(now, Ev::NoiseIo { stream, node, idx });
+                    self.schedule(now, Ev::NoiseIo { stream, node, idx });
                 }
             }
         }
@@ -2266,8 +2275,7 @@ impl ClusterSim {
                 };
                 if let Some(latency) = self.submit_untracked(node, &req, false, noise, now) {
                     // NVRAM absorbed it; keep the pressure up.
-                    self.q
-                        .schedule(now + latency, Ev::NoiseIo { stream, node, idx });
+                    self.schedule(now + latency, Ev::NoiseIo { stream, node, idx });
                 }
             }
             NoiseKind::CacheSwap => {}
@@ -2280,7 +2288,7 @@ impl ClusterSim {
             return;
         };
         if let Some(next) = ios.get(idx + 1) {
-            self.q.schedule(
+            self.schedule(
                 next.at,
                 Ev::BgIo {
                     node,
@@ -2337,7 +2345,7 @@ impl ClusterSim {
             FaultKind::CacheThrash { evict_pct, period } => {
                 self.apply_thrash(idx, evict_pct, now);
                 if !period.is_zero() {
-                    self.q.schedule(now + period, Ev::ThrashTick { idx });
+                    self.schedule(now + period, Ev::ThrashTick { idx });
                 }
             }
             _ => {}
@@ -2380,7 +2388,7 @@ impl ClusterSim {
             .collect();
         orphans.sort_by_key(|&(io, _, _)| io);
         for (io, op, attempt) in orphans {
-            self.io_ctx.remove(&(node, io));
+            self.ctx_remove(node, io);
             self.crashed_reply(op, attempt, now);
         }
     }
@@ -2402,7 +2410,7 @@ impl ClusterSim {
         if let FaultKind::CacheThrash { evict_pct, period } = ev.kind {
             self.apply_thrash(idx, evict_pct, now);
             if !period.is_zero() {
-                self.q.schedule(now + period, Ev::ThrashTick { idx });
+                self.schedule(now + period, Ev::ThrashTick { idx });
             }
         }
     }
@@ -2411,6 +2419,7 @@ impl ClusterSim {
     fn finalize(&mut self) {
         let _fold = self.prof.phase(Phase::StatsFold);
         self.result.finished_at = self.q.now();
+        self.result.peak_live_ops = self.ops.peak();
         for b in &self.breakers {
             self.result.breaker_opens += b.opens();
         }
@@ -2458,6 +2467,53 @@ mod tests {
         // heap move wider.
         let size = std::mem::size_of::<Ev>();
         assert!(size <= 40, "Ev grew to {size} bytes");
+    }
+
+    /// Finished ops retire once nothing names them, so the op table's
+    /// high-water mark follows the ops in flight: ten times the run length
+    /// must not grow it. A pin that is never released keeps its op, and
+    /// every op behind it, to the end of the run.
+    #[test]
+    fn live_ops_do_not_grow_with_run_length() {
+        let ms = Duration::from_millis;
+        for strategy in [
+            Strategy::Base,
+            Strategy::MittOs { deadline: ms(15) },
+            Strategy::Hedged { after: ms(13) },
+            Strategy::Tied {
+                delay: Duration::from_micros(500),
+            },
+            Strategy::AppTimeout { timeout: ms(13) },
+        ] {
+            let peak = |ops_per_client: usize| {
+                let mut cfg = quick(strategy.clone());
+                cfg.clients = 3;
+                cfg.ops_per_client = ops_per_client;
+                cfg.initial_replica = InitialReplica::Random;
+                cfg.think_time = ms(5);
+                cfg.write_fraction = 0.1;
+                cfg.noise = vec![NoiseStream {
+                    kind: NoiseKind::DiskReads {
+                        len: 1 << 20,
+                        class: IoClass::BestEffort,
+                        priority: 4,
+                    },
+                    schedules: rotating_schedule(3, Duration::from_secs(1), ms(600_000), 4),
+                }];
+                let res = run_experiment(cfg);
+                assert_eq!(res.ops, 3 * ops_per_client as u64);
+                res.peak_live_ops
+            };
+            // The runs are deterministic. Measured marks at 200/2000 ops per
+            // client: Base 18/25, MittOS 5/5, Hedged 200/205, Tied 126/198,
+            // AppTO 99/130. A leaked pin holds thousands.
+            let (short, long) = (peak(200), peak(2000));
+            assert!(
+                long <= 2 * short.max(50),
+                "{}: {long} live ops at 2000 ops per client against {short} at 200",
+                strategy.name()
+            );
+        }
     }
 
     fn quick(strategy: Strategy) -> ExperimentConfig {

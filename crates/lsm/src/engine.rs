@@ -150,6 +150,10 @@ pub struct LsmEngine {
     /// for l >= 1 is sorted by key range and non-overlapping, which is what
     /// lets `get_plan` binary-search it.
     levels: Vec<Vec<SsTable>>,
+    /// `min_keys[l]` lists `levels[l]`'s `min_key`s in order (empty for
+    /// L0): `get_plan` binary-searches these dense keys, not the tables.
+    /// Rebuilt wherever a leveled tier changes.
+    min_keys: Vec<Vec<u64>>,
     /// Keys captured by each L0 table (from its flush).
     l0_keys: FastMap<TableId, BTreeSet<u64>>,
     memtable: BTreeSet<u64>,
@@ -174,6 +178,7 @@ impl LsmEngine {
         assert!(cfg.keyspace > 0, "empty keyspace");
         let mut engine = LsmEngine {
             levels: vec![Vec::new(); cfg.levels as usize + 1],
+            min_keys: vec![Vec::new(); cfg.levels as usize + 1],
             l0_keys: FastMap::default(),
             memtable: BTreeSet::new(),
             memtable_bytes: 0,
@@ -198,9 +203,16 @@ impl LsmEngine {
                 let t = engine.new_table(level, min_key, max_key);
                 engine.levels[level as usize].push(t);
             }
+            engine.index_level(level);
             engine.home_slots += count as u64;
         }
         engine
+    }
+
+    /// Rebuilds `min_keys` for leveled tier `level`.
+    fn index_level(&mut self, level: u8) {
+        let tables = &self.levels[level as usize];
+        self.min_keys[level as usize] = tables.iter().map(|t| t.min_key).collect();
     }
 
     fn tables_at(&self, level: u8) -> usize {
@@ -314,7 +326,7 @@ impl LsmEngine {
             // The level is sorted and disjoint: the only table that can
             // cover `key` is the last one starting at or below it.
             let tables = &self.levels[level as usize];
-            let at = tables.partition_point(|t| t.min_key <= key);
+            let at = self.min_keys[level as usize].partition_point(|&k| k <= key);
             let Some(t) = at.checked_sub(1).map(|i| &tables[i]) else {
                 continue;
             };
@@ -426,6 +438,7 @@ impl LsmEngine {
             self.levels[1].push(t);
         }
         self.levels[1].sort_by_key(|t| t.min_key);
+        self.index_level(1);
         debug_assert!(
             self.levels[1..].iter().all(|l| sorted_and_disjoint(l)),
             "compaction left a level unsorted or overlapping"
@@ -644,10 +657,17 @@ mod tests {
 
     /// Asserts the invariant `get_plan`'s binary search relies on: every
     /// level below L0 is sorted, disjoint, free of empty ranges, and
-    /// covers the whole keyspace without gaps.
+    /// covers the whole keyspace without gaps, and its searched `min_keys`
+    /// are its tables' own.
     fn assert_levels_partition_the_keyspace(e: &LsmEngine) {
         for (level, tables) in e.levels.iter().enumerate().skip(1) {
             assert!(sorted_and_disjoint(tables), "level {level}: {tables:?}");
+            assert!(
+                e.min_keys[level]
+                    .iter()
+                    .eq(tables.iter().map(|t| &t.min_key)),
+                "level {level}: stale min_keys"
+            );
             assert_eq!(tables.first().map(|t| t.min_key), Some(0), "level {level}");
             assert!(
                 tables

@@ -8,7 +8,9 @@
 # `perf --workload WORKLOAD --seconds SECONDS [--seed SEED]`, one run of
 # each tree per pair, alternating which tree goes first. Prints every
 # pair's gets/s, each side's median and quartiles, and how many pairs the
-# change won (higher gets/s wins), then each side's peak_heap_mb median.
+# change won (higher gets/s wins), then each side's peak_heap_mb median and
+# setup_s median and quartiles, with the change in the setup_s median
+# relative to the parent's.
 #
 # The virtual-time metrics (p50_ms, p99_ms, tail_cut_pct, slo_miss_pct)
 # are read from each run's --json file; if the two trees' runs of any pair
@@ -64,20 +66,26 @@ metric() {
     sed -n "s/.*\"$2\": {.*\"values\": \[\(.*\)\]}.*/\1/p" "$1" | tr -s ', ' '\n\n'
 }
 
-# summary NAME VALUES...: median and quartiles (linear interpolation).
-summary() {
-    local name=$1
-    shift
-    printf '%s\n' "$@" | sort -g | awk -v name="$name" '
+# quartiles VALUES...: median, q1 and q3 (linear interpolation), one line.
+quartiles() {
+    printf '%s\n' "$@" | sort -g | awk '
         { v[NR - 1] = $1 }
         function q(p,   h, i) {
             h = (NR - 1) * p; i = int(h)
             return i + 1 < NR ? v[i] + (h - i) * (v[i + 1] - v[i]) : v[i]
         }
-        END {
-            printf "%-7s median %.2f  q1 %.2f  q3 %.2f  iqr %.2f\n",
-                name, q(0.5), q(0.25), q(0.75), q(0.75) - q(0.25)
-        }'
+        END { printf "%.17g %.17g %.17g\n", q(0.5), q(0.25), q(0.75) }'
+}
+
+# summary NAME DIGITS VALUES...: median, quartiles and IQR with DIGITS
+# decimals.
+summary() {
+    local name=$1 digits=$2
+    shift 2
+    quartiles "$@" | awk -v name="$name" -v d="$digits" '{
+        f = "%." d "f"
+        printf "%-7s median " f "  q1 " f "  q3 " f "  iqr " f "\n", name, $1, $2, $3, $3 - $2
+    }'
 }
 
 echo "# building $parent"
@@ -90,6 +98,8 @@ a=()
 b=()
 heap_a=()
 heap_b=()
+setup_a=()
+setup_b=()
 wins=0
 drift=0
 for i in $(seq 1 "$pairs"); do
@@ -116,18 +126,26 @@ for i in $(seq 1 "$pairs"); do
     done
     mapfile -t -O "${#heap_a[@]}" heap_a < <(metric "$out/parent.$i.json" peak_heap_mb)
     mapfile -t -O "${#heap_b[@]}" heap_b < <(metric "$out/change.$i.json" peak_heap_mb)
+    mapfile -t -O "${#setup_a[@]}" setup_a < <(metric "$out/parent.$i.json" setup_s)
+    mapfile -t -O "${#setup_b[@]}" setup_b < <(metric "$out/change.$i.json" setup_s)
     won=$(awk -v x="$x" -v y="$y" 'BEGIN { print (y > x) ? 1 : 0 }')
     wins=$((wins + won))
     awk -v i="$i" -v x="$x" -v y="$y" 'BEGIN {
         printf "pair %2d  parent %.1f  change %.1f  %+.1f%%\n", i, x, y, 100 * (y - x) / x
     }'
 done
-summary parent "${a[@]}"
-summary change "${b[@]}"
+summary parent 2 "${a[@]}"
+summary change 2 "${b[@]}"
 echo "change won $wins/$pairs pairs"
 echo "# peak_heap_mb"
-summary parent "${heap_a[@]}"
-summary change "${heap_b[@]}"
+summary parent 2 "${heap_a[@]}"
+summary change 2 "${heap_b[@]}"
+echo "# setup_s (every timed run of every pair)"
+summary parent 4 "${setup_a[@]}"
+summary change 4 "${setup_b[@]}"
+awk -v x="$(quartiles "${setup_a[@]}" | cut -d' ' -f1)" \
+    -v y="$(quartiles "${setup_b[@]}" | cut -d' ' -f1)" \
+    'BEGIN { printf "setup_s median change %+.1f%%\n", 100 * (y - x) / x }'
 if [ "$drift" -ne 0 ]; then
     echo "virtual-time metrics differ between the trees (see above)" >&2
     exit 1

@@ -811,3 +811,142 @@ fn bump_config_bumps_queued_ios() {
     let bumped = res.trace.metrics().counter_total("mittcfq.bumped");
     assert!(bumped > 0, "no IO was bumped");
 }
+
+/// The tail-tolerance strategies no other golden runs, each on the
+/// contended `config` cluster (three clients, rotating 1 MB noise reads,
+/// 10% writes, trace on). Under these strategies a finished op is still
+/// named by late work: a hedge's, clone's or tied copy's reply, a
+/// cancelled try's reply after an application timeout.
+fn strategy_runs() -> Vec<(&'static str, Strategy)> {
+    let ms = Duration::from_millis;
+    vec![
+        ("apptimeout", Strategy::AppTimeout { timeout: ms(13) }),
+        ("clone", Strategy::Clone2),
+        ("hedged", Strategy::Hedged { after: ms(13) }),
+        (
+            "tied",
+            Strategy::Tied {
+                delay: Duration::from_micros(500),
+            },
+        ),
+        ("snitch", Strategy::Snitch { alpha: 0.3 }),
+        ("c3", Strategy::C3),
+        ("mittos_wait", Strategy::MittOsWait { deadline: ms(5) }),
+        ("mittos_auto", Strategy::MittOsAuto { initial: ms(10) }),
+        (
+            "nosql_error",
+            Strategy::NosqlProfile {
+                timeout: ms(20),
+                failover: false,
+            },
+        ),
+        (
+            "nosql_failover",
+            Strategy::NosqlProfile {
+                timeout: ms(20),
+                failover: true,
+            },
+        ),
+    ]
+}
+
+/// Strategy-run digests, recorded before op retirement existed (see
+/// `GOLDEN_DIGESTS` for how to regenerate).
+const STRATEGY_GOLDENS: [(&str, u64); 10] = [
+    ("strategy/apptimeout/47", 0xa7d522624a80009f),
+    ("strategy/clone/47", 0x94c11f22ccdab4e4),
+    ("strategy/hedged/47", 0x7f173384dd761f37),
+    ("strategy/tied/47", 0x44a4c341f23a39f9),
+    ("strategy/snitch/47", 0x1df9580f77a61123),
+    ("strategy/c3/47", 0x7e02f405c86fb467),
+    ("strategy/mittos_wait/47", 0x0661baa80bc3593d),
+    ("strategy/mittos_auto/47", 0x8a6d80371e766c83),
+    ("strategy/nosql_error/47", 0xc4cede4fe11680b1),
+    ("strategy/nosql_failover/47", 0x1a2f5607de1f9fbc),
+];
+
+/// Asserts that the strategy's own path fired in `res`, so its golden
+/// pins that path and not a run that behaved like `Base`.
+fn assert_strategy_path_fired(name: &str, res: &ExperimentResult) {
+    use mittos_repro::trace::report::NET_HOP_COUNTER;
+    use mittos_repro::trace::EventKind;
+    let events = res.trace.events();
+    assert_eq!(res.trace.dropped(), 0, "{name}: the trace ring overflowed");
+    match name {
+        "apptimeout" | "nosql_failover" => {
+            assert!(res.retries > 0, "{name}: no timeout fired");
+            assert_eq!(res.errors, 0, "{name}: a timeout surfaced an error");
+        }
+        "clone" => {
+            // Every op's second copy travels and replies too: four hops
+            // per get, less the copies still out when the run ends.
+            let hops = res.trace.metrics().counter_total(NET_HOP_COUNTER);
+            assert!(
+                hops > 3 * res.ops,
+                "{name}: {hops} hops for {} gets",
+                res.ops
+            );
+        }
+        "hedged" => {
+            assert!(res.retries > 0, "{name}: no hedge fired");
+            assert!(res.trace.metrics().counter_total("cluster.hedge") > 0);
+        }
+        "tied" => {
+            let revokes = events
+                .iter()
+                .filter(|e| matches!(e.kind, EventKind::Revoke { .. }))
+                .count();
+            assert!(revokes > 0, "{name}: no tied copy was revoked");
+        }
+        "mittos_wait" => {
+            // Three failovers for one op: all three replicas rejected and
+            // the fourth try went to the least-busy one.
+            let mut failovers = std::collections::BTreeMap::new();
+            for e in &events {
+                if let EventKind::Failover { op, .. } = e.kind {
+                    *failovers.entry(op).or_insert(0u32) += 1;
+                }
+            }
+            assert!(
+                failovers.values().any(|&n| n >= 3),
+                "{name}: no op took the fourth, least-busy try"
+            );
+        }
+        "mittos_auto" => assert!(res.ebusy > 0, "{name}: the tuned deadline never rejected"),
+        "nosql_error" => assert!(res.errors > 0, "{name}: no timeout surfaced an error"),
+        // Snitch and C3 differ from every other run only in replica
+        // choice; the distinct-digest check covers them.
+        _ => {}
+    }
+}
+
+#[test]
+fn strategy_goldens_are_unchanged() {
+    let got: Vec<(String, u64)> = strategy_runs()
+        .into_iter()
+        .map(|(name, strategy)| {
+            let res = run_experiment(config(47, strategy));
+            assert_strategy_path_fired(name, &res);
+            let mut h = Fnv1a::new();
+            fold_result(&mut h, &res);
+            (format!("strategy/{name}/47"), h.finish())
+        })
+        .collect();
+    let mut distinct: Vec<u64> = got.iter().map(|&(_, d)| d).collect();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(distinct.len(), got.len(), "two strategies ran identically");
+    let table: String = got
+        .iter()
+        .map(|(name, d)| format!("    (\"{name}\", {d:#018x}),\n"))
+        .collect();
+    let pinned: Vec<(String, u64)> = STRATEGY_GOLDENS
+        .iter()
+        .map(|&(name, d)| (name.to_string(), d))
+        .collect();
+    assert_eq!(
+        pinned, got,
+        "strategy digests drifted from the pinned goldens; if the behaviour \
+         change is deliberate, replace STRATEGY_GOLDENS with:\n{table}"
+    );
+}
