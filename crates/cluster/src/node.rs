@@ -27,11 +27,9 @@
 //! [`EventClock`], see [`Node::set_clock`]), so every submission sees the
 //! state a per-page event stream would have left.
 
-use std::cmp::Reverse;
-
 use mitt_device::{
-    BlockIo, Disk, DiskSpec, IoClass, IoId, IoIdGen, IoKind, NvramBuffer, ProcessId, Ssd, SsdSpec,
-    SsdSubmit, Started,
+    BlockIo, Disk, DiskSpec, GcBurst, IoClass, IoId, IoIdGen, IoKind, NvramBuffer, ProcessId, Ssd,
+    SsdSpec, Started,
 };
 use mitt_faults::NodeCtx;
 use mitt_oscache::{PageCache, PageCacheConfig};
@@ -335,26 +333,81 @@ struct DiskStack {
     nvram: Option<NvramBuffer>,
 }
 
+/// Bits of a packed page key that hold the page's index in its request;
+/// the completion time in nanoseconds takes the rest.
+const PAGE_BITS: u32 = 16;
+const PAGE_MASK: u64 = (1 << PAGE_BITS) - 1;
+
+/// Packs page `index` completing at `at` as `at << 16 | index`. Page `i`
+/// of a request is keyed `(at, base + i)`, so within one request packed
+/// keys order exactly like event keys.
+///
+/// # Panics
+///
+/// Panics, in every build, if `at` needs more than 48 bits of nanoseconds
+/// (about 78 hours) or `index` more than 16.
+fn pack(at: SimTime, index: u32) -> u64 {
+    let ns = at.as_nanos();
+    assert!(
+        ns >> (64 - PAGE_BITS) == 0 && u64::from(index) <= PAGE_MASK,
+        "SSD page key out of range: page {index} at {at}"
+    );
+    ns << PAGE_BITS | u64::from(index)
+}
+
 /// One page of an admitted SSD request whose completion is not applied
-/// yet: it settles once the calendar reaches `key`.
-struct PageRelease {
-    key: EventKey,
-    io: IoId,
-    index: u32,
+/// yet: what its release gives back to the device and to MittSSD.
+struct PendingPage {
     chip: u16,
     channel: u16,
+    /// The chip busy time the device charged.
     busy: Duration,
+    /// The busy time MittSSD accounted for it.
+    predicted: Duration,
+}
+
+/// An admitted SSD request with pages still to settle.
+#[derive(Default)]
+struct PendingRequest {
+    /// The seq of page 0's key: page `i` settles once the calendar reaches
+    /// `(done_at, base + i)`.
+    base: u64,
+    /// Every page, in striping order.
+    pages: Vec<PendingPage>,
+    /// The packed key ([`pack`]) of each unsettled page, latest first.
+    keys: Vec<u64>,
+}
+
+impl PendingRequest {
+    /// The event key of the page packed as `key`.
+    fn key(&self, key: u64) -> EventKey {
+        EventKey {
+            at: SimTime::from_nanos(key >> PAGE_BITS),
+            seq: self.base + (key & PAGE_MASK),
+        }
+    }
+
+    /// The greatest packed key of this request that is due at the event
+    /// key `(at, seq)`, with `at` packed ([`pack`]), or `None` when none can
+    /// be: at time `at`, only the pages whose seq is at or below `seq` are
+    /// due.
+    fn last_due(&self, at: u64, seq: u64) -> Option<u64> {
+        match seq.checked_sub(self.base) {
+            Some(index) => Some(at | index.min(PAGE_MASK)),
+            None => at.checked_sub(1),
+        }
+    }
 }
 
 struct SsdStack {
     ssd: Ssd,
     mitt: MittSsd,
-    /// The buffer `Ssd::submit_into` refills on every submission.
-    submitted: SsdSubmit,
-    /// The unsettled pages of each request in flight, latest key first.
-    requests: Vec<Vec<PageRelease>>,
-    /// Emptied page lists, reused by later requests.
-    spare: Vec<Vec<PageRelease>>,
+    /// The GC bursts of the request being submitted.
+    gc: Vec<GcBurst>,
+    /// Each admitted request with unsettled pages.
+    requests: Vec<PendingRequest>,
+    /// Settled requests, whose buffers later requests reuse.
+    spare: Vec<PendingRequest>,
 }
 
 impl SsdStack {
@@ -363,23 +416,31 @@ impl SsdStack {
     /// channel slot and corrects one chip's mirror by a fixed amount, so
     /// releases commute and apply request by request.
     fn settle(&mut self, upto: EventKey, mut on_page: impl FnMut(SimTime)) {
+        let at = pack(upto.at, 0);
         let mut i = 0;
-        while let Some(pages) = self.requests.get_mut(i) {
-            if pages.last().is_some_and(|p| p.key > upto) {
-                i += 1;
-                continue;
+        while let Some(req) = self.requests.get_mut(i) {
+            let due = match req.last_due(at, upto.seq) {
+                Some(last) if req.keys.last().is_some_and(|&k| k <= last) => {
+                    req.keys.partition_point(|&k| k > last)
+                }
+                _ => {
+                    i += 1;
+                    continue;
+                }
+            };
+            for &k in &req.keys[due..] {
+                let p = &req.pages[(k & PAGE_MASK) as usize];
+                let (chip, channel) = (usize::from(p.chip), usize::from(p.channel));
+                let at = SimTime::from_nanos(k >> PAGE_BITS);
+                self.ssd.complete_sub(channel, at);
+                self.mitt.release_page(chip, channel, p.busy, p.predicted);
+                on_page(at);
             }
-            let due = pages.partition_point(|p| p.key > upto);
-            for p in &pages[due..] {
-                self.ssd.complete_sub(usize::from(p.channel), p.key.at);
-                self.mitt
-                    .on_complete_sub(p.io, p.index, p.busy, usize::from(p.chip));
-                on_page(p.key.at);
-            }
-            pages.truncate(due);
-            if pages.is_empty() {
-                let pages = self.requests.swap_remove(i);
-                self.spare.push(pages);
+            req.keys.truncate(due);
+            if req.keys.is_empty() {
+                let mut req = self.requests.swap_remove(i);
+                req.pages.clear();
+                self.spare.push(req);
             } else {
                 i += 1;
             }
@@ -447,7 +508,9 @@ pub struct Node {
     disable_bump_cancel: bool,
     audit_pairs: Vec<AuditPair>,
     fill_after_read: FastSet<IoId>,
-    ebusy_times: Vec<SimTime>,
+    /// Times this node returned EBUSY, kept only once
+    /// [`Node::record_ebusy_times`] asks for them.
+    ebusy_times: Option<Vec<SimTime>>,
     ctx: NodeCtx,
     /// This node's timeline row: every admit, reject, dispatch and device
     /// service is recorded here, where the verdict or completion leaves
@@ -498,7 +561,7 @@ impl Node {
             SsdStack {
                 ssd,
                 mitt,
-                submitted: SsdSubmit::default(),
+                gc: Vec::new(),
                 requests: Vec::new(),
                 spare: Vec::new(),
             }
@@ -526,7 +589,7 @@ impl Node {
             disable_bump_cancel: cfg.disable_bump_cancel,
             audit_pairs: Vec::new(),
             fill_after_read: FastSet::default(),
-            ebusy_times: Vec::new(),
+            ebusy_times: None,
             ctx: NodeCtx::disabled(),
             tsl: TslSink::disabled(),
             pred_wait: FastMap::default(),
@@ -692,7 +755,9 @@ impl Node {
         detail: u64,
         now: SimTime,
     ) {
-        self.ebusy_times.push(now);
+        if let Some(times) = &mut self.ebusy_times {
+            times.push(now);
+        }
         self.tsl.record_reject(now, resource);
         self.ctx.trace.count(EBUSY_COUNTER, 1);
         self.ctx.trace.emit(
@@ -834,34 +899,33 @@ impl Node {
         if let Some(busy) = self.settle(&io, &adm, now) {
             return busy;
         }
+        // One walk of the stripe: MittSSD accounts each page, the device
+        // serves it, and the node keeps one record for its release.
         let ss = self.ssd.as_mut().expect("node has no SSD stack");
-        ss.ssd.submit_into(&io, now, &mut ss.submitted);
-        let subs = &ss.submitted.subs;
-        let base = self.clock.reserve(subs.len() as u64);
-        let tsl_on = self.tsl.is_enabled();
-        let mut pages = ss.spare.pop().unwrap_or_default();
+        let tsl = &self.tsl;
+        let tsl_on = tsl.is_enabled();
+        let mut req = ss.spare.pop().unwrap_or_default();
         let mut wait = Duration::ZERO;
-        for (sub, seq) in subs.iter().zip(base..) {
-            wait = wait.max(sub.done_at.saturating_since(now).saturating_sub(sub.busy));
+        ss.ssd.submit_pages(&io, now, |page| {
+            let predicted = ss.mitt.account_page(io.kind, page.chip, page.channel, now);
+            wait = wait.max(page.done_at.saturating_since(now).saturating_sub(page.busy));
             if tsl_on {
-                self.tsl.observe_service(sub.done_at, sub.busy);
+                tsl.observe_service(page.done_at, page.busy);
             }
-            pages.push(PageRelease {
-                key: EventKey {
-                    at: sub.done_at,
-                    seq,
-                },
-                io: io.id,
-                index: sub.key.index,
-                chip: u16::try_from(sub.chip).expect("chip index fits in u16"),
-                channel: u16::try_from(sub.channel).expect("channel index fits in u16"),
-                busy: sub.busy,
+            req.keys.push(pack(page.done_at, page.index));
+            req.pages.push(PendingPage {
+                chip: u16::try_from(page.chip).expect("chip index fits in u16"),
+                channel: u16::try_from(page.channel).expect("channel index fits in u16"),
+                busy: page.busy,
+                predicted,
             });
-        }
-        pages.sort_unstable_by_key(|p| Reverse(p.key));
-        let last = pages[0].key;
-        ss.requests.push(pages);
-        for gc in &ss.submitted.gc {
+            ss.gc.extend(page.gc);
+        });
+        req.base = self.clock.reserve(req.pages.len() as u64);
+        req.keys.sort_unstable_by(|a, b| b.cmp(a));
+        let last = req.key(req.keys[0]);
+        ss.requests.push(req);
+        for gc in ss.gc.drain(..) {
             ss.mitt.on_gc(gc.chip, gc.busy, now);
         }
         Submission {
@@ -1080,9 +1144,16 @@ impl Node {
             .map_or(0, |ds| ds.sched.queued() + ds.disk.occupancy())
     }
 
-    /// Times at which this node returned EBUSY.
+    /// Starts keeping the time of every EBUSY this node returns, for
+    /// [`Node::ebusy_times`]; a node that nobody watches keeps none.
+    pub fn record_ebusy_times(&mut self) {
+        self.ebusy_times.get_or_insert_with(Vec::new);
+    }
+
+    /// Times at which this node returned EBUSY since
+    /// [`Node::record_ebusy_times`]; empty if it was never called.
     pub fn ebusy_times(&self) -> &[SimTime] {
-        &self.ebusy_times
+        self.ebusy_times.as_deref().unwrap_or_default()
     }
 
     /// Resolved audit pairs (audit mode only).
@@ -1144,6 +1215,7 @@ mod tests {
     fn busy_disk_rejects_deadline_reads() {
         let mut r = rng();
         let mut node = Node::new(0, NodeConfig::disk_cfq(), &mut r);
+        node.record_ebusy_times();
         // Saturate with no-deadline noise IOs.
         let mut first = None;
         for i in 0..30u64 {
@@ -1223,6 +1295,8 @@ mod tests {
         ids: IoIdGen,
         /// Each request's last page key and wait, until that page pops.
         last: FastMap<IoId, (EventKey, Duration)>,
+        /// GC bursts the drive fired.
+        gc: usize,
     }
 
     impl Eager {
@@ -1264,6 +1338,7 @@ mod tests {
                 return None;
             }
             let out = self.ssd.submit(&io, now);
+            self.gc += out.gc.len();
             for gc in &out.gc {
                 self.mitt.on_gc(gc.chip, gc.busy, now);
             }
@@ -1300,12 +1375,13 @@ mod tests {
     /// request's completion is handled (at its last page's key). After
     /// every submission both sides agree on the verdict, the completion
     /// key and wait, every channel's occupancy and MittSSD's predicted
-    /// wait on every chip in play.
-    #[test]
-    fn deferred_ssd_pages_match_an_eager_per_page_reference() {
+    /// wait on every chip in play. Every `gc_every_writes` programs a chip
+    /// collects; returns the GC bursts fired.
+    fn deferred_against_eager(gc_every_writes: u64) -> usize {
         let spec = SsdSpec {
             jitter: 0.0,
             retry_prob: 0.0,
+            gc_every_writes,
             ..SsdSpec::default()
         };
         let page = u64::from(spec.page_size);
@@ -1322,6 +1398,7 @@ mod tests {
             q: mitt_sim::EventQueue::new(),
             ids: IoIdGen::new(),
             last: FastMap::default(),
+            gc: 0,
         };
         let mut drive = SimRng::new(0xd1ff);
         // Chips 0..32: two chips behind each of the 16 channels.
@@ -1449,6 +1526,20 @@ mod tests {
             tied > 500,
             "only {tied} submissions tied with a pending event"
         );
+        eager.gc
+    }
+
+    /// [`deferred_against_eager`] at the drive's GC cadence, which fires
+    /// no burst in this run, and with GC every four programs per chip, so
+    /// bursts land between MittSSD's page accounting and its releases.
+    #[test]
+    fn deferred_ssd_pages_match_an_eager_per_page_reference() {
+        assert_eq!(
+            deferred_against_eager(SsdSpec::default().gc_every_writes),
+            0
+        );
+        let bursts = deferred_against_eager(4);
+        assert!(bursts > 20, "only {bursts} GC bursts");
     }
 
     #[test]

@@ -718,6 +718,9 @@ impl ClusterSim {
             node.set_tsl(&tsl);
             node.set_clock(&q.clock());
         }
+        if let Some(watch) = cfg.watch_node {
+            nodes[watch].record_ebusy_times();
+        }
         let cluster = ctx.for_node(CLUSTER_NODE);
         let mut sim = ClusterSim {
             q,

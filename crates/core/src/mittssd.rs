@@ -22,12 +22,13 @@ use crate::admit::{admit_bare, Predictor};
 use crate::profile::SsdProfile;
 use crate::slo::Decision;
 
-/// One admitted sub-IO awaiting its completion, kept with its chip.
+/// One admitted sub-IO of a request-level caller awaiting its
+/// completion, kept with its chip.
 struct SubRec {
     io: IoId,
     index: u32,
     channel: u32,
-    busy_pred_ns: i64,
+    predicted: Duration,
 }
 
 /// The MittSSD admission predictor.
@@ -39,8 +40,10 @@ pub struct MittSsd {
     chan_outstanding: Vec<u32>,
     /// Mirror of each chip's append pointer, for program-time prediction.
     append_page: Vec<u32>,
-    /// Each chip's admitted sub-IOs not yet completed: a chip's queue is
-    /// short, so a completion finds its record by a scan.
+    /// Each chip's sub-IOs admitted through [`MittSsd::admit`] or
+    /// [`MittSsd::account`] and not yet completed: a chip's queue is
+    /// short, so a completion finds its record by a scan. Callers that
+    /// keep their own page records use the page steps and never fill it.
     chip_subs: Vec<Vec<SubRec>>,
     /// Admitted sub-IOs not yet completed, across all requests.
     in_flight: u64,
@@ -91,32 +94,25 @@ impl MittSsd {
     /// The admission check. On rejection, *no* sub-page is accounted: the
     /// request never reaches the device.
     pub fn admit(&mut self, io: &BlockIo, now: SimTime) -> Decision {
-        admit_bare(self, io, now).decision
+        let decision = admit_bare(self, io, now).decision;
+        if decision.is_admit() {
+            self.account_subs(io, now);
+        }
+        decision
     }
 
     /// Unconditionally accounts an IO as admitted (advancing the chip and
     /// channel mirrors for every sub-page).
     pub fn account(&mut self, io: &BlockIo, now: SimTime) {
         self.admitted += 1;
-        let now_ns = now.as_nanos() as i64;
+        self.account_subs(io, now);
+    }
+
+    /// Accounts every page of `io` and keeps a record of each for
+    /// [`MittSsd::on_complete_sub`].
+    fn account_subs(&mut self, io: &BlockIo, now: SimTime) {
         for (index, chip, channel) in self.spec.stripe(io.offset, io.len) {
-            let busy = match io.kind {
-                IoKind::Read => self.profile.read_page,
-                IoKind::Write => {
-                    let page = self.append_page[chip];
-                    let next = page + 1;
-                    self.append_page[chip] = if next == self.spec.pages_per_block {
-                        0
-                    } else {
-                        next
-                    };
-                    self.profile.prog_time(page)
-                }
-            };
-            let busy_ns = busy.as_nanos() as i64;
-            self.chip_free_ns[chip] = self.chip_free_ns[chip].max(now_ns) + busy_ns;
-            self.chan_outstanding[channel] += 1;
-            self.in_flight += 1;
+            let predicted = self.account_page(io.kind, chip, channel, now);
             debug_assert!(
                 !self.chip_subs[chip]
                     .iter()
@@ -128,9 +124,60 @@ impl MittSsd {
                 io: io.id,
                 index,
                 channel: channel as u32,
-                busy_pred_ns: busy_ns,
+                predicted,
             });
         }
+    }
+
+    /// Accounts one page of an admitted request on `chip` behind
+    /// `channel`: picks its predicted busy time (a page read, or the
+    /// program time of the chip's next append page), advances the chip's
+    /// next-free mirror by it and counts the page on its channel. Returns
+    /// the predicted busy time, which [`MittSsd::release_page`] takes
+    /// back when the page completes.
+    #[inline]
+    pub fn account_page(
+        &mut self,
+        kind: IoKind,
+        chip: usize,
+        channel: usize,
+        now: SimTime,
+    ) -> Duration {
+        let busy = match kind {
+            IoKind::Read => self.profile.read_page,
+            IoKind::Write => {
+                let page = self.append_page[chip];
+                let next = page + 1;
+                self.append_page[chip] = if next == self.spec.pages_per_block {
+                    0
+                } else {
+                    next
+                };
+                self.profile.prog_time(page)
+            }
+        };
+        self.chip_free_ns[chip] =
+            self.chip_free_ns[chip].max(now.as_nanos() as i64) + busy.as_nanos() as i64;
+        self.chan_outstanding[channel] += 1;
+        self.in_flight += 1;
+        busy
+    }
+
+    /// Completes one page accounted by [`MittSsd::account_page`]: releases
+    /// its channel slot and calibrates the chip mirror by the actual busy
+    /// time minus the `predicted` one.
+    #[inline]
+    pub fn release_page(
+        &mut self,
+        chip: usize,
+        channel: usize,
+        actual: Duration,
+        predicted: Duration,
+    ) {
+        debug_assert!(self.chan_outstanding[channel] > 0);
+        self.chan_outstanding[channel] = self.chan_outstanding[channel].saturating_sub(1);
+        self.chip_free_ns[chip] += actual.as_nanos() as i64 - predicted.as_nanos() as i64;
+        self.in_flight -= 1;
     }
 
     /// Accounts a GC burst the OS-side FTL just issued on `chip`.
@@ -145,21 +192,18 @@ impl MittSsd {
         self.on_gc(chip, erase, now);
     }
 
-    /// Completes page `index` of `io` on `chip`: releases its channel slot
-    /// and calibrates the chip mirror with the actual busy time. A sub-IO
-    /// that was never admitted on `chip`, or has already completed, is
-    /// ignored.
+    /// Completes page `index` of `io` on `chip`, admitted through
+    /// [`MittSsd::admit`] or [`MittSsd::account`]: releases its channel
+    /// slot and calibrates the chip mirror with the actual busy time. A
+    /// sub-IO that was never admitted on `chip`, or has already completed,
+    /// is ignored.
     pub fn on_complete_sub(&mut self, io: IoId, index: u32, actual_busy: Duration, chip: usize) {
         let subs = &mut self.chip_subs[chip];
         let Some(at) = subs.iter().position(|s| s.io == io && s.index == index) else {
             return;
         };
         let sub = subs.swap_remove(at);
-        let channel = sub.channel as usize;
-        debug_assert!(self.chan_outstanding[channel] > 0);
-        self.chan_outstanding[channel] = self.chan_outstanding[channel].saturating_sub(1);
-        self.chip_free_ns[chip] += actual_busy.as_nanos() as i64 - sub.busy_pred_ns;
-        self.in_flight -= 1;
+        self.release_page(chip, sub.channel as usize, actual_busy, sub.predicted);
     }
 
     /// (admitted, rejected) counters.
@@ -177,8 +221,11 @@ impl Predictor for MittSsd {
         self.predicted_wait(io, now)
     }
 
-    fn account(&mut self, io: &BlockIo, now: SimTime) -> Vec<IoId> {
-        MittSsd::account(self, io, now);
+    /// Counts the admitted request and accounts none of its pages: whoever
+    /// walks its stripe accounts them with [`MittSsd::account_page`], as
+    /// [`MittSsd::admit`] and [`MittSsd::account`] do themselves.
+    fn account(&mut self, _io: &BlockIo, _now: SimTime) -> Vec<IoId> {
+        self.admitted += 1;
         Vec::new()
     }
 

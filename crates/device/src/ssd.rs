@@ -209,6 +209,24 @@ pub struct SubCompletion {
     pub busy: Duration,
 }
 
+/// One page of a request as the device serves it; see
+/// [`Ssd::submit_pages`].
+#[derive(Debug, Clone, Copy)]
+pub struct ServedPage {
+    /// Page index within the request.
+    pub index: u32,
+    /// Chip that serves it.
+    pub chip: usize,
+    /// Channel that carries it.
+    pub channel: usize,
+    /// Absolute completion time.
+    pub done_at: SimTime,
+    /// Chip busy time charged (excludes channel delay and queue wait).
+    pub busy: Duration,
+    /// The GC burst this page's program triggered on its chip, if any.
+    pub gc: Option<GcBurst>,
+}
+
 /// A garbage-collection burst triggered by write pressure on a chip.
 ///
 /// The OS issues GC on a host-managed drive, so callers must forward this
@@ -288,6 +306,7 @@ impl Ssd {
         self.served_pages
     }
 
+    #[inline]
     fn jittered(&mut self, d: Duration) -> Duration {
         // mitt-lint: allow(T002, "0.0 is an exact jitter-disabled sentinel from the spec, never the result of arithmetic")
         if self.spec.jitter == 0.0 {
@@ -300,6 +319,11 @@ impl Ssd {
     }
 
     /// Chip busy time for one page of this request (advances jitter RNG).
+    ///
+    /// Marked `#[inline]`, as are `jittered` and `maybe_gc`: the generic
+    /// [`Ssd::submit_pages`] is compiled in its caller's crate, where only
+    /// inline-marked helpers of this crate can be inlined.
+    #[inline]
     fn page_busy(&mut self, kind: IoKind, chip: usize) -> Duration {
         match kind {
             IoKind::Read => {
@@ -322,6 +346,7 @@ impl Ssd {
         }
     }
 
+    #[inline]
     fn maybe_gc(&mut self, chip: usize) -> Option<GcBurst> {
         if self.spec.gc_every_writes == 0 {
             return None;
@@ -361,13 +386,40 @@ impl Ssd {
     ///
     /// Panics if `io.len` is 0 (see [`SsdSpec::stripe`]).
     pub fn submit_into(&mut self, io: &BlockIo, now: SimTime, out: &mut SsdSubmit) {
-        let _t = self.ctx.prof.phase(Phase::Device);
-        let stripe = self.spec.stripe(io.offset, io.len);
         out.subs.clear();
         out.gc.clear();
-        out.subs.reserve(stripe.len());
+        self.submit_pages(io, now, |page| {
+            out.gc.extend(page.gc);
+            out.subs.push(SubCompletion {
+                key: SubIoKey {
+                    io: io.id,
+                    index: page.index,
+                },
+                done_at: page.done_at,
+                chip: page.chip,
+                channel: page.channel,
+                busy: page.busy,
+            });
+        });
+    }
+
+    /// Submits a request page by page in striping order, handing each
+    /// served page to `on_page`; every page becomes an independently
+    /// completing sub-IO. The whole walk, `on_page` included, is timed as
+    /// the `Device` phase.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `io.len` is 0 (see [`SsdSpec::stripe`]).
+    pub fn submit_pages(
+        &mut self,
+        io: &BlockIo,
+        now: SimTime,
+        mut on_page: impl FnMut(ServedPage),
+    ) {
+        let _t = self.ctx.prof.phase(Phase::Device);
         let stall = self.ctx.faults.ssd_stall(now);
-        for (index, chip, channel) in stripe {
+        for (index, chip, channel) in self.spec.stripe(io.offset, io.len) {
             let busy = self.page_busy(io.kind, chip) + stall;
             let start = self.chips[chip].next_free.max(now);
             self.chips[chip].next_free = start + busy;
@@ -375,18 +427,19 @@ impl Ssd {
                 self.spec.channel_delay * u64::from(self.channel_outstanding[channel]);
             let done_at = self.chips[chip].next_free + queue_delay;
             self.channel_outstanding[channel] += 1;
-            if io.kind == IoKind::Write {
+            let gc = if io.kind == IoKind::Write {
                 self.chips[chip].writes_since_gc += 1;
-                if let Some(gc) = self.maybe_gc(chip) {
-                    out.gc.push(gc);
-                }
-            }
-            out.subs.push(SubCompletion {
-                key: SubIoKey { io: io.id, index },
-                done_at,
+                self.maybe_gc(chip)
+            } else {
+                None
+            };
+            on_page(ServedPage {
+                index,
                 chip,
                 channel,
+                done_at,
                 busy,
+                gc,
             });
         }
     }

@@ -271,10 +271,18 @@ impl ProfSink {
     /// it inherit it. A phase's first activation is always timed. An
     /// untimed guard reads no clock and touches no histogram.
     #[must_use = "the guard records on drop; binding it to _ discards the measurement"]
+    #[inline]
     pub fn phase(&self, phase: Phase) -> PhaseGuard {
-        let Some(core) = &self.core else {
-            return PhaseGuard::INERT;
-        };
+        match &self.core {
+            Some(core) => Self::open_phase(core, phase),
+            None => PhaseGuard::INERT,
+        }
+    }
+
+    /// [`ProfSink::phase`] on an enabled sink, out of line so a disabled
+    /// sink's check inlines into every guarded call site.
+    #[inline(never)]
+    fn open_phase(core: &Rc<RefCell<ProfCore>>, phase: Phase) -> PhaseGuard {
         let active = alloc::thread_phase();
         if active == phase as usize {
             return PhaseGuard::INERT;
@@ -394,13 +402,12 @@ impl PhaseGuard {
         prev_alloc_phase: None,
         timer: None,
     };
-}
 
-impl Drop for PhaseGuard {
-    fn drop(&mut self) {
-        let Some(prev) = self.prev_alloc_phase else {
-            return;
-        };
+    /// Drops a guard that is not inert, out of line so an inert guard's
+    /// check inlines: restores allocation phase `prev` and records the
+    /// timed interval.
+    #[inline(never)]
+    fn close(&mut self, prev: usize) {
         let Some(t) = self.timer.take() else {
             alloc::restore_thread_phase(prev);
             return;
@@ -414,6 +421,15 @@ impl Drop for PhaseGuard {
         stats.timed += 1;
         stats.total_ns = stats.total_ns.saturating_add(ns);
         stats.hist.observe(ns);
+    }
+}
+
+impl Drop for PhaseGuard {
+    #[inline]
+    fn drop(&mut self) {
+        if let Some(prev) = self.prev_alloc_phase {
+            self.close(prev);
+        }
     }
 }
 

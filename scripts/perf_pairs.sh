@@ -7,10 +7,13 @@
 # parent commit and the change), then runs PAIRS pairs of
 # `perf --workload WORKLOAD --seconds SECONDS [--seed SEED]`, one run of
 # each tree per pair, alternating which tree goes first. Prints every
-# pair's gets/s, each side's median and quartiles, and how many pairs the
-# change won (higher gets/s wins), then each side's peak_heap_mb median and
-# setup_s median and quartiles, with the change in the setup_s median
-# relative to the parent's.
+# pair's gets/s, each side's median and quartiles, how many pairs the
+# change won (higher gets/s wins), and a verdict line: "claim met" when
+# there were at least 10 pairs, the change won at least 9/10 of them and
+# its median beats the parent's by more than the parent's interquartile
+# range, else "claim not met". Then each side's peak_heap_mb median and setup_s median and
+# quartiles, with the change in the setup_s median relative to the
+# parent's.
 #
 # The virtual-time metrics (p50_ms, p99_ms, tail_cut_pct, slo_miss_pct)
 # are read from each run's --json file; if the two trees' runs of any pair
@@ -137,6 +140,14 @@ done
 summary parent 2 "${a[@]}"
 summary change 2 "${b[@]}"
 echo "change won $wins/$pairs pairs"
+awk -v wins="$wins" -v pairs="$pairs" -v a="$(quartiles "${a[@]}")" \
+    -v b="$(quartiles "${b[@]}")" 'BEGIN {
+    split(a, pa, " "); split(b, pb, " ")
+    gap = pb[1] - pa[1]; iqr = pa[3] - pa[2]
+    met = pairs >= 10 && 10 * wins >= 9 * pairs && gap > iqr
+    printf "claim %s: won %d/%d pairs (needs 10+ pairs, 9/10 won), median gap %.2f vs parent iqr %.2f\n",
+        met ? "met" : "not met", wins, pairs, gap, iqr
+}'
 echo "# peak_heap_mb"
 summary parent 2 "${heap_a[@]}"
 summary change 2 "${heap_b[@]}"
