@@ -906,20 +906,20 @@ impl Node {
         let tsl_on = tsl.is_enabled();
         let mut req = ss.spare.pop().unwrap_or_default();
         let mut wait = Duration::ZERO;
-        ss.ssd.submit_pages(&io, now, |page| {
-            let predicted = ss.mitt.account_page(io.kind, page.chip, page.channel, now);
-            wait = wait.max(page.done_at.saturating_since(now).saturating_sub(page.busy));
+        ss.ssd.submit_pages(&io, now, |sub, gc| {
+            let predicted = ss.mitt.account_page(io.kind, sub.chip, sub.channel, now);
+            wait = wait.max(sub.done_at.saturating_since(now).saturating_sub(sub.busy));
             if tsl_on {
-                tsl.observe_service(page.done_at, page.busy);
+                tsl.observe_service(sub.done_at, sub.busy);
             }
-            req.keys.push(pack(page.done_at, page.index));
+            req.keys.push(pack(sub.done_at, sub.key.index));
             req.pages.push(PendingPage {
-                chip: u16::try_from(page.chip).expect("chip index fits in u16"),
-                channel: u16::try_from(page.channel).expect("channel index fits in u16"),
-                busy: page.busy,
+                chip: u16::try_from(sub.chip).expect("chip index fits in u16"),
+                channel: u16::try_from(sub.channel).expect("channel index fits in u16"),
+                busy: sub.busy,
                 predicted,
             });
-            ss.gc.extend(page.gc);
+            ss.gc.extend(gc);
         });
         req.base = self.clock.reserve(req.pages.len() as u64);
         req.keys.sort_unstable_by(|a, b| b.cmp(a));

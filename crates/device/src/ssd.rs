@@ -209,24 +209,6 @@ pub struct SubCompletion {
     pub busy: Duration,
 }
 
-/// One page of a request as the device serves it; see
-/// [`Ssd::submit_pages`].
-#[derive(Debug, Clone, Copy)]
-pub struct ServedPage {
-    /// Page index within the request.
-    pub index: u32,
-    /// Chip that serves it.
-    pub chip: usize,
-    /// Channel that carries it.
-    pub channel: usize,
-    /// Absolute completion time.
-    pub done_at: SimTime,
-    /// Chip busy time charged (excludes channel delay and queue wait).
-    pub busy: Duration,
-    /// The GC burst this page's program triggered on its chip, if any.
-    pub gc: Option<GcBurst>,
-}
-
 /// A garbage-collection burst triggered by write pressure on a chip.
 ///
 /// The OS issues GC on a host-managed drive, so callers must forward this
@@ -388,25 +370,17 @@ impl Ssd {
     pub fn submit_into(&mut self, io: &BlockIo, now: SimTime, out: &mut SsdSubmit) {
         out.subs.clear();
         out.gc.clear();
-        self.submit_pages(io, now, |page| {
-            out.gc.extend(page.gc);
-            out.subs.push(SubCompletion {
-                key: SubIoKey {
-                    io: io.id,
-                    index: page.index,
-                },
-                done_at: page.done_at,
-                chip: page.chip,
-                channel: page.channel,
-                busy: page.busy,
-            });
+        self.submit_pages(io, now, |sub, gc| {
+            out.subs.push(sub);
+            out.gc.extend(gc);
         });
     }
 
     /// Submits a request page by page in striping order, handing each
-    /// served page to `on_page`; every page becomes an independently
-    /// completing sub-IO. The whole walk, `on_page` included, is timed as
-    /// the `Device` phase.
+    /// page's completion, and the GC burst its program triggered if any,
+    /// to `on_page`; every page becomes an independently completing
+    /// sub-IO. The whole walk, `on_page` included, is timed as the
+    /// `Device` phase.
     ///
     /// # Panics
     ///
@@ -415,7 +389,7 @@ impl Ssd {
         &mut self,
         io: &BlockIo,
         now: SimTime,
-        mut on_page: impl FnMut(ServedPage),
+        mut on_page: impl FnMut(SubCompletion, Option<GcBurst>),
     ) {
         let _t = self.ctx.prof.phase(Phase::Device);
         let stall = self.ctx.faults.ssd_stall(now);
@@ -433,14 +407,14 @@ impl Ssd {
             } else {
                 None
             };
-            on_page(ServedPage {
-                index,
+            let sub = SubCompletion {
+                key: SubIoKey { io: io.id, index },
+                done_at,
                 chip,
                 channel,
-                done_at,
                 busy,
-                gc,
-            });
+            };
+            on_page(sub, gc);
         }
     }
 
