@@ -2466,8 +2466,8 @@ mod tests {
 
     #[test]
     fn events_stay_within_forty_bytes() {
-        // Every calendar entry carries an `Ev`; a wider one makes every
-        // heap move wider.
+        // Every calendar entry carries an `Ev`; a wider one widens every
+        // entry an insert shifts and every pop moves out.
         let size = std::mem::size_of::<Ev>();
         assert!(size <= 40, "Ev grew to {size} bytes");
     }

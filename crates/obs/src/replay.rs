@@ -143,10 +143,10 @@ pub fn replay_audit_traced(
     let mut naive_pairs: Vec<AuditPair> = Vec::new();
     let mut q: EventQueue<Ev> = EventQueue::new();
     node.set_clock(&q.clock());
-    for (i, io) in trace.iter().enumerate() {
+    q.preload(trace.iter().enumerate().map(|(i, io)| {
         let at = SimTime::from_nanos((io.at.as_nanos() as f64 / rerate) as u64);
-        q.schedule(at, Ev::Submit(i));
-    }
+        (at, Ev::Submit(i))
+    }));
     // A placeholder deadline marks reads for auditing; classification
     // happens offline against any deadline via `classify`.
     let placeholder = match medium {

@@ -5,13 +5,15 @@
 //! number), which makes every simulation fully deterministic: two runs with
 //! the same seed schedule and pop events in exactly the same order.
 //!
-//! Events known before the run starts (pre-generated noise bursts, which
-//! outnumber the live events by orders of magnitude) can bypass the heap via
-//! [`EventQueue::preload`]: they sit in one sorted `Vec` and `pop` takes
-//! whichever of that `Vec`'s tail and the heap's top comes first. Since
-//! `(at, seq)` is a total order and preloaded entries draw their sequence
-//! numbers exactly as `schedule` would, the pop order is the same as if
-//! every event had gone through the heap.
+//! The calendar is one deque of entries kept sorted, earliest first. A
+//! simulation's live events are few and mostly due soon, so
+//! [`EventQueue::schedule`] finds each one's slot by galloping from the
+//! earliest end and inserts it there, shifting whichever side of the deque
+//! is shorter. Events known up front (pre-generated noise bursts, which
+//! outnumber the live events by orders of magnitude, or a replayed trace)
+//! go in through [`EventQueue::preload`], which appends a batch and sorts
+//! once. Preloaded entries draw their sequence numbers exactly as
+//! `schedule` would, so the pop order is the same either way.
 //!
 //! That `(at, seq)` pair is an event's [`EventKey`]. A component that
 //! settles some completions itself, outside the calendar, can still settle
@@ -23,8 +25,7 @@
 //! and releases the other pages as deferred records.
 
 use std::cell::Cell;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use crate::time::{Duration, SimTime};
@@ -39,39 +40,10 @@ pub struct EventKey {
     pub seq: u64,
 }
 
-/// Aligned to 16 bytes so that the heap moves entries in whole 16-byte
-/// words: with the cluster's 40-byte events an entry would be 56 bytes,
-/// which the compiler copies as a mix of 8- and 16-byte moves that later
-/// loads cannot forward from. At 64 bytes a pop-and-schedule loop ran
-/// about 5% faster.
-#[repr(C, align(16))]
+/// A pending event under its key.
 struct Entry<E> {
-    at: SimTime,
-    seq: u64,
+    key: EventKey,
     event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap but we pop the earliest event.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
 }
 
 /// The calendar position a queue shares with its [`EventClock`]s.
@@ -130,9 +102,8 @@ impl EventClock {
 /// assert!(q.pop().is_none());
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    /// Preloaded entries in ascending `Entry` order: the earliest is last.
-    lane: Vec<Entry<E>>,
+    /// Pending entries in key order: the earliest is at the front.
+    calendar: VecDeque<Entry<E>>,
     /// The calendar position; its key's time is the current virtual time.
     clock: EventClock,
     popped: u64,
@@ -148,8 +119,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty calendar with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            lane: Vec::new(),
+            calendar: VecDeque::new(),
             clock: EventClock::default(),
             popped: 0,
         }
@@ -177,10 +147,37 @@ impl<E> EventQueue<E> {
         let now = self.now();
         debug_assert!(at >= now, "scheduled event in the past: at={at} now={now}");
         Entry {
-            at: at.max(now),
-            seq,
+            key: EventKey {
+                at: at.max(now),
+                seq,
+            },
             event,
         }
+    }
+
+    /// Inserts `entry` at its place in key order. Gallops from the front
+    /// (probing slots 0, 1, 3, 7, ...) to the first probe keyed above it,
+    /// then binary-searches the bracket that probe closes, so an event due
+    /// before the `i`-th entry costs O(log i) comparisons.
+    /// `VecDeque::insert` shifts the shorter side.
+    fn insert(&mut self, entry: Entry<E>) {
+        let key = entry.key;
+        let len = self.calendar.len();
+        let (mut lo, mut hi) = (0, 0);
+        while hi < len && self.calendar[hi].key < key {
+            lo = hi + 1;
+            hi = 2 * hi + 1;
+        }
+        hi = hi.min(len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.calendar[mid].key < key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        self.calendar.insert(lo, entry);
     }
 
     /// Schedules `event` at absolute time `at`.
@@ -190,7 +187,7 @@ impl<E> EventQueue<E> {
     /// Panics in debug builds if `at` is earlier than the current time.
     pub fn schedule(&mut self, at: SimTime, event: E) {
         let entry = self.entry(at, self.clock.reserve(1), event);
-        self.heap.push(entry);
+        self.insert(entry);
     }
 
     /// Schedules `event` after `delay` from the current time.
@@ -214,15 +211,16 @@ impl<E> EventQueue<E> {
             key.seq
         );
         let entry = self.entry(key.at, key.seq, event);
-        self.heap.push(entry);
+        self.insert(entry);
     }
 
-    /// Schedules a batch of `(at, event)` pairs outside the heap.
+    /// Schedules a batch of `(at, event)` pairs at once: appends them, then
+    /// sorts the calendar.
     ///
     /// Sequence numbers are assigned in iteration order, so the pop order is
     /// exactly that of calling [`EventQueue::schedule`] for each pair in
-    /// turn. Meant for large batches known up front; each call re-sorts the
-    /// preloaded entries.
+    /// turn. Meant for large batches known up front, where one sort beats
+    /// an insert per event; each call sorts the whole calendar.
     ///
     /// # Panics
     ///
@@ -230,42 +228,35 @@ impl<E> EventQueue<E> {
     pub fn preload(&mut self, events: impl IntoIterator<Item = (SimTime, E)>) {
         for (at, event) in events {
             let entry = self.entry(at, self.clock.reserve(1), event);
-            self.lane.push(entry);
+            self.calendar.push_back(entry);
         }
-        self.lane.sort_unstable();
+        self.calendar
+            .make_contiguous()
+            .sort_unstable_by_key(|e| e.key);
     }
 
     /// Removes and returns the earliest event, advancing the clock to its
     /// timestamp. Returns `None` when the calendar is exhausted.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        // `Entry` order is reversed and `None` sorts below `Some`, so the
-        // greater side holds the earliest event.
-        let entry = if self.lane.last() > self.heap.peek() {
-            self.lane.pop()
-        } else {
-            self.heap.pop()
-        }?;
-        self.clock.0.key.set(EventKey {
-            at: entry.at,
-            seq: entry.seq,
-        });
+        let Entry { key, event } = self.calendar.pop_front()?;
+        self.clock.0.key.set(key);
         self.popped += 1;
-        Some((entry.at, entry.event))
+        Some((key.at, event))
     }
 
     /// The timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.lane.last().max(self.heap.peek()).map(|e| e.at)
+        self.calendar.front().map(|e| e.key.at)
     }
 
     /// True if no events remain.
     pub fn is_empty(&self) -> bool {
-        self.lane.is_empty() && self.heap.is_empty()
+        self.calendar.is_empty()
     }
 
     /// Number of pending events, preloaded ones included.
     pub fn raw_len(&self) -> usize {
-        self.heap.len() + self.lane.len()
+        self.calendar.len()
     }
 
     /// Total number of events delivered so far.
@@ -311,13 +302,13 @@ mod tests {
     }
 
     #[test]
-    fn peek_reports_the_earliest_of_both_lanes() {
+    fn peek_reports_the_earliest_of_scheduled_and_preloaded() {
         let mut q = EventQueue::new();
         assert!(q.is_empty() && q.peek_time().is_none());
-        q.schedule(SimTime::from_nanos(9), "heap");
-        q.preload([(SimTime::from_nanos(4), "lane")]);
+        q.schedule(SimTime::from_nanos(9), "live");
+        q.preload([(SimTime::from_nanos(4), "preloaded")]);
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(4)));
-        assert_eq!(q.pop().unwrap().1, "lane");
+        assert_eq!(q.pop().unwrap().1, "preloaded");
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(9)));
         assert!(!q.is_empty());
         q.pop();
@@ -380,6 +371,138 @@ mod tests {
         assert!(q.is_empty() && q.raw_len() == 0);
     }
 
+    /// An independent reference calendar: every pending `(at, seq,
+    /// payload)` in a `Vec` sorted latest first, so the earliest pops off
+    /// the end. It shares no code with [`EventQueue`]; like `schedule`, it
+    /// draws sequence numbers in call order.
+    #[derive(Default)]
+    struct Oracle {
+        pending: Vec<(SimTime, u64, u32)>,
+        next_seq: u64,
+        key: EventKey,
+    }
+
+    impl Oracle {
+        fn schedule(&mut self, at: SimTime, p: u32) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            let i = self.pending.partition_point(|e| (e.0, e.1) > (at, seq));
+            self.pending.insert(i, (at, seq, p));
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, u32)> {
+            let (at, seq, p) = self.pending.pop()?;
+            self.key = EventKey { at, seq };
+            Some((at, p))
+        }
+
+        fn key(&self) -> EventKey {
+            self.key
+        }
+
+        fn now(&self) -> SimTime {
+            self.key.at
+        }
+
+        fn raw_len(&self) -> usize {
+            self.pending.len()
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.pending.last().map(|e| e.0)
+        }
+    }
+
+    /// Pops one event from both calendars and checks they agree on it and
+    /// on the key it leaves behind; false once both are empty.
+    fn pop_both(q: &mut EventQueue<u32>, oracle: &mut Oracle) -> bool {
+        let got = q.pop();
+        assert_eq!(got, oracle.pop());
+        assert_eq!(q.key(), oracle.key());
+        got.is_some()
+    }
+
+    /// Differential check of the calendar against the [`Oracle`] on the
+    /// inputs a sorted calendar is sensitive to: deep inserts into a few
+    /// thousand preloaded entries, long ascending runs of `schedule` (a
+    /// replayed trace), ties at `now`, and `preload` batches landing
+    /// between live events, interleaved at random with bursts of pops.
+    #[test]
+    fn calendar_pops_like_an_independent_oracle() {
+        let mut rng = SimRng::new(0xca1e);
+        let horizon = 1_000_000;
+        for _ in 0..6 {
+            let mut q = EventQueue::new();
+            let mut oracle = Oracle::default();
+            let mut payload = 0u32;
+            let mut next = || {
+                payload += 1;
+                payload
+            };
+            let ns = Duration::from_nanos;
+            let preloaded: Vec<(SimTime, u32)> = (0..rng.range_u64(1_000, 4_000))
+                .map(|_| (SimTime::ZERO + ns(rng.range_u64(0, horizon)), next()))
+                .collect();
+            for &(at, p) in &preloaded {
+                oracle.schedule(at, p);
+            }
+            q.preload(preloaded);
+            for _ in 0..60 {
+                let now = q.now();
+                match rng.index(6) {
+                    0 => {
+                        for _ in 0..rng.index(400) {
+                            let (at, p) = (now + ns(rng.range_u64(0, horizon)), next());
+                            q.schedule(at, p);
+                            oracle.schedule(at, p);
+                        }
+                    }
+                    1 => {
+                        for _ in 0..rng.index(40) {
+                            let (at, p) = (now + ns(rng.range_u64(0, 4)), next());
+                            q.schedule(at, p);
+                            oracle.schedule(at, p);
+                        }
+                    }
+                    2 => {
+                        for _ in 0..rng.index(20) {
+                            let p = next();
+                            q.schedule(now, p);
+                            oracle.schedule(now, p);
+                        }
+                    }
+                    3 => {
+                        let mut at = now + ns(rng.range_u64(0, 1_000));
+                        for _ in 0..rng.range_u64(100, 3_000) {
+                            at += ns(rng.range_u64(0, 3));
+                            let p = next();
+                            q.schedule(at, p);
+                            oracle.schedule(at, p);
+                        }
+                    }
+                    4 => {
+                        let batch: Vec<(SimTime, u32)> = (0..rng.index(1_500))
+                            .map(|_| (now + ns(rng.range_u64(0, horizon / 10)), next()))
+                            .collect();
+                        for &(at, p) in &batch {
+                            oracle.schedule(at, p);
+                        }
+                        q.preload(batch);
+                    }
+                    _ => {
+                        for _ in 0..rng.index(1_500) {
+                            pop_both(&mut q, &mut oracle);
+                        }
+                    }
+                }
+                assert_eq!(q.raw_len(), oracle.raw_len());
+                assert_eq!(q.peek_time(), oracle.peek_time());
+            }
+            while pop_both(&mut q, &mut oracle) {}
+            assert!(q.is_empty());
+        }
+    }
+
     /// Pops `fast`'s next event into `got`, preceded by the `deferred`
     /// members keyed at or below it in key order; returns its key.
     fn pop_settling(
@@ -398,7 +521,7 @@ mod tests {
         Some(key)
     }
 
-    /// Differential check of deferred settling against a calendar fed
+    /// Differential check of deferred settling against the [`Oracle`] fed
     /// through `schedule` alone, under random interleavings with
     /// `schedule`, `preload` and `pop`. The fast side reserves each batch's
     /// sequence numbers, schedules only the batch's greatest key and keeps
@@ -412,7 +535,7 @@ mod tests {
         let mut rng = SimRng::new(0x5eed);
         for _ in 0..300 {
             let mut fast = EventQueue::new();
-            let mut reference = EventQueue::new();
+            let mut reference = Oracle::default();
             let clock = fast.clock();
             let mut deferred: Vec<(EventKey, u32)> = Vec::new();
             let (mut got, mut want) = (Vec::new(), Vec::new());

@@ -20,6 +20,12 @@
 # disagree on one of them, the script says which and exits 1 after the
 # summary. Speed changes must leave them byte-identical.
 #
+# Each run's last line also carries "correct" (its self-checks passed)
+# and "failed" (operations that failed or never completed). After the
+# summary the script prints each side's total failed ops, and exits 1 if
+# any run reported "correct": false or the change failed more ops than
+# the parent.
+#
 # Nothing is written into either tree beyond cargo's build output: builds
 # go to a target directory under OUT_DIR (default: a fresh temporary
 # directory; set OUT_DIR to keep the per-run JSON files), and cargo's
@@ -55,12 +61,19 @@ build() {
     cmp -s "$lock" "$out/Cargo.lock.$side" || cp "$out/Cargo.lock.$side" "$lock"
 }
 
-# run SIDE PAIR: one perf run; prints its gets/s.
+# run SIDE PAIR: one perf run; keeps its last line in $out/SIDE.PAIR.last
+# and prints its gets/s. perf exits 1 when a self-check fails; that run's
+# "correct": false is judged after the summary.
 run() {
-    local side=$1 pair=$2 json="$out/$1.$2.json"
+    local side=$1 pair=$2 json="$out/$1.$2.json" last="$out/$1.$2.last"
     "$out/target-$side/release/perf" --workload "$workload" --seconds "$seconds" \
-        "${seed_args[@]}" --json "$json" | tail -n 1 |
-        sed -n 's/.*"gets_per_s": {"value": \([0-9.eE+-]*\).*/\1/p'
+        "${seed_args[@]}" --json "$json" | tail -n 1 >"$last" || true
+    sed -n 's/.*"gets_per_s": {"value": \([0-9.eE+-]*\).*/\1/p' "$last"
+}
+
+# outcome LAST: a run's "correct" and "failed" values, from its last line.
+outcome() {
+    sed -n 's/^{"correct": \([a-z]*\), "attempted": [0-9]*, "failed": \([0-9]*\),.*/\1 \2/p' "$1"
 }
 
 # metric JSON NAME: the values of metric NAME in a perf --json file, one
@@ -105,6 +118,9 @@ setup_a=()
 setup_b=()
 wins=0
 drift=0
+failed_a=0
+failed_b=0
+incorrect=0
 for i in $(seq 1 "$pairs"); do
     if [ $((i % 2)) -eq 1 ]; then
         x=$(run parent "$i")
@@ -119,6 +135,18 @@ for i in $(seq 1 "$pairs"); do
     fi
     a+=("$x")
     b+=("$y")
+    for side in parent change; do
+        read -r correct failed < <(outcome "$out/$side.$i.last") || true
+        if [ "${correct:-}" != true ]; then
+            echo "pair $i: $side run reported \"correct\": ${correct:-missing}" >&2
+            incorrect=$((incorrect + 1))
+        fi
+        if [ "$side" = parent ]; then
+            failed_a=$((failed_a + ${failed:-0}))
+        else
+            failed_b=$((failed_b + ${failed:-0}))
+        fi
+    done
     for m in p50_ms p99_ms tail_cut_pct slo_miss_pct; do
         px=$(metric "$out/parent.$i.json" "$m")
         cy=$(metric "$out/change.$i.json" "$m")
@@ -157,8 +185,22 @@ summary change 4 "${setup_b[@]}"
 awk -v x="$(quartiles "${setup_a[@]}" | cut -d' ' -f1)" \
     -v y="$(quartiles "${setup_b[@]}" | cut -d' ' -f1)" \
     'BEGIN { printf "setup_s median change %+.1f%%\n", 100 * (y - x) / x }'
+echo "# failed ops (every run of every pair)"
+echo "parent  $failed_a"
+echo "change  $failed_b"
+status=0
 if [ "$drift" -ne 0 ]; then
     echo "virtual-time metrics differ between the trees (see above)" >&2
-    exit 1
+    status=1
+else
+    echo "p50_ms, p99_ms, tail_cut_pct and slo_miss_pct identical in every pair"
 fi
-echo "p50_ms, p99_ms, tail_cut_pct and slo_miss_pct identical in every pair"
+if [ "$incorrect" -ne 0 ]; then
+    echo "$incorrect runs reported \"correct\": false (see above)" >&2
+    status=1
+fi
+if [ "$failed_b" -gt "$failed_a" ]; then
+    echo "the change failed more ops than the parent ($failed_b vs $failed_a)" >&2
+    status=1
+fi
+exit "$status"
