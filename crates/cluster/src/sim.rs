@@ -804,8 +804,8 @@ impl ClusterSim {
                 }
             }
         }
-        // Noise schedules: thousands of pre-generated bursts, kept out of
-        // the heap in the calendar's presorted lane.
+        // Noise schedules: thousands of pre-generated bursts, added to the
+        // calendar in one batch and sorted once.
         let bursts = self.cfg.noise.iter().enumerate().flat_map(|(stream, ns)| {
             ns.schedules
                 .iter()
