@@ -11,7 +11,7 @@
 //! | Module       | Resource             | Mechanism |
 //! |--------------|----------------------|-----------|
 //! | [`mittnoop`]  | noop disk scheduler | O(1) `T_nextFree` + profiled seek model + diff calibration |
-//! | [`mittcfq`]   | CFQ disk scheduler  | O(P) per-process totals + tolerable-time table for late bumps |
+//! | [`mittcfq`]   | CFQ disk scheduler  | O(P) per-process totals + per-IO tolerable times for late bumps |
 //! | [`mittssd`]   | host-managed SSD    | per-chip next-free mirror + per-channel outstanding counts |
 //! | [`mittcache`] | OS page cache       | `addrcheck()` page-table walk + deadline propagation |
 //!

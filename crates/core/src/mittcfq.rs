@@ -14,14 +14,14 @@
 //!
 //! CFQ adds a hazard noop lacks: an IO accepted now can be *bumped to the
 //! back* by higher-priority arrivals until its deadline is hopeless. The
-//! paper's fix is a hash table keyed by "tolerable time" (bucketed to 1 ms):
-//! each admitted deadline IO stores how much extra delay it can absorb;
-//! every admitted higher-priority IO debits the tolerable time of the
-//! lower-priority ones, and IOs whose tolerable time goes negative are
-//! cancelled with a late EBUSY.
+//! paper keeps a hash table keyed by "tolerable time" for this. Here each
+//! admitted deadline IO's queue record stores how much extra delay it can
+//! absorb; every admitted higher-priority IO debits the tolerable time of
+//! each queued lower-priority record, and IOs whose tolerable time goes
+//! negative are cancelled with a late EBUSY.
 
 use mitt_device::{BlockIo, IoClass, IoId, ProcessId};
-use mitt_sim::{Duration, FastMap, FastSet, SimTime};
+use mitt_sim::{Duration, FastMap, SimTime};
 use mitt_trace::{Resource, Subsystem};
 
 use crate::admit::{admit_bare, DiskPredictor, Predictor};
@@ -35,8 +35,6 @@ fn class_idx(class: IoClass) -> u8 {
         IoClass::Idle => 2,
     }
 }
-
-const TOLERABLE_BUCKET: Duration = Duration::from_millis(1);
 
 struct QueuedRec {
     service_ns: i64,
@@ -77,8 +75,6 @@ pub struct MittCfq {
     /// CFQ-queue ledger.
     queued: FastMap<IoId, QueuedRec>,
     node_totals: FastMap<(u8, ProcessId), NodeTotal>,
-    /// Tolerable-time hash table: bucket (ms) -> deadline IOs in it.
-    tolerable: FastMap<i64, FastSet<IoId>>,
     admitted: u64,
     rejected: u64,
     bumped_total: u64,
@@ -95,15 +91,10 @@ impl MittCfq {
             last_tail: 0,
             queued: FastMap::default(),
             node_totals: FastMap::default(),
-            tolerable: FastMap::default(),
             admitted: 0,
             rejected: 0,
             bumped_total: 0,
         }
-    }
-
-    fn bucket_of(ns: i64) -> i64 {
-        ns.div_euclid(TOLERABLE_BUCKET.as_nanos() as i64)
     }
 
     /// Predicted wait for an IO of the given class/priority/owner arriving
@@ -173,12 +164,6 @@ impl MittCfq {
         nt.total_ns += service_ns;
         nt.count += 1;
         nt.priority = io.priority;
-        if let Some(t) = tolerable_ns {
-            self.tolerable
-                .entry(Self::bucket_of(t))
-                .or_default()
-                .insert(io.id);
-        }
         // Debit the tolerable time of every queued deadline IO the new IO
         // will be served ahead of; cancel those driven negative.
         self.debit_bumped(cls, io.priority, io.id, service_ns)
@@ -191,7 +176,7 @@ impl MittCfq {
         new_id: IoId,
         service_ns: i64,
     ) -> Vec<IoId> {
-        let mut moves: Vec<(IoId, i64, i64)> = Vec::new(); // (id, old_bucket, new_tol)
+        let mut moves: Vec<(IoId, i64)> = Vec::new(); // (id, new_tol)
         for (&id, rec) in &self.queued {
             if id == new_id {
                 continue;
@@ -202,33 +187,21 @@ impl MittCfq {
             let lower_urgency =
                 rec.class > new_class || (rec.class == new_class && rec.priority > new_prio);
             if lower_urgency {
-                moves.push((id, Self::bucket_of(tol), tol - service_ns));
+                moves.push((id, tol - service_ns));
             }
         }
         // Sort by IoId so the cancellation order (and hence the bumped-EBUSY
         // event order seen by callers) never depends on hash-map layout.
-        moves.sort_unstable_by_key(|&(id, _, _)| id);
+        moves.sort_unstable_by_key(|&(id, _)| id);
         let mut bumped = Vec::new();
-        for (id, old_bucket, new_tol) in moves {
-            if let Some(set) = self.tolerable.get_mut(&old_bucket) {
-                set.remove(&id);
-                if set.is_empty() {
-                    self.tolerable.remove(&old_bucket);
-                }
-            }
+        for (id, new_tol) in moves {
             if new_tol < 0 {
                 // Deadline hopeless: cancel with late EBUSY.
                 self.remove_queued(id);
                 self.bumped_total += 1;
                 bumped.push(id);
-            } else {
-                if let Some(rec) = self.queued.get_mut(&id) {
-                    rec.tolerable_ns = Some(new_tol);
-                }
-                self.tolerable
-                    .entry(Self::bucket_of(new_tol))
-                    .or_default()
-                    .insert(id);
+            } else if let Some(rec) = self.queued.get_mut(&id) {
+                rec.tolerable_ns = Some(new_tol);
             }
         }
         bumped
@@ -236,14 +209,6 @@ impl MittCfq {
 
     fn remove_queued(&mut self, id: IoId) -> Option<QueuedRec> {
         let rec = self.queued.remove(&id)?;
-        if let Some(tol) = rec.tolerable_ns {
-            if let Some(set) = self.tolerable.get_mut(&Self::bucket_of(tol)) {
-                set.remove(&id);
-                if set.is_empty() {
-                    self.tolerable.remove(&Self::bucket_of(tol));
-                }
-            }
-        }
         if let Some(nt) = self.node_totals.get_mut(&(rec.class, rec.owner)) {
             nt.total_ns -= rec.service_ns;
             nt.count -= 1;

@@ -8,8 +8,10 @@
 //! out under memory contention — the paper's caveat that EBUSY should signal
 //! contention (re-evicted pages), not cold first accesses.
 //!
-//! The model is page-granular with exact LRU, implemented as a stamp map so
-//! eviction order is deterministic.
+//! The model is page-granular with exact LRU: a doubly linked recency list
+//! threaded through a slot array, so a touch, an insert, an eviction and the
+//! removal of any one page are each O(1), and eviction order depends only on
+//! the sequence of calls.
 //!
 //! # Examples
 //!
@@ -25,9 +27,10 @@
 //! assert!(cache.addrcheck(0, 8192).contended);
 //! ```
 
-use std::collections::BTreeMap;
-
 use mitt_sim::{Duration, FastMap, FastSet, SimRng};
+
+/// Marks an absent link.
+const NIL: u32 = u32::MAX;
 
 /// Result of checking one page's residency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,29 +80,54 @@ impl Default for PageCacheConfig {
     }
 }
 
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    page: u64,
+    /// Next more recently used slot; unused while the slot is free.
+    newer: u32,
+    /// Next less recently used slot, or the next free slot.
+    older: u32,
+}
+
 /// An exact-LRU page cache with swap-out tracking.
+///
+/// Resident pages sit in `slots`, linked newest to oldest; `pages` maps a
+/// page to its slot. A slot freed by an eviction, an fadvise or a swap-out
+/// joins a free list chained through `older` and is reused first.
 pub struct PageCache {
     cfg: PageCacheConfig,
-    /// page -> LRU stamp.
-    pages: FastMap<u64, u64>,
-    /// LRU stamp -> page (oldest first).
-    order: BTreeMap<u64, u64>,
+    /// page -> its slot in `slots`.
+    pages: FastMap<u64, u32>,
+    slots: Vec<Slot>,
+    newest: u32,
+    oldest: u32,
+    /// Head of the free-slot list.
+    free: u32,
     /// Pages that have ever been resident.
     ever_resident: FastSet<u64>,
-    stamp: u64,
     hits: u64,
     misses: u64,
 }
 
 impl PageCache {
     /// Creates an empty cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.capacity_pages` does not fit the 32-bit slot index.
     pub fn new(cfg: PageCacheConfig) -> Self {
+        assert!(
+            cfg.capacity_pages < NIL as usize,
+            "page cache capacity too large"
+        );
         PageCache {
             cfg,
             pages: FastMap::default(),
-            order: BTreeMap::new(),
+            slots: Vec::new(),
+            newest: NIL,
+            oldest: NIL,
+            free: NIL,
             ever_resident: FastSet::default(),
-            stamp: 0,
             hits: 0,
             misses: 0,
         }
@@ -129,20 +157,76 @@ impl PageCache {
         }
     }
 
+    /// Makes `page` resident and most recently used.
     fn bump(&mut self, page: u64) {
-        if let Some(old) = self.pages.get(&page).copied() {
-            self.order.remove(&old);
+        if let Some(&slot) = self.pages.get(&page) {
+            if slot != self.newest {
+                self.unlink(slot);
+                self.push_newest(slot);
+            }
+            return;
         }
-        self.stamp += 1;
-        self.pages.insert(page, self.stamp);
-        self.order.insert(self.stamp, page);
+        let slot = match self.free {
+            NIL => {
+                self.slots.push(Slot {
+                    page,
+                    newer: NIL,
+                    older: NIL,
+                });
+                // At most capacity + 1 pages are resident at once, and `new`
+                // bounds the capacity below `NIL`.
+                (self.slots.len() - 1) as u32
+            }
+            f => {
+                self.free = self.slots[f as usize].older;
+                self.slots[f as usize].page = page;
+                f
+            }
+        };
+        self.push_newest(slot);
+        self.pages.insert(page, slot);
     }
 
+    /// Evicts the least recently used page.
     fn evict_lru(&mut self) -> Option<u64> {
-        let (&stamp, &page) = self.order.iter().next()?;
-        self.order.remove(&stamp);
-        self.pages.remove(&page);
+        if self.oldest == NIL {
+            return None;
+        }
+        let page = self.slots[self.oldest as usize].page;
+        self.remove(page);
         Some(page)
+    }
+
+    /// Drops `page` if it is resident.
+    fn remove(&mut self, page: u64) {
+        if let Some(slot) = self.pages.remove(&page) {
+            self.unlink(slot);
+            self.slots[slot as usize].older = self.free;
+            self.free = slot;
+        }
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let Slot { newer, older, .. } = self.slots[slot as usize];
+        match newer {
+            NIL => self.newest = older,
+            n => self.slots[n as usize].older = older,
+        }
+        match older {
+            NIL => self.oldest = newer,
+            o => self.slots[o as usize].newer = newer,
+        }
+    }
+
+    fn push_newest(&mut self, slot: u32) {
+        let s = &mut self.slots[slot as usize];
+        s.newer = NIL;
+        s.older = self.newest;
+        match self.newest {
+            NIL => self.oldest = slot,
+            n => self.slots[n as usize].newer = slot,
+        }
+        self.newest = slot;
     }
 
     /// Walks the page table for a byte range without side effects other
@@ -174,10 +258,7 @@ impl PageCache {
         let check = self.addrcheck(offset, len);
         if check.resident {
             self.hits += 1;
-            // (Named `spanned`, not `pages`: the `pages` field is a FastMap
-            // and shadowing its name trips the D003 iteration lint.)
-            let spanned: Vec<u64> = self.pages_of(offset, len).collect();
-            for page in spanned {
+            for page in self.pages_of(offset, len) {
                 self.bump(page);
             }
         } else {
@@ -190,8 +271,7 @@ impl PageCache {
     /// evicting LRU pages as needed. Returns evicted page numbers.
     pub fn insert_range(&mut self, offset: u64, len: u32) -> Vec<u64> {
         let mut evicted = Vec::new();
-        let spanned: Vec<u64> = self.pages_of(offset, len).collect();
-        for page in spanned {
+        for page in self.pages_of(offset, len) {
             self.ever_resident.insert(page);
             self.bump(page);
             while self.pages.len() > self.cfg.capacity_pages {
@@ -207,9 +287,7 @@ impl PageCache {
     /// mechanism the paper uses to construct the MittCache microbenchmark.
     pub fn fadvise_dontneed(&mut self, offset: u64, len: u32) {
         for page in self.pages_of(offset, len) {
-            if let Some(stamp) = self.pages.remove(&page) {
-                self.order.remove(&stamp);
-            }
+            self.remove(page);
         }
     }
 
@@ -221,9 +299,7 @@ impl PageCache {
         all.sort_unstable(); // Hash-map order is unspecified; fix it.
         rng.shuffle(&mut all);
         for &page in all.iter().take(n) {
-            if let Some(stamp) = self.pages.remove(&page) {
-                self.order.remove(&stamp);
-            }
+            self.remove(page);
         }
         n
     }
@@ -241,6 +317,8 @@ impl PageCache {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn cache(capacity: usize) -> PageCache {
@@ -332,6 +410,178 @@ mod tests {
         c.access(0, 4096);
         c.access(4096, 4096);
         assert_eq!(c.counters(), (1, 1));
+    }
+
+    /// The stamp-map LRU the linked slot list replaced, kept as the
+    /// reference for eviction order: page -> stamp, and stamp -> page with
+    /// the oldest stamp first.
+    struct StampLru {
+        cfg: PageCacheConfig,
+        pages: FastMap<u64, u64>,
+        order: BTreeMap<u64, u64>,
+        ever_resident: FastSet<u64>,
+        stamp: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl StampLru {
+        fn new(cfg: PageCacheConfig) -> Self {
+            StampLru {
+                cfg,
+                pages: FastMap::default(),
+                order: BTreeMap::new(),
+                ever_resident: FastSet::default(),
+                stamp: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn span(&self, offset: u64, len: u32) -> std::ops::RangeInclusive<u64> {
+            let ps = u64::from(self.cfg.page_size);
+            offset / ps..=(offset + u64::from(len).max(1) - 1) / ps
+        }
+
+        fn page_state(&self, page: u64) -> PageState {
+            if self.pages.contains_key(&page) {
+                PageState::Resident
+            } else if self.ever_resident.contains(&page) {
+                PageState::SwappedOut
+            } else {
+                PageState::NeverLoaded
+            }
+        }
+
+        fn bump(&mut self, page: u64) {
+            if let Some(old) = self.pages.get(&page).copied() {
+                self.order.remove(&old);
+            }
+            self.stamp += 1;
+            self.pages.insert(page, self.stamp);
+            self.order.insert(self.stamp, page);
+        }
+
+        fn drop_page(&mut self, page: u64) {
+            if let Some(stamp) = self.pages.remove(&page) {
+                self.order.remove(&stamp);
+            }
+        }
+
+        fn access(&mut self, offset: u64, len: u32) {
+            if self.span(offset, len).all(|p| self.pages.contains_key(&p)) {
+                self.hits += 1;
+                for page in self.span(offset, len) {
+                    self.bump(page);
+                }
+            } else {
+                self.misses += 1;
+            }
+        }
+
+        fn insert_range(&mut self, offset: u64, len: u32) -> Vec<u64> {
+            let mut evicted = Vec::new();
+            for page in self.span(offset, len) {
+                self.ever_resident.insert(page);
+                self.bump(page);
+                while self.pages.len() > self.cfg.capacity_pages {
+                    let (&stamp, &oldest) = self.order.iter().next().expect("over capacity");
+                    self.order.remove(&stamp);
+                    self.pages.remove(&oldest);
+                    evicted.push(oldest);
+                }
+            }
+            evicted
+        }
+
+        fn fadvise_dontneed(&mut self, offset: u64, len: u32) {
+            for page in self.span(offset, len) {
+                self.drop_page(page);
+            }
+        }
+
+        fn swap_out_fraction(&mut self, fraction: f64, rng: &mut SimRng) -> usize {
+            let n = ((self.pages.len() as f64) * fraction.clamp(0.0, 1.0)) as usize;
+            let mut all: Vec<u64> = self.pages.keys().copied().collect();
+            all.sort_unstable();
+            rng.shuffle(&mut all);
+            for &page in all.iter().take(n) {
+                self.drop_page(page);
+            }
+            n
+        }
+    }
+
+    /// Drives the cache and the stamp-map reference through the same
+    /// seeded calls, at capacities small enough that most inserts evict,
+    /// and compares everything observable after every call. No golden run
+    /// evicts (their caches hold 1 M pages), so this is the guard on
+    /// eviction order.
+    #[test]
+    fn lru_matches_the_stamp_map_reference() {
+        for &capacity in &[0usize, 1, 2, 16, 1_000] {
+            for seed in 0..3u64 {
+                let cfg = PageCacheConfig {
+                    capacity_pages: capacity,
+                    ..PageCacheConfig::default()
+                };
+                let mut got = PageCache::new(cfg.clone());
+                let mut want = StampLru::new(cfg);
+                let mut rng = SimRng::new(seed * 1_000 + capacity as u64);
+                let (mut got_rng, mut want_rng) = (SimRng::new(seed), SimRng::new(seed));
+                // Twice the capacity plus a few, so pages fall out and return;
+                // ranges of up to a fiftieth of it, so a large cache fills.
+                let universe = 2 * capacity as u64 + 8;
+                let max_len = 4096 * (capacity as u64 / 50).max(4);
+                let mut touched = std::collections::BTreeSet::new();
+                let mut evictions = 0;
+                for step in 0..1_500 {
+                    let offset = rng.range_u64(0, universe * 4096);
+                    let len = rng.range_u64(1, max_len) as u32;
+                    touched.extend(got.pages_of(offset, len));
+                    match rng.range_u64(0, 100) {
+                        0..=44 => {
+                            let evicted = got.insert_range(offset, len);
+                            assert_eq!(
+                                evicted,
+                                want.insert_range(offset, len),
+                                "evicted, capacity {capacity} seed {seed} step {step}"
+                            );
+                            evictions += evicted.len();
+                        }
+                        45..=84 => {
+                            got.access(offset, len);
+                            want.access(offset, len);
+                        }
+                        85..=97 => {
+                            got.fadvise_dontneed(offset, len);
+                            want.fadvise_dontneed(offset, len);
+                        }
+                        _ => {
+                            let f = rng.unit_f64() * 0.5;
+                            assert_eq!(
+                                got.swap_out_fraction(f, &mut got_rng),
+                                want.swap_out_fraction(f, &mut want_rng),
+                                "swapped, capacity {capacity} seed {seed} step {step}"
+                            );
+                        }
+                    }
+                    for &page in &touched {
+                        assert_eq!(
+                            got.page_state(page),
+                            want.page_state(page),
+                            "page {page}, capacity {capacity} seed {seed} step {step}"
+                        );
+                    }
+                    assert_eq!(got.resident_pages(), want.pages.len());
+                    assert_eq!(got.counters(), (want.hits, want.misses));
+                }
+                assert!(
+                    evictions > 0,
+                    "capacity {capacity} seed {seed} never evicted"
+                );
+            }
+        }
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! deterministic. The Zipfian sampler follows the YCSB/Gray rejection
 //! construction so key popularity matches the paper's YCSB workloads.
 
+use std::sync::{Mutex, PoisonError};
+
 use crate::rng::SimRng;
 
 /// A sampleable distribution over `f64`.
@@ -182,8 +184,9 @@ pub struct Zipfian {
 impl Zipfian {
     /// Creates a Zipfian distribution over `0..n`.
     ///
-    /// Construction is O(n) (computes the zeta normalization constant);
-    /// sampling is O(1).
+    /// The first construction with a given `(n, theta)` in a process is
+    /// O(n) (it sums the zeta normalization constant); later ones read the
+    /// same sum from a process-wide memo. Sampling is O(1).
     ///
     /// # Panics
     ///
@@ -191,7 +194,7 @@ impl Zipfian {
     pub fn new(n: u64, theta: f64) -> Self {
         assert!(n > 0, "empty item space");
         assert!((0.0..1.0).contains(&theta) && theta > 0.0, "theta in (0,1)");
-        let zetan = Self::zeta(n, theta);
+        let zetan = zeta_memoised(n, theta);
         let zeta2 = Self::zeta(2, theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
@@ -228,6 +231,39 @@ impl Zipfian {
     pub fn zeta2(&self) -> f64 {
         self.zeta2
     }
+}
+
+/// Zeta sums computed so far in this process, as `(n, theta bits, sum)`.
+///
+/// A figure binary builds many clusters over the same record count, and
+/// the sum costs one `powf` per record. Entries are never evicted: a
+/// process sees a handful of `(n, theta)` pairs, at 24 bytes each.
+static ZETA_MEMO: Mutex<Vec<(u64, u64, f64)>> = Mutex::new(Vec::new());
+
+/// `Zipfian::zeta(n, theta)`, summed once per exact `(n, theta)` key.
+///
+/// The memoised value is the very sum a direct call returns (same terms,
+/// same left-to-right order), so it is bit-identical. The lock is not
+/// held while summing; two threads missing at once both sum and the
+/// second keeps the first entry, which has the same bits. Every update is
+/// a single `push`, so a guard recovered from a poisoned lock still holds
+/// only complete entries.
+fn zeta_memoised(n: u64, theta: f64) -> f64 {
+    let key = (n, theta.to_bits());
+    let find = |memo: &[(u64, u64, f64)]| {
+        memo.iter()
+            .find(|&&(en, et, _)| (en, et) == key)
+            .map(|&(_, _, z)| z)
+    };
+    if let Some(z) = find(&ZETA_MEMO.lock().unwrap_or_else(PoisonError::into_inner)) {
+        return z;
+    }
+    let z = Zipfian::zeta(n, theta);
+    let mut memo = ZETA_MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+    if find(&memo).is_none() {
+        memo.push((key.0, key.1, z));
+    }
+    z
 }
 
 impl Distribution for Zipfian {
@@ -305,6 +341,37 @@ mod tests {
         assert!(counts[0] > counts[10] && counts[0] > counts[500].max(1) * 20);
         let head: u32 = counts[..100].iter().sum();
         assert!(head as f64 > 0.6 * 100_000.0, "head mass {head}");
+    }
+
+    #[test]
+    fn zeta_memo_hits_equal_the_direct_sum_and_keys_do_not_alias() {
+        // Record counts no other test uses, so each key's first call here
+        // is a miss and its second a hit.
+        let keys = [(1_237, 0.99), (1_238, 0.99), (1_237, 0.98), (1_237, 0.5)];
+        for &(n, theta) in &keys {
+            let direct = Zipfian::zeta(n, theta);
+            let first = Zipfian::new(n, theta).zetan;
+            let hit = Zipfian::new(n, theta).zetan;
+            assert_eq!(first.to_bits(), direct.to_bits(), "miss for ({n}, {theta})");
+            assert_eq!(hit.to_bits(), direct.to_bits(), "hit for ({n}, {theta})");
+            let memo = ZETA_MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+            let entries: Vec<f64> = memo
+                .iter()
+                .filter(|&&(en, et, _)| (en, et) == (n, theta.to_bits()))
+                .map(|&(_, _, z)| z)
+                .collect();
+            assert_eq!(entries.len(), 1, "one entry per key");
+            assert_eq!(entries[0].to_bits(), direct.to_bits());
+        }
+        // Neighbouring keys hold distinct sums, so an aliased lookup would
+        // have shown above as a bit mismatch.
+        let sums: Vec<u64> = keys
+            .iter()
+            .map(|&(n, t)| Zipfian::zeta(n, t).to_bits())
+            .collect();
+        for (i, a) in sums.iter().enumerate() {
+            assert!(sums[i + 1..].iter().all(|b| b != a), "keys {i} alias");
+        }
     }
 
     #[test]

@@ -123,7 +123,7 @@ impl Duration {
         if s <= 0.0 || !s.is_finite() {
             return Duration::ZERO;
         }
-        Duration((s * 1e9).round() as u64)
+        Duration(round_ns(s * 1e9))
     }
 
     /// Nanoseconds in this duration.
@@ -182,6 +182,20 @@ impl Duration {
         debug_assert!(factor >= 0.0, "duration scale factor must be >= 0");
         Duration::from_secs_f64(self.as_secs_f64() * factor)
     }
+}
+
+/// `ns.round() as u64` for `ns >= 0`, without libm's `round` (a library
+/// call on baseline x86-64, paid on every jittered device service time).
+///
+/// Below 2^53 the truncation and the fraction `ns - t` are exact, so
+/// comparing the fraction with 0.5 rounds half away from zero, as
+/// `round` does. From 2^53 up `ns` is already an integer and the fraction
+/// is 0, except at and above 2^64, where the cast saturates to
+/// `u64::MAX` and so does the add. No branch: the fraction sits on each
+/// side of 0.5 about half the time.
+fn round_ns(ns: f64) -> u64 {
+    let t = ns as u64;
+    t.saturating_add(u64::from(ns - t as f64 >= 0.5))
 }
 
 impl Add<Duration> for SimTime {
@@ -280,6 +294,49 @@ impl fmt::Display for Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
+
+    #[test]
+    fn round_ns_matches_libm_round() {
+        let edges = [
+            0.0,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            1e9 + 0.5,
+            4_503_599_627_370_495.5, // 2^52 - 0.5
+            4_503_599_627_370_496.0 - 1.0,
+            4_503_599_627_370_496.0 + 1.0,
+            9_007_199_254_740_992.0,      // 2^53
+            9_223_372_036_854_775_808.0,  // 2^63
+            18_446_744_073_709_551_616.0, // 2^64
+            1e30,
+            f64::MAX,
+        ];
+        for &x in &edges {
+            assert_eq!(round_ns(x), x.round() as u64, "{x:e}");
+        }
+        for k in 0..1_000u64 {
+            let x = k as f64 + 0.5;
+            assert_eq!(round_ns(x), x.round() as u64, "{x}");
+        }
+        // Seeded values spread over magnitudes 2^-8 .. 2^70 (a uniform
+        // mantissa scaled by a uniform power of two), the integer-plus-half
+        // beside each, and each passed in as seconds.
+        let mut rng = SimRng::new(0x0dd_1e55);
+        for _ in 0..1_000_000 {
+            let x = (1.0 + rng.unit_f64()) * 2f64.powi(rng.range_u64(0, 79) as i32 - 8);
+            assert_eq!(round_ns(x), x.round() as u64, "{x:e}");
+            let h = x.trunc() + 0.5;
+            assert_eq!(round_ns(h), h.round() as u64, "{h:e}");
+            let s = x / 1e9;
+            assert_eq!(
+                Duration::from_secs_f64(s).as_nanos(),
+                (s * 1e9).round() as u64
+            );
+        }
+    }
 
     #[test]
     fn constructors_agree() {

@@ -13,7 +13,11 @@
 # its median beats the parent's by more than the parent's interquartile
 # range, else "claim not met". Then each side's peak_heap_mb median and setup_s median and
 # quartiles, with the change in the setup_s median relative to the
-# parent's.
+# parent's. Then the same verdict for setup_s, pair by pair: each run's
+# setup_s is the median of its timed repetitions, the pair goes to the
+# lower one, and "setup_s claim met" needs at least 10 pairs, 9/10 won
+# and a gap between the sides' medians of those per-run values wider
+# than the parent's interquartile range of them.
 #
 # The virtual-time metrics (p50_ms, p99_ms, tail_cut_pct, slo_miss_pct)
 # are read from each run's --json file; if the two trees' runs of any pair
@@ -116,6 +120,9 @@ heap_a=()
 heap_b=()
 setup_a=()
 setup_b=()
+setup_med_a=()
+setup_med_b=()
+setup_wins=0
 wins=0
 drift=0
 failed_a=0
@@ -159,6 +166,14 @@ for i in $(seq 1 "$pairs"); do
     mapfile -t -O "${#heap_b[@]}" heap_b < <(metric "$out/change.$i.json" peak_heap_mb)
     mapfile -t -O "${#setup_a[@]}" setup_a < <(metric "$out/parent.$i.json" setup_s)
     mapfile -t -O "${#setup_b[@]}" setup_b < <(metric "$out/change.$i.json" setup_s)
+    mapfile -t run_setup < <(metric "$out/parent.$i.json" setup_s)
+    sx=$(quartiles "${run_setup[@]}" | cut -d' ' -f1)
+    mapfile -t run_setup < <(metric "$out/change.$i.json" setup_s)
+    sy=$(quartiles "${run_setup[@]}" | cut -d' ' -f1)
+    setup_med_a+=("$sx")
+    setup_med_b+=("$sy")
+    setup_won=$(awk -v x="$sx" -v y="$sy" 'BEGIN { print (y < x) ? 1 : 0 }')
+    setup_wins=$((setup_wins + setup_won))
     won=$(awk -v x="$x" -v y="$y" 'BEGIN { print (y > x) ? 1 : 0 }')
     wins=$((wins + won))
     awk -v i="$i" -v x="$x" -v y="$y" 'BEGIN {
@@ -185,6 +200,15 @@ summary change 4 "${setup_b[@]}"
 awk -v x="$(quartiles "${setup_a[@]}" | cut -d' ' -f1)" \
     -v y="$(quartiles "${setup_b[@]}" | cut -d' ' -f1)" \
     'BEGIN { printf "setup_s median change %+.1f%%\n", 100 * (y - x) / x }'
+echo "change won $setup_wins/$pairs pairs on setup_s (each run's median, lower wins)"
+awk -v wins="$setup_wins" -v pairs="$pairs" -v a="$(quartiles "${setup_med_a[@]}")" \
+    -v b="$(quartiles "${setup_med_b[@]}")" 'BEGIN {
+    split(a, pa, " "); split(b, pb, " ")
+    gap = pa[1] - pb[1]; iqr = pa[3] - pa[2]
+    met = pairs >= 10 && 10 * wins >= 9 * pairs && gap > iqr
+    printf "setup_s claim %s: won %d/%d pairs (needs 10+ pairs, 9/10 won), median gap %.4f vs parent iqr %.4f\n",
+        met ? "met" : "not met", wins, pairs, gap, iqr
+}'
 echo "# failed ops (every run of every pair)"
 echo "parent  $failed_a"
 echo "change  $failed_b"
