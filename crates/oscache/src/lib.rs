@@ -80,7 +80,7 @@ impl Default for PageCacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 struct Slot {
     page: u64,
     /// Next more recently used slot; unused while the slot is free.
