@@ -2,8 +2,9 @@
 //! personalities and a Hadoop-like job stream (§7.8.1).
 //!
 //! `--bench-json BENCH_fig11.json` writes a machine-readable per-strategy
-//! report; `--baseline <file>` compares against a committed baseline and
-//! exits 1 on regression (see `mitt-obs`).
+//! report at the run's scale; `mitt-obs compare baselines/BENCH_fig11.json
+//! BENCH_fig11.json` gates it against the committed baseline, which is
+//! recorded at the binary's default scale.
 
 use mitt_bench::{bench_json, ops_from_env, print_cdf, reduction_at, trace_flag};
 use mitt_cluster::{ExperimentConfig, NodeConfig, Strategy};

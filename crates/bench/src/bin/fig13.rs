@@ -8,8 +8,9 @@
 //! node's outstanding-IO timeline with the instants it returned EBUSY.
 //!
 //! `--bench-json BENCH_fig13.json` writes a machine-readable per-strategy
-//! report; `--baseline <file>` compares against a committed baseline and
-//! exits 1 on regression (see `mitt-obs`).
+//! report at the run's scale; `mitt-obs compare baselines/BENCH_fig13.json
+//! BENCH_fig13.json` gates it against the committed baseline, which is
+//! recorded at the binary's default scale.
 
 use mitt_bench::{bench_json, ec2_disk_noise, ops_from_env, print_cdf, trace_flag};
 use mitt_cluster::{ExperimentConfig, NodeConfig, Strategy};

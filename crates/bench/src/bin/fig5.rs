@@ -5,8 +5,9 @@
 //! p95 of the Base run (§7.2's "13ms" convention).
 //!
 //! `--bench-json BENCH_fig5.json` writes a machine-readable per-strategy
-//! report; `--baseline <file>` compares against a committed baseline and
-//! exits 1 on regression (see `mitt-obs`).
+//! report at the run's scale; `mitt-obs compare baselines/BENCH_fig5.json
+//! BENCH_fig5.json` gates it against the committed baseline, which is
+//! recorded at the binary's default scale.
 
 use mitt_bench::{
     bench_json, fig5_config, measure_p95, ops_from_env, print_cdf, print_percentiles,

@@ -7,11 +7,10 @@
 //! - `--bench-json BENCH_fig9.json` writes a machine-readable report:
 //!   per-trace and aggregate calibration rows plus a small deterministic
 //!   cluster microbenchmark (Base + MittOS) for the latency columns;
-//! - `--baseline <file>` compares against a committed baseline and exits
-//!   1 on regression (`--latency-threshold-pct`/`--calibration-threshold-pp`
-//!   tune the gate);
+//!   `mitt-obs compare baselines/BENCH_fig9.json BENCH_fig9.json` gates
+//!   it against the committed baseline, recorded at `MITT_OPS=8`;
 //! - `--degrade` injects a whole-run `PredictorBias` fault into both the
-//!   replays and the cluster runs, for exercising the gate;
+//!   replays and the cluster runs, so the gate must then fail;
 //! - `--trace out.json` exports the first audited replay as Chrome JSON
 //!   with per-predictor calibration counter tracks.
 

@@ -15,7 +15,8 @@
 //! Flags: `--bench-json <file>` writes the `mitt-bench/v1` report,
 //! `--trace <file>` exports the first faulted run's Chrome trace,
 //! `--quiet` suppresses progress notes. Exits 1 if any invariant is
-//! violated or the double-run digests diverge.
+//! violated, the double-run digests diverge, or the bench report lacks a
+//! row or fails `BenchReport::parse`.
 
 use mitt_bench::{bench_json, ops_from_env, progress, trace_flag};
 use mitt_cluster::{
@@ -242,6 +243,18 @@ fn main() {
     let digest_match = digest_of() == digest_of();
     if !digest_match {
         violations.push("double run: same-seed chaos runs diverged".to_string());
+    }
+    // The report holds one row per (seed, plan, strategy), and reads back
+    // through `BenchReport::parse`, which checks each row's percentiles.
+    let rows = SEEDS.len() * PLANS_PER_SEED * strategies().len();
+    if report.strategies.len() != rows {
+        violations.push(format!(
+            "bench report: {} rows, expected {rows}",
+            report.strategies.len()
+        ));
+    }
+    if let Err(e) = BenchReport::parse(&report.to_json()) {
+        violations.push(format!("bench report: {e}"));
     }
 
     for v in &violations {

@@ -17,8 +17,9 @@
 //! `mitt-bench/v1` report, `--trace <file>` exports the MittOS run's
 //! Chrome trace with `tsl.p99_us` / `tsl.burn_milli` counter tracks,
 //! `--quiet` suppresses progress notes. Exits 1 if no fast-burn alert
-//! fires, no alert overlaps an injected window, or the double-run export
-//! diverges.
+//! fires, no alert overlaps an injected window, the double-run export
+//! diverges, or the MittOS export lacks a windowed timeline, a fast-burn
+//! alert, a flight-recorder dump or its embedded bench report.
 
 use mitt_bench::{bench_json, flag_value, ops_from_env, progress, trace_flag};
 use mitt_cluster::{
@@ -27,7 +28,8 @@ use mitt_cluster::{
 };
 use mitt_faults::{invariants, FaultPlan, FaultPlanGen, PlanGenConfig, ResilienceConfig};
 use mitt_obs::{
-    chrome_export_with_timeline, verify_attribution_invariants, BenchReport, StrategyRow,
+    chrome_export_with_timeline, verify_attribution_invariants, BenchReport, JsonValue,
+    StrategyRow, BENCH_SCHEMA,
 };
 use mitt_sim::Duration;
 use mitt_tsl::TslConfig;
@@ -139,6 +141,44 @@ fn overlapping_alerts(res: &ExperimentResult, plan: &FaultPlan) -> u64 {
         .count() as u64
 }
 
+/// Checks the `mitt-tsl/v1` export's shape: a timeline with windows, a
+/// fast-burn alert, a flight-recorder dump and the embedded bench report.
+fn export_shape(doc: &str) -> Result<(), String> {
+    let v = JsonValue::parse(doc)?;
+    fn arr<'a>(v: &'a JsonValue, key: &str) -> &'a [JsonValue] {
+        v.get(key).and_then(JsonValue::as_arr).unwrap_or(&[])
+    }
+    let schema_is =
+        |v: Option<&JsonValue>, want: &str| v.and_then(|v| v.get("schema")?.as_str()) == Some(want);
+    let checks = [
+        ("schema mitt-tsl/v1", schema_is(Some(&v), "mitt-tsl/v1")),
+        (
+            "a timeline with windows",
+            arr(&v, "timelines")
+                .first()
+                .is_some_and(|t| !arr(t, "windows").is_empty()),
+        ),
+        (
+            "a fast_burn alert",
+            arr(&v, "alerts")
+                .iter()
+                .any(|a| a.get("kind").and_then(JsonValue::as_str) == Some("fast_burn")),
+        ),
+        (
+            "a flight-recorder dump",
+            !arr(&v, "flight_recorder").is_empty(),
+        ),
+        (
+            "an embedded bench report",
+            schema_is(v.get("bench"), BENCH_SCHEMA),
+        ),
+    ];
+    match checks.iter().find(|(_, ok)| !ok) {
+        Some((what, _)) => Err(format!("export lacks {what}")),
+        None => Ok(()),
+    }
+}
+
 fn main() {
     let ops = ops_from_env(300);
     let deadline = Duration::from_millis(20);
@@ -197,8 +237,9 @@ fn main() {
         .strategies
         .push(StrategyRow::from_result("mittos", &mut mitt));
 
+    let doc = mitt.tsl.export_json_with_bench(Some(&report.to_json()));
+    let shape = export_shape(&doc);
     if let Some(path) = flag_value("--tsl-json", "timeline.json") {
-        let doc = mitt.tsl.export_json_with_bench(Some(&report.to_json()));
         match std::fs::write(&path, &doc) {
             Ok(()) => progress::note(&format!("wrote mitt-tsl/v1 export to {path}")),
             Err(e) => {
@@ -230,6 +271,10 @@ fn main() {
     }
     if !export_identical {
         println!("FAIL: same-seed mitt-tsl/v1 exports diverged");
+        std::process::exit(1);
+    }
+    if let Err(e) = shape {
+        println!("FAIL: mitt-tsl/v1 {e}");
         std::process::exit(1);
     }
 }

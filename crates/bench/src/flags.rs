@@ -11,11 +11,10 @@
 //!
 //! Binaries that emit machine-readable baselines additionally honour
 //! [`bench_json`]`()`: `--bench-json <BENCH_fig.json>` writes the run's
-//! [`BenchReport`], `--baseline <file>` compares against a committed
-//! baseline (exit 1 on regression), `--degrade` injects a whole-run
-//! `PredictorBias` fault so the regression gate can be exercised, and
-//! `--latency-threshold-pct` / `--calibration-threshold-pp` tune the
-//! comparison.
+//! [`BenchReport`], and fig9's `--degrade` injects a whole-run
+//! `PredictorBias` fault so the regression gate can be exercised. A
+//! binary only writes its report; `mitt-obs compare <baseline> <report>`
+//! is the one place a report is checked against a committed baseline.
 //!
 //! Every valued flag, here and in the binaries, is read by [`flag_value`],
 //! so each accepts both `--flag value` and `--flag=value` and a trailing
@@ -26,7 +25,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 use mitt_cluster::{run_experiment, ExperimentConfig, ExperimentResult};
-use mitt_obs::{BenchReport, CompareThresholds};
+use mitt_obs::BenchReport;
 
 use crate::progress;
 
@@ -135,14 +134,11 @@ impl TraceFlag {
     }
 }
 
-/// The `--bench-json` / `--baseline` flag set for machine-readable
+/// The `--bench-json` / `--degrade` flag set for machine-readable
 /// baselines.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct BenchJsonFlag {
     path: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    latency_pct: Option<f64>,
-    calibration_pp: Option<f64>,
     degrade: bool,
 }
 
@@ -157,19 +153,7 @@ impl BenchJsonFlag {
     fn from_args() -> Self {
         BenchJsonFlag {
             path: flag_value("--bench-json", "BENCH_fig.json").map(PathBuf::from),
-            baseline: flag_value("--baseline", "BENCH_fig.json").map(PathBuf::from),
-            latency_pct: flag_value("--latency-threshold-pct", "pct").and_then(|v| v.parse().ok()),
-            calibration_pp: flag_value("--calibration-threshold-pp", "pp")
-                .and_then(|v| v.parse().ok()),
             degrade: std::env::args().skip(1).any(|a| a == "--degrade"),
-        }
-    }
-
-    /// A flag set writing to `path` (for composing in code, e.g. tests).
-    pub fn to_path(path: PathBuf) -> Self {
-        BenchJsonFlag {
-            path: Some(path),
-            ..BenchJsonFlag::default()
         }
     }
 
@@ -183,54 +167,15 @@ impl BenchJsonFlag {
         self.degrade
     }
 
-    /// The comparison thresholds, with flag overrides applied.
-    pub fn thresholds(&self) -> CompareThresholds {
-        let mut t = CompareThresholds::default();
-        if let Some(v) = self.latency_pct {
-            t.latency_pct = v;
-        }
-        if let Some(v) = self.calibration_pp {
-            t.calibration_pp = v;
-        }
-        t
-    }
-
-    /// Writes the report and, when a baseline is configured, compares
-    /// against it. Returns the regression list (empty = pass) or an IO /
-    /// parse error.
-    pub fn finish(&self, report: &BenchReport) -> Result<Vec<String>, String> {
-        let Some(path) = &self.path else {
-            return Ok(Vec::new());
-        };
-        std::fs::write(path, report.to_json()).map_err(|e| format!("{}: {e}", path.display()))?;
-        progress::note(&format!("wrote bench report to {}", path.display()));
-        let Some(baseline_path) = &self.baseline else {
-            return Ok(Vec::new());
-        };
-        let text = std::fs::read_to_string(baseline_path)
-            .map_err(|e| format!("{}: {e}", baseline_path.display()))?;
-        let baseline =
-            BenchReport::parse(&text).map_err(|e| format!("{}: {e}", baseline_path.display()))?;
-        Ok(baseline.compare(report, self.thresholds()))
-    }
-
-    /// Binary-exit wrapper around [`BenchJsonFlag::finish`]: exits 2 on
-    /// IO/parse errors and 1 on regressions, after printing them.
+    /// Writes the report when `--bench-json` was given; exits 2 if it
+    /// cannot be written.
     pub fn finish_or_exit(&self, report: &BenchReport) {
-        match self.finish(report) {
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-            Ok(regressions) if !regressions.is_empty() => {
-                println!("{} regression(s) vs baseline:", regressions.len());
-                for r in &regressions {
-                    println!("  {r}");
-                }
-                std::process::exit(1);
-            }
-            Ok(_) => {}
+        let Some(path) = &self.path else { return };
+        if let Err(e) = std::fs::write(path, report.to_json()) {
+            eprintln!("error: {}: {e}", path.display());
+            std::process::exit(2);
         }
+        progress::note(&format!("wrote bench report to {}", path.display()));
     }
 }
 

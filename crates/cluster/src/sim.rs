@@ -870,6 +870,9 @@ impl ClusterSim {
     /// Runs the experiment to completion and returns the results.
     pub fn run(mut self) -> ExperimentResult {
         while self.completed_users < self.target_users {
+            // The calendar pop is dispatch work: one guard spans it and
+            // the handler, so `Phase::Dispatch` holds the calendar's cost.
+            let dispatch = self.prof.phase(Phase::Dispatch);
             let Some((now, ev)) = self.q.pop() else {
                 panic!(
                     "event queue drained with {}/{} user requests done; stuck ops: {}",
@@ -880,6 +883,7 @@ impl ClusterSim {
             };
             let op = ev.op();
             self.handle(now, ev);
+            drop(dispatch);
             if let Some(op) = op {
                 self.unpin(op);
             }
@@ -1013,7 +1017,6 @@ impl ClusterSim {
             self.tsl_tick_pages();
             self.tsl_tick(now);
         }
-        let _dispatch = self.prof.phase(Phase::Dispatch);
         match ev {
             Ev::ClientIssue { client } => self.client_issue(client, now),
             Ev::OpArrive { op, attempt } => self.op_arrive(op, attempt, now),

@@ -356,24 +356,11 @@ impl Ssd {
     /// Panics if `io.len` is 0 (see [`SsdSpec::stripe`]).
     pub fn submit(&mut self, io: &BlockIo, now: SimTime) -> SsdSubmit {
         let mut out = SsdSubmit::default();
-        self.submit_into(io, now, &mut out);
-        out
-    }
-
-    /// [`Ssd::submit`] into a caller-owned buffer: clears `out`, then
-    /// fills it as `submit` would, so a caller that submits often reuses
-    /// one pair of allocations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `io.len` is 0 (see [`SsdSpec::stripe`]).
-    pub fn submit_into(&mut self, io: &BlockIo, now: SimTime, out: &mut SsdSubmit) {
-        out.subs.clear();
-        out.gc.clear();
         self.submit_pages(io, now, |sub, gc| {
             out.subs.push(sub);
             out.gc.extend(gc);
         });
+        out
     }
 
     /// Submits a request page by page in striping order, handing each

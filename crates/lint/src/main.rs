@@ -6,7 +6,7 @@
 //! cargo run -p mitt-lint -- --format sarif     # SARIF 2.1.0 for CI upload
 //! cargo run -p mitt-lint -- --fix              # list mechanical fix hints
 //! cargo run -p mitt-lint -- --write-baseline   # regenerate waiver ratchet
-//! cargo run -p mitt-lint -- --root /path --baseline custom.json
+//! cargo run -p mitt-lint -- --root /path     # scan another tree
 //! ```
 //!
 //! `--json` is kept as an alias for `--format json`. Exit status: 0 when the
@@ -33,7 +33,6 @@ fn main() -> ExitCode {
     let mut fix = false;
     let mut write_baseline = false;
     let mut root: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -52,13 +51,6 @@ fn main() -> ExitCode {
             },
             "--fix" => fix = true,
             "--write-baseline" => write_baseline = true,
-            "--baseline" => match args.next() {
-                Some(p) => baseline = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("mitt-lint: --baseline needs a path argument");
-                    return ExitCode::from(2);
-                }
-            },
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => {
@@ -69,7 +61,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "usage: mitt-lint [--format human|json|sarif] [--fix] \
-                     [--baseline <file>] [--write-baseline] [--root <workspace-dir>]"
+                     [--write-baseline] [--root <workspace-dir>]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -103,10 +95,10 @@ fn main() -> ExitCode {
         }
     };
 
-    // Resolve the ratchet baseline: explicit flag wins, else the committed
-    // default when it exists. `--write-baseline` scans without ratcheting
-    // (the point is to record the current counts, not to compare them).
-    let baseline_path = baseline.unwrap_or_else(|| root.join(DEFAULT_BASELINE));
+    // The ratchet baseline is the root's committed one, when it exists.
+    // `--write-baseline` scans without ratcheting (the point is to record
+    // the current counts, not to compare them).
+    let baseline_path = root.join(DEFAULT_BASELINE);
     let ratchet = (!write_baseline && baseline_path.exists()).then_some(baseline_path.as_path());
 
     let report = match scan_workspace_with_baseline(&root, ratchet) {

@@ -3,10 +3,11 @@
 //! Every figure binary can emit one [`BenchReport`] — per-strategy
 //! p50/p95/p99 latency, EBUSY/retry/error/breaker counters, and a
 //! per-predictor calibration summary — in a stable, diff-friendly JSON
-//! encoding (`mitt-bench/v1`). [`BenchReport::compare`] checks a run
-//! against a committed baseline and returns the list of regressions that
-//! exceed the configured thresholds; `mitt-obs compare` wraps it as a CI
-//! gate.
+//! encoding (`mitt-bench/v1`). [`BenchReport::parse`] rejects a report
+//! whose percentiles are negative or out of order, and
+//! [`BenchReport::compare`] checks a run against a committed baseline and
+//! returns the list of regressions beyond two fixed thresholds;
+//! `mitt-obs compare`, which parses both files, is the one gate over them.
 //!
 //! Formatting rules keeping the artifact deterministic: field order is
 //! fixed by the writer (never a hash map), floats are fixed-point with
@@ -124,23 +125,13 @@ pub struct BenchReport {
     pub calibration: Vec<CalibrationRow>,
 }
 
-/// Regression thresholds for [`BenchReport::compare`].
-#[derive(Debug, Clone, Copy)]
-pub struct CompareThresholds {
-    /// Max allowed relative latency growth per percentile, in percent.
-    pub latency_pct: f64,
-    /// Max allowed absolute calibration degradation, in percentage points.
-    pub calibration_pp: f64,
-}
+/// [`BenchReport::compare`]'s latency gate: the largest allowed relative
+/// growth of any percentile, in percent.
+pub const LATENCY_THRESHOLD_PCT: f64 = 10.0;
 
-impl Default for CompareThresholds {
-    fn default() -> Self {
-        CompareThresholds {
-            latency_pct: 10.0,
-            calibration_pp: 1.0,
-        }
-    }
-}
+/// [`BenchReport::compare`]'s calibration gate: the largest allowed
+/// absolute growth of a predictor's inaccuracy, in percentage points.
+pub const CALIBRATION_THRESHOLD_PP: f64 = 1.0;
 
 impl BenchReport {
     /// An empty report for `fig` at `seed`/`scale`.
@@ -211,7 +202,8 @@ impl BenchReport {
         out
     }
 
-    /// Parses a report; rejects malformed documents and unknown schemas.
+    /// Parses a report; rejects malformed documents, unknown schemas and
+    /// strategy rows whose percentiles are not `0 <= p50 <= p95 <= p99`.
     ///
     /// Newer report formats (e.g. `mitt-tsl/v1` timeline exports) may carry
     /// a complete bench report embedded under a top-level `"bench"`
@@ -242,7 +234,7 @@ impl BenchReport {
             .and_then(JsonValue::as_arr)
             .ok_or("missing 'strategies' array")?
         {
-            report.strategies.push(StrategyRow {
+            let s = StrategyRow {
                 name: str_field(row, "name")?,
                 ops: num_field(row, "ops")? as u64,
                 ebusy: num_field(row, "ebusy")? as u64,
@@ -253,7 +245,15 @@ impl BenchReport {
                 p50_ms: num_field(row, "p50_ms")?,
                 p95_ms: num_field(row, "p95_ms")?,
                 p99_ms: num_field(row, "p99_ms")?,
-            });
+            };
+            if !(0.0 <= s.p50_ms && s.p50_ms <= s.p95_ms && s.p95_ms <= s.p99_ms) {
+                return Err(format!(
+                    "strategy '{}': percentiles p50 {} / p95 {} / p99 {} are not \
+                     non-negative and ordered",
+                    s.name, s.p50_ms, s.p95_ms, s.p99_ms
+                ));
+            }
+            report.strategies.push(s);
         }
         for row in v
             .get("calibration")
@@ -274,8 +274,10 @@ impl BenchReport {
     }
 
     /// Compares `run` against `self` (the baseline); returns one line per
-    /// regression beyond the thresholds. Empty = pass.
-    pub fn compare(&self, run: &BenchReport, t: CompareThresholds) -> Vec<String> {
+    /// regression beyond [`LATENCY_THRESHOLD_PCT`] or
+    /// [`CALIBRATION_THRESHOLD_PP`], and one per baseline row missing from
+    /// `run`. Empty = pass.
+    pub fn compare(&self, run: &BenchReport) -> Vec<String> {
         let mut regressions = Vec::new();
         if self.fig != run.fig {
             regressions.push(format!(
@@ -299,11 +301,11 @@ impl BenchReport {
             // A small absolute epsilon keeps sub-millisecond noise on
             // near-zero percentiles from tripping the relative gate.
             let lat = |label: &str, b: f64, r: f64| {
-                let limit = b * (1.0 + t.latency_pct / 100.0) + 0.01;
+                let limit = b * (1.0 + LATENCY_THRESHOLD_PCT / 100.0) + 0.01;
                 if r > limit {
                     Some(format!(
                         "{}: {} {:.3} ms exceeds baseline {:.3} ms (+{:.0}% threshold)",
-                        base.name, label, r, b, t.latency_pct
+                        base.name, label, r, b, LATENCY_THRESHOLD_PCT
                     ))
                 } else {
                     None
@@ -331,10 +333,13 @@ impl BenchReport {
                 ));
                 continue;
             };
-            if cur.inaccuracy_pct > base.inaccuracy_pct + t.calibration_pp {
+            if cur.inaccuracy_pct > base.inaccuracy_pct + CALIBRATION_THRESHOLD_PP {
                 regressions.push(format!(
                     "{}: inaccuracy {:.3}% exceeds baseline {:.3}% (+{:.1} pp threshold)",
-                    base.predictor, cur.inaccuracy_pct, base.inaccuracy_pct, t.calibration_pp
+                    base.predictor,
+                    cur.inaccuracy_pct,
+                    base.inaccuracy_pct,
+                    CALIBRATION_THRESHOLD_PP
                 ));
             }
         }
@@ -428,9 +433,7 @@ mod tests {
     #[test]
     fn identical_reports_compare_clean() {
         let r = sample();
-        assert!(r
-            .compare(&sample(), CompareThresholds::default())
-            .is_empty());
+        assert!(r.compare(&sample()).is_empty());
     }
 
     #[test]
@@ -439,10 +442,40 @@ mod tests {
         let mut bad = sample();
         bad.strategies[0].p95_ms = 20.0; // +60%
         bad.calibration[0].inaccuracy_pct = 5.0; // +4.3 pp
-        let regs = base.compare(&bad, CompareThresholds::default());
+        let regs = base.compare(&bad);
         assert_eq!(regs.len(), 2, "{regs:?}");
         assert!(regs[0].contains("p95"));
         assert!(regs[1].contains("inaccuracy"));
+    }
+
+    #[test]
+    fn rows_missing_from_the_run_are_regressions() {
+        let mut base = sample();
+        base.strategies.push(StrategyRow {
+            name: "base".to_string(),
+            ..base.strategies[0].clone()
+        });
+        let mut run = sample();
+        run.calibration.clear();
+        let regs = base.compare(&run);
+        assert_eq!(regs.len(), 2, "{regs:?}");
+        assert!(regs[0].contains("strategy 'base' missing"), "{regs:?}");
+        assert!(
+            regs[1].contains("calibration row 'mittcfq' missing"),
+            "{regs:?}"
+        );
+    }
+
+    #[test]
+    fn parse_rejects_disordered_and_negative_percentiles() {
+        let mut inverted = sample();
+        inverted.strategies[0].p99_ms = 3.0; // below p50 = 3.25
+        let mut negative = sample();
+        negative.strategies[0].p50_ms = -0.5;
+        for bad in [inverted, negative] {
+            let err = BenchReport::parse(&bad.to_json()).unwrap_err();
+            assert!(err.contains("not non-negative and ordered"), "{err}");
+        }
     }
 
     #[test]
@@ -450,7 +483,7 @@ mod tests {
         let base = sample();
         let mut other = sample();
         other.scale = 99;
-        let regs = base.compare(&other, CompareThresholds::default());
+        let regs = base.compare(&other);
         assert_eq!(regs.len(), 1);
         assert!(regs[0].contains("scale mismatch"));
     }
@@ -474,9 +507,7 @@ mod tests {
         let parsed = BenchReport::parse(&doc).unwrap();
         assert_eq!(parsed.fig, "fig9");
         assert_eq!(parsed.to_json(), inner);
-        assert!(sample()
-            .compare(&parsed, CompareThresholds::default())
-            .is_empty());
+        assert!(sample().compare(&parsed).is_empty());
     }
 
     #[test]

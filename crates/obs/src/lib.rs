@@ -20,7 +20,7 @@
 //!    per-figure benchmark reports (`BENCH_<fig>.json`) — per-strategy
 //!    p50/p95/p99 latency, EBUSY/retry/breaker counters, and a calibration
 //!    summary — plus a comparator (`mitt-obs compare`) that fails on
-//!    configurable regression thresholds.
+//!    fixed regression thresholds.
 //!
 //! The audit-mode replay engine (§7.6) lives here too ([`replay`]) so the
 //! calibration pipeline and the figure binaries exercise one production
@@ -34,7 +34,10 @@ pub mod replay;
 pub mod timeline;
 
 pub use attribution::{verify_attribution_invariants, AttributionSummary};
-pub use bench::{BenchReport, CalibrationRow, CompareThresholds, StrategyRow, BENCH_SCHEMA};
+pub use bench::{
+    BenchReport, CalibrationRow, StrategyRow, BENCH_SCHEMA, CALIBRATION_THRESHOLD_PP,
+    LATENCY_THRESHOLD_PCT,
+};
 pub use calibration::{
     chrome_export_with_counters, CalibrationConfig, CalibrationStream, PredictorStats,
 };

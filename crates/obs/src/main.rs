@@ -1,64 +1,31 @@
 //! `mitt-obs` — observability CLI.
 //!
 //! ```text
-//! mitt-obs compare <baseline.json> <run.json> [--latency-threshold-pct N]
-//!                                             [--calibration-threshold-pp N]
+//! mitt-obs compare <baseline.json> <run.json>
 //! ```
 //!
-//! Compares a `BENCH_<fig>.json` run report against a committed baseline.
-//! Exit status: 0 = within thresholds, 1 = regressions (one per line on
-//! stdout), 2 = usage or IO error.
+//! Compares a `BENCH_<fig>.json` run report (or a `mitt-tsl/v1` export
+//! embedding one) against a committed baseline. This is the only gate
+//! over bench reports: both files go through `BenchReport::parse`, which
+//! rejects malformed reports, and `BenchReport::compare` flags every
+//! percentile more than `LATENCY_THRESHOLD_PCT` above the baseline's,
+//! every calibration row more than `CALIBRATION_THRESHOLD_PP` worse, and
+//! every baseline row missing from the run. Exit status: 0 = within
+//! thresholds, 1 = regressions (one per line on stdout), 2 = usage or IO
+//! error.
 
 use std::process::ExitCode;
 
-use mitt_obs::{BenchReport, CompareThresholds};
+use mitt_obs::{BenchReport, CALIBRATION_THRESHOLD_PP, LATENCY_THRESHOLD_PCT};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("compare") => compare(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: mitt-obs compare <baseline.json> <run.json> \
-                 [--latency-threshold-pct N] [--calibration-threshold-pp N]"
-            );
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn compare(args: &[String]) -> ExitCode {
-    let mut paths: Vec<&String> = Vec::new();
-    let mut thresholds = CompareThresholds::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--latency-threshold-pct" | "--calibration-threshold-pp" => {
-                let Some(v) = args.get(i + 1).and_then(|v| v.parse::<f64>().ok()) else {
-                    eprintln!("error: {} needs a numeric value", args[i]);
-                    return ExitCode::from(2);
-                };
-                if args[i] == "--latency-threshold-pct" {
-                    thresholds.latency_pct = v;
-                } else {
-                    thresholds.calibration_pp = v;
-                }
-                i += 2;
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("error: unknown flag {flag}");
-                return ExitCode::from(2);
-            }
-            _ => {
-                paths.push(&args[i]);
-                i += 1;
-            }
-        }
-    }
-    let &[baseline_path, run_path] = paths.as_slice() else {
-        eprintln!("error: compare needs exactly two report paths");
-        return ExitCode::from(2);
+    let [cmd, baseline_path, run_path] = args.as_slice() else {
+        return usage();
     };
+    if cmd != "compare" {
+        return usage();
+    }
     let load = |path: &String| -> Result<BenchReport, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         BenchReport::parse(&text).map_err(|e| format!("{path}: {e}"))
@@ -72,11 +39,12 @@ fn compare(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let regressions = baseline.compare(&run, thresholds);
+    let regressions = baseline.compare(&run);
     if regressions.is_empty() {
         println!(
-            "ok: {} within thresholds (latency +{:.0}%, calibration +{:.1} pp)",
-            run.fig, thresholds.latency_pct, thresholds.calibration_pp
+            "ok: {} within thresholds (latency +{LATENCY_THRESHOLD_PCT:.0}%, \
+             calibration +{CALIBRATION_THRESHOLD_PP:.1} pp)",
+            run.fig
         );
         ExitCode::SUCCESS
     } else {
@@ -86,4 +54,9 @@ fn compare(args: &[String]) -> ExitCode {
         }
         ExitCode::FAILURE
     }
+}
+
+fn usage() -> ExitCode {
+    eprintln!("usage: mitt-obs compare <baseline.json> <run.json>");
+    ExitCode::from(2)
 }

@@ -16,6 +16,7 @@
 //! Run with: `cargo run --release --example trace_run [out.json]`
 //! (default output path: `trace_run.json`); add `--features prof` to
 //! install the counting allocator and get per-phase allocation telemetry.
+//! `tests/obs.rs` runs [`run`] and checks the shape of all three files.
 
 use std::path::Path;
 
@@ -33,7 +34,12 @@ fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "trace_run.json".to_string());
+    run(Path::new(&out_path));
+}
 
+/// Runs the traced, profiled cluster and writes the Chrome trace to
+/// `out`, with the profile and the folded stacks beside it.
+pub(crate) fn run(out: &Path) {
     let mut cfg = ExperimentConfig::micro(
         NodeConfig::disk_cfq(),
         Strategy::MittOs {
@@ -73,16 +79,16 @@ fn main() {
     println!("\n{}", attribution.render());
 
     let json = chrome_export_with_counters(&res.trace, CalibrationConfig::default());
-    std::fs::write(&out_path, &json).expect("write trace JSON");
+    std::fs::write(out, &json).expect("write trace JSON");
     println!(
-        "\nwrote {} events ({} bytes) to {out_path}",
+        "\nwrote {} events ({} bytes) to {}",
         res.trace.len(),
-        json.len()
+        json.len(),
+        out.display()
     );
     println!("open chrome://tracing (or https://ui.perfetto.dev) and load the file.");
 
     let prof = res.prof.report();
-    let out = Path::new(&out_path);
     for (path, contents) in [
         (out.with_extension("prof.json"), prof.to_json()),
         (out.with_extension("folded"), prof.folded_stacks()),

@@ -8,7 +8,8 @@
 
 use std::path::Path;
 
-use mitt_lint::{render_human, scan_source, scan_workspace, FileKind, Rule};
+use mitt_lint::{render_human, render_sarif, scan_source, scan_workspace, FileKind, Rule};
+use mitt_obs::JsonValue;
 
 #[test]
 fn workspace_is_lint_clean() {
@@ -34,6 +35,38 @@ fn workspace_is_lint_clean() {
             s.rule.id()
         );
     }
+}
+
+#[test]
+fn sarif_artifact_has_the_uploaded_shape() {
+    // `mitt-lint --format sarif` renders this report into the artifact CI
+    // uploads: SARIF 2.1.0, the full rule catalogue, and no results.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let report = scan_workspace(root).expect("workspace scan");
+    let sarif = JsonValue::parse(&render_sarif(&report)).expect("well-formed SARIF");
+    assert_eq!(
+        sarif.get("version").and_then(JsonValue::as_str),
+        Some("2.1.0")
+    );
+    let run = &sarif.get("runs").and_then(JsonValue::as_arr).expect("runs")[0];
+    let driver = run
+        .get("tool")
+        .and_then(|t| t.get("driver"))
+        .expect("driver");
+    assert_eq!(
+        driver.get("name").and_then(JsonValue::as_str),
+        Some("mitt-lint")
+    );
+    let rules = driver
+        .get("rules")
+        .and_then(JsonValue::as_arr)
+        .expect("rules");
+    assert!(rules.len() >= 9, "{} rules in the catalogue", rules.len());
+    let results = run
+        .get("results")
+        .and_then(JsonValue::as_arr)
+        .expect("results");
+    assert!(results.is_empty(), "{} SARIF results", results.len());
 }
 
 #[test]

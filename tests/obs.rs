@@ -6,6 +6,11 @@
 
 use std::collections::BTreeMap;
 
+// The example's `main` is unused here; the test calls its `run`.
+#[allow(dead_code)]
+#[path = "../examples/trace_run.rs"]
+mod trace_run;
+
 use mittos_repro::cluster::{
     run_experiment, ExperimentConfig, InitialReplica, Medium, Node, NodeConfig, NoiseKind,
     NoiseStream, ReadOutcome, ReadReq, Strategy,
@@ -17,7 +22,7 @@ use mittos_repro::obs::calibration::{CalibrationConfig, CalibrationStream};
 use mittos_repro::obs::replay::{replay_audit_traced, REPLAY_RING};
 use mittos_repro::obs::{
     chrome_export_with_timeline, verify_attribution_invariants, BenchReport, CalibrationRow,
-    CompareThresholds, StrategyRow,
+    JsonValue, StrategyRow,
 };
 use mittos_repro::sim::{Duration, EventQueue, SimRng, SimTime};
 use mittos_repro::trace::{EventKind, Resource, Subsystem, TraceEvent, TraceSink};
@@ -499,15 +504,13 @@ fn bench_report_round_trips_and_gates_regressions() {
     assert_eq!(json, parsed.to_json(), "report JSON round trip not stable");
 
     // Identical reports pass the gate.
-    assert!(report
-        .compare(&parsed, CompareThresholds::default())
-        .is_empty());
+    assert!(report.compare(&parsed).is_empty());
 
     // A degraded run fails it: p95 regression and calibration drift.
     let mut degraded = parsed;
     degraded.strategies[0].p95_ms *= 2.0;
     degraded.calibration[0].inaccuracy_pct += 5.0;
-    let regressions = report.compare(&degraded, CompareThresholds::default());
+    let regressions = report.compare(&degraded);
     assert!(
         regressions.iter().any(|r| r.contains("p95")),
         "p95 regression not caught: {regressions:?}"
@@ -545,9 +548,7 @@ fn tsl_export_embeds_a_comparable_bench_report() {
 
     let parsed = BenchReport::parse(&wrapped).expect("parse embedded bench section");
     assert_eq!(parsed.to_json(), bench_json, "embedded report mangled");
-    assert!(report
-        .compare(&parsed, CompareThresholds::default())
-        .is_empty());
+    assert!(report.compare(&parsed).is_empty());
 }
 
 #[test]
@@ -597,4 +598,45 @@ fn chrome_export_merges_timeline_counter_tracks() {
     assert_eq!(json, chrome_export_with_timeline(&res.trace, &res.tsl));
     // The plain export is untouched by the timeline merge.
     assert!(!res.trace.export_chrome_json().contains("tsl."));
+}
+
+#[test]
+fn trace_run_writes_a_chrome_trace_a_v1_profile_and_folded_stacks() {
+    let dir = std::env::temp_dir().join(format!("mitt-trace-run-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = dir.join("t.json");
+    trace_run::run(&out);
+    let read = |ext: &str| std::fs::read_to_string(out.with_extension(ext)).expect("output");
+    let parse = |ext: &str| JsonValue::parse(&read(ext)).expect("well-formed JSON");
+    let arr = |v: &JsonValue, key: &str| v.get(key).and_then(JsonValue::as_arr).unwrap().to_vec();
+    let num = |v: &JsonValue, key: &str| v.get(key).and_then(JsonValue::as_num).unwrap();
+    let text = |v: &JsonValue, key: &str| v.get(key).and_then(JsonValue::as_str).map(String::from);
+
+    // The Chrome trace carries calibration counter tracks and the cluster's
+    // per-hop network events.
+    let events = arr(&parse("json"), "traceEvents");
+    assert!(!events.is_empty(), "empty trace");
+    assert!(events.iter().any(|e| text(e, "ph").as_deref() == Some("C")));
+    assert!(events
+        .iter()
+        .any(|e| text(e, "name").as_deref() == Some("net_hop")));
+
+    // Every phase row carries its timed-activation count, and dispatch was
+    // sampled: some but not all of its activations timed.
+    let prof = parse("prof.json");
+    assert_eq!(text(&prof, "schema").as_deref(), Some("mitt-prof/v1"));
+    let phases = arr(&prof, "phases");
+    assert_eq!((phases.len(), arr(&prof, "alloc").len()), (7, 7));
+    assert!(num(&prof, "ios_submitted") > 0.0 && num(&prof, "events_dispatched") > 0.0);
+    assert!(phases.iter().all(|p| num(p, "timed") <= num(p, "count")));
+    let dispatch = phases
+        .iter()
+        .find(|p| text(p, "phase").as_deref() == Some("dispatch"))
+        .expect("dispatch row");
+    assert!(0.0 < num(dispatch, "timed") && num(dispatch, "timed") < num(dispatch, "count"));
+
+    assert!(read("folded")
+        .lines()
+        .any(|l| l.starts_with("engine;dispatch ")));
+    std::fs::remove_dir_all(&dir).expect("clean up");
 }
