@@ -39,7 +39,7 @@ fn probe_nodes(
             // Local probes: negligible network.
             cfg.hop = Duration::from_nanos(500);
             cfg.noise = vec![NoiseStream {
-                kind: noise.kind.clone(),
+                kind: noise.kind,
                 schedules: vec![noise.schedules[node].clone()],
             }];
             trace_flag().run(cfg).get_latencies

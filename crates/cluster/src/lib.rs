@@ -3,7 +3,7 @@
 //! This crate assembles the full evaluation platform of §7: [`node::Node`]
 //! models one machine (storage stack + MittOS predictors + CPU),
 //! [`sim::ClusterSim`] runs N of them under closed-loop YCSB clients with
-//! pluggable tail-tolerance strategies ([`sim::Strategy`]) and per-node
+//! pluggable tail-tolerance strategies ([`strategy::Strategy`]) and per-node
 //! noisy-neighbor schedules ([`sim::NoiseStream`]).
 //!
 //! # Examples
@@ -28,6 +28,7 @@ pub mod node;
 pub mod nosql;
 mod ops;
 pub mod sim;
+pub mod strategy;
 pub mod topology;
 
 pub use cpu::{CpuConfig, CpuModel};
@@ -38,6 +39,7 @@ pub use node::{
 pub use nosql::{run_survey, surveyed_systems, NosqlSystem, SurveyRow};
 pub use sim::{
     run_experiment, ClusterSim, ExperimentConfig, ExperimentResult, InitialReplica, NoiseKind,
-    NoiseStream, Strategy, WatchLog, CRASH_REPLY_DELAY, RETRANSMIT_DELAY,
+    NoiseStream, WatchLog, CRASH_REPLY_DELAY, RETRANSMIT_DELAY,
 };
+pub use strategy::Strategy;
 pub use topology::Topology;

@@ -17,9 +17,8 @@ use mitt_sim::Duration;
 use mitt_workload::rotating_schedule;
 
 use crate::node::NodeConfig;
-use crate::sim::{
-    run_experiment, ExperimentConfig, InitialReplica, NoiseKind, NoiseStream, Strategy,
-};
+use crate::sim::{run_experiment, ExperimentConfig, InitialReplica, NoiseKind, NoiseStream};
+use crate::strategy::Strategy;
 
 /// A surveyed NoSQL system's tail-tolerance configuration.
 #[derive(Debug, Clone)]

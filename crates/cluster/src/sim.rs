@@ -1,34 +1,17 @@
-//! The cluster simulator: replicated key-value store, clients, strategies,
-//! noise — the machinery behind every evaluation figure.
+//! The cluster simulator: replicated key-value store, clients, noise and
+//! faults — the machinery behind every evaluation figure.
 //!
 //! A [`ClusterSim`] wires N [`Node`]s (each with its own storage stack and
 //! MittOS predictors), a replicated keyspace (every key readable from R
 //! consecutive nodes), closed-loop YCSB clients issuing `get()`s — each
 //! user request fanning out to `scale_factor` parallel gets (§7.3) — and
-//! per-node noisy-neighbor schedules. Tail-tolerance strategies are
-//! implemented exactly as §7.2 describes them:
-//!
-//! - **Base**: one try, effectively no timeout.
-//! - **AppTimeout**: cancel (at application level) and retry after the p95
-//!   latency; the third try never times out.
-//! - **Clone**: duplicate every request to two replicas, first wins.
-//! - **Hedged**: send a second request once the first is outstanding
-//!   longer than the p95 latency; first is not cancelled.
-//! - **Tied**: send two requests tagged with each other's identity; when
-//!   one begins execution at the device, revoke the other (§7.8.2 — doable
-//!   here because our OS exposes the begin-execution signal).
-//! - **Snitch / C3**: pick the replica with the best recent latency
-//!   (plus C3's outstanding-queue penalty) — no failover.
-//! - **MittOs**: attach the SLO deadline, fail over instantly on EBUSY;
-//!   the third try disables the deadline. **MittOsWait** additionally uses
-//!   the returned wait-time hints to pick the least-busy replica when all
-//!   three are busy (§7.8.1 extension). **MittOsAuto** tunes the deadline
-//!   from EBUSY-rate feedback (§8.1 extension).
+//! per-node noisy-neighbor schedules. Every client-side decision of the
+//! tail-tolerance strategy under test (placement, deadlines, timers,
+//! reactions to replies) lives in [`crate::strategy`].
 
 use mitt_device::{IoClass, IoId, ProcessId, GB};
 use mitt_faults::{
-    BreakerState, BreakerTransition, CircuitBreaker, FaultClock, FaultKind, FaultPlan, NodeCtx,
-    ResilienceConfig,
+    BreakerTransition, CircuitBreaker, FaultClock, FaultKind, FaultPlan, NodeCtx, ResilienceConfig,
 };
 use mitt_lsm::{GetStep, LsmConfig, LsmEngine};
 use mitt_prof::{GaugeSample, Phase, ProfSink};
@@ -42,6 +25,7 @@ use mittos::DeadlineTuner;
 use crate::mmapdb::{BtreeConfig, BtreePlanner};
 use crate::node::{Medium, Node, NodeConfig, ReadOutcome, ReadReq, Ticks, WriteOutcome};
 use crate::ops::{AccessStep, AttemptState, OpState, OpTable, UserReq};
+use crate::strategy::Strategy;
 
 /// How long a client waits before concluding a request sent to a crashed
 /// node is lost (the failure-detection timeout). Every strategy without a
@@ -52,89 +36,6 @@ pub const CRASH_REPLY_DELAY: Duration = Duration::from_millis(250);
 /// message: the copy is detected missing and resent after this long
 /// (dropped messages delay, they never strand an op).
 pub const RETRANSMIT_DELAY: Duration = Duration::from_millis(1);
-
-/// Tail-tolerance strategy under test.
-#[derive(Debug, Clone)]
-pub enum Strategy {
-    /// Single try, no timeout.
-    Base,
-    /// Timeout-and-retry with app-level cancellation; 3rd try never
-    /// times out.
-    AppTimeout {
-        /// Retry threshold (the p95 latency in the paper).
-        timeout: Duration,
-    },
-    /// Duplicate every request to two replicas.
-    Clone2,
-    /// Second request after the first is outstanding `after`.
-    Hedged {
-        /// Hedge threshold (the p95 latency in the paper).
-        after: Duration,
-    },
-    /// Two tied requests; the loser is revoked at begin-execution.
-    Tied {
-        /// Delay before the duplicate is sent.
-        delay: Duration,
-    },
-    /// Pick the replica with the lowest EWMA latency.
-    Snitch {
-        /// EWMA smoothing factor.
-        alpha: f64,
-    },
-    /// C3-style adaptive selection: EWMA latency + cubic outstanding
-    /// penalty.
-    C3,
-    /// MittOS: deadline-tagged reads, instant EBUSY failover.
-    MittOs {
-        /// The SLO deadline (p95 expected latency).
-        deadline: Duration,
-    },
-    /// MittOS with wait-time hints: when all replicas return EBUSY, the
-    /// final try goes to the least-busy one.
-    MittOsWait {
-        /// The SLO deadline.
-        deadline: Duration,
-    },
-    /// MittOS with the §8.1 deadline auto-tuner.
-    MittOsAuto {
-        /// Initial deadline before feedback kicks in.
-        initial: Duration,
-    },
-    /// A surveyed NoSQL system's behaviour (Table 1): a default timeout
-    /// and whether timing out fails over or surfaces an error.
-    NosqlProfile {
-        /// The system's (coarse) default timeout.
-        timeout: Duration,
-        /// True if a timeout triggers failover; false surfaces an error.
-        failover: bool,
-    },
-}
-
-impl Strategy {
-    /// Short display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Strategy::Base => "Base",
-            Strategy::AppTimeout { .. } => "AppTO",
-            Strategy::Clone2 => "Clone",
-            Strategy::Hedged { .. } => "Hedged",
-            Strategy::Tied { .. } => "Tied",
-            Strategy::Snitch { .. } => "Snitch",
-            Strategy::C3 => "C3",
-            Strategy::MittOs { .. } => "MittOS",
-            Strategy::MittOsWait { .. } => "MittOS+Wait",
-            Strategy::MittOsAuto { .. } => "MittOS+Auto",
-            Strategy::NosqlProfile { .. } => "NoSQL",
-        }
-    }
-
-    fn is_mittos(&self) -> bool {
-        matches!(
-            self,
-            Strategy::MittOs { .. } | Strategy::MittOsWait { .. } | Strategy::MittOsAuto { .. }
-        )
-    }
-}
 
 /// What the noisy neighbor does during a burst.
 #[derive(Debug, Clone, Copy)]
@@ -408,7 +309,7 @@ pub struct ExperimentResult {
     pub distorted_predictions: u64,
     /// Circuit-breaker open transitions (resilience policies only).
     pub breaker_opens: u64,
-    /// Whole-round EBUSY backoff retries (`Strategy::MittOs` + resilience).
+    /// Whole-round EBUSY backoff retries (MittOS + resilience).
     pub backoff_retries: u64,
     /// Completion time of every get, in completion order; gaps between
     /// consecutive entries expose unavailability windows under faults.
@@ -425,7 +326,7 @@ pub struct ExperimentResult {
 }
 
 #[derive(Debug, Clone, Copy)]
-enum TryResult {
+pub(crate) enum TryResult {
     /// Success; carries the server's piggybacked queue size (C3-style
     /// feedback: the serving node reports its IO backlog with the reply).
     Ok { server_queue: usize },
@@ -440,7 +341,7 @@ enum TryResult {
     Crashed,
 }
 
-enum Ev {
+pub(crate) enum Ev {
     ClientIssue {
         client: usize,
     },
@@ -475,15 +376,11 @@ enum Ev {
         attempt: usize,
         result: TryResult,
     },
-    HedgeFire {
-        op: usize,
-    },
-    TimeoutFire {
+    /// The timer a strategy armed with try `attempt` (a timeout, hedge,
+    /// tie or backoff delay) expired.
+    Timer {
         op: usize,
         attempt: usize,
-    },
-    TiedSend {
-        op: usize,
     },
     TiedCancel {
         node: usize,
@@ -514,9 +411,6 @@ enum Ev {
     ThrashTick {
         idx: usize,
     },
-    RetryOp {
-        op: usize,
-    },
 }
 
 impl Ev {
@@ -529,17 +423,14 @@ impl Ev {
             | Ev::PlanStep { op, .. }
             | Ev::LocalDone { op, .. }
             | Ev::Reply { op, .. }
-            | Ev::HedgeFire { op }
-            | Ev::TimeoutFire { op, .. }
-            | Ev::TiedSend { op }
-            | Ev::RetryOp { op } => Some(op),
+            | Ev::Timer { op, .. } => Some(op),
             _ => None,
         }
     }
 }
 
 #[derive(Debug, Clone, Copy)]
-enum IoCtx {
+pub(crate) enum IoCtx {
     Get {
         op: usize,
         attempt: usize,
@@ -552,35 +443,35 @@ enum IoCtx {
     Background,
 }
 
-struct ClientState {
-    rng: SimRng,
+pub(crate) struct ClientState {
+    pub(crate) rng: SimRng,
     issued: usize,
     /// Snitch/C3 state: per-replica EWMA latency (ns).
-    ewma: Vec<f64>,
+    pub(crate) ewma: Vec<f64>,
     /// C3 state: per-replica EWMA of server-reported queue size.
-    qhat: Vec<f64>,
-    outstanding: Vec<u32>,
-    tuner: Option<DeadlineTuner>,
+    pub(crate) qhat: Vec<f64>,
+    pub(crate) outstanding: Vec<u32>,
+    pub(crate) tuner: Option<DeadlineTuner>,
     /// Session state for §8.3 monotonic reads: the client's last write
     /// time per key.
-    last_write: FastMap<u64, SimTime>,
+    pub(crate) last_write: FastMap<u64, SimTime>,
 }
 
 /// The cluster simulator.
 pub struct ClusterSim {
-    cfg: ExperimentConfig,
+    pub(crate) cfg: ExperimentConfig,
     q: EventQueue<Ev>,
     nodes: Vec<Node>,
-    clients: Vec<ClientState>,
+    pub(crate) clients: Vec<ClientState>,
     ycsb: YcsbGenerator,
-    ops: OpTable<OpState>,
+    pub(crate) ops: OpTable<OpState>,
     users: OpTable<UserReq>,
-    io_ctx: FastMap<(usize, IoId), IoCtx>,
+    pub(crate) io_ctx: FastMap<(usize, IoId), IoCtx>,
     engines: Vec<LsmEngine>,
     btree: Option<BtreePlanner>,
     /// §8.3 replication state: when each (node, key) applied its latest
     /// write. Absent = applied since forever.
-    fresh_at: FastMap<(usize, u64), SimTime>,
+    pub(crate) fresh_at: FastMap<(usize, u64), SimTime>,
     noise_rng: SimRng,
     net_rng: SimRng,
     /// Shared fault clock (disabled on planless runs).
@@ -589,7 +480,7 @@ pub struct ClusterSim {
     fault_handles: Vec<FaultClock>,
     /// Per-replica client-side circuit breakers; empty unless a resilience
     /// policy is configured for a MittOS strategy.
-    breakers: Vec<CircuitBreaker>,
+    pub(crate) breakers: Vec<CircuitBreaker>,
     /// Which nodes are currently crashed.
     down: Vec<bool>,
     /// Engine self-profiling handle (disabled unless `cfg.prof`).
@@ -603,7 +494,7 @@ pub struct ClusterSim {
     tsl: TslSink,
     /// Scratch for `tsl_tick_pages`: the settled pages' completion times.
     page_times: Vec<SimTime>,
-    result: ExperimentResult,
+    pub(crate) result: ExperimentResult,
     completed_users: usize,
     target_users: usize,
     usable: u64,
@@ -627,10 +518,7 @@ impl ClusterSim {
                 qhat: vec![0.0; cfg.nodes],
                 outstanding: vec![0; cfg.nodes],
                 last_write: FastMap::default(),
-                tuner: match cfg.strategy {
-                    Strategy::MittOsAuto { initial } => Some(DeadlineTuner::default_p95(initial)),
-                    _ => None,
-                },
+                tuner: cfg.strategy.tuner(),
             })
             .collect();
         let ycsb = YcsbGenerator::new(YcsbConfig {
@@ -675,7 +563,7 @@ impl ClusterSim {
             Vec::new()
         };
         let breakers: Vec<CircuitBreaker> = match cfg.resilience {
-            Some(r) if cfg.strategy.is_mittos() => (0..cfg.nodes)
+            Some(r) if cfg.strategy.slo_deadline().is_some() => (0..cfg.nodes)
                 .map(|_| CircuitBreaker::new(r.breaker))
                 .collect(),
             _ => Vec::new(),
@@ -687,13 +575,10 @@ impl ClusterSim {
                     // Judge every strategy against the same SLO: the MittOS
                     // deadline when the strategy carries one, 20 ms (the
                     // paper's disk p95) otherwise.
-                    t.deadline = match cfg.strategy {
-                        Strategy::MittOs { deadline } | Strategy::MittOsWait { deadline } => {
-                            deadline
-                        }
-                        Strategy::MittOsAuto { initial } => initial,
-                        _ => Duration::from_millis(20),
-                    };
+                    t.deadline = cfg
+                        .strategy
+                        .slo_deadline()
+                        .unwrap_or(Duration::from_millis(20));
                 }
                 TslSink::enabled(t, cfg.strategy.name())
             }
@@ -916,7 +801,7 @@ impl ClusterSim {
     /// Schedules `ev` at `at`, pinning the op it names. Every op-naming
     /// event must come through here: the run loop unpins after handling
     /// it, and an unpin without a pin panics.
-    fn schedule(&mut self, at: SimTime, ev: Ev) {
+    pub(crate) fn schedule(&mut self, at: SimTime, ev: Ev) {
         if let Some(op) = ev.op() {
             self.ops[op].pins += 1;
         }
@@ -940,7 +825,7 @@ impl ClusterSim {
     }
 
     /// Forgets IO `io` on `node`, unpinning its op for a client IO.
-    fn ctx_remove(&mut self, node: usize, io: IoId) -> Option<IoCtx> {
+    pub(crate) fn ctx_remove(&mut self, node: usize, io: IoId) -> Option<IoCtx> {
         let ctx = self.io_ctx.remove(&(node, io));
         if let Some(IoCtx::Get { op, .. }) = ctx {
             self.unpin(op);
@@ -981,7 +866,7 @@ impl ClusterSim {
                 .breakers
                 .iter()
                 .enumerate()
-                .map(|(n, b)| (n as u32, u64::from(b.state(now).code())))
+                .map(|(n, b)| (n as u32, b.state(now).code()))
                 .collect();
             self.tsl.flight_record(events, breakers, now);
         }
@@ -1038,9 +923,7 @@ impl ClusterSim {
                 attempt,
                 result,
             } => self.reply(op, attempt, result, now),
-            Ev::HedgeFire { op } => self.hedge_fire(op, now),
-            Ev::TimeoutFire { op, attempt } => self.timeout_fire(op, attempt, now),
-            Ev::TiedSend { op } => self.tied_send(op, now),
+            Ev::Timer { op, attempt } => self.timer_fire(op, attempt, now),
             Ev::TiedCancel { node, io } => {
                 // Revocation only wins if the IO is still queued; an
                 // executing IO keeps its context and completes normally.
@@ -1063,7 +946,6 @@ impl ClusterSim {
             Ev::FaultStart { idx } => self.fault_start(idx, now),
             Ev::FaultEnd { idx } => self.fault_end(idx, now),
             Ev::ThrashTick { idx } => self.thrash_tick(idx, now),
-            Ev::RetryOp { op } => self.retry_op(op, now),
         }
     }
 
@@ -1101,179 +983,26 @@ impl ClusterSim {
                 backoff_round: 0,
                 pins: 0,
             });
+            {
+                let _t = self.prof.phase(Phase::TraceEmit);
+                self.result.trace.emit(
+                    now,
+                    Subsystem::Cluster,
+                    EventKind::SpanBegin {
+                        name: "op",
+                        id: op as u64,
+                    },
+                );
+            }
             self.start_op(op, now);
         }
     }
 
-    fn pick_initial(&mut self, op: usize) -> usize {
-        let n_replicas = self.ops[op].replicas.len();
-        match self.cfg.initial_replica {
-            InitialReplica::Fixed(i) => i.min(n_replicas - 1),
-            InitialReplica::Node(n) => self.ops[op]
-                .replicas
-                .iter()
-                .position(|&r| r == n)
-                .unwrap_or(0),
-            InitialReplica::Random => {
-                let client = self.ops[op].client;
-                self.clients[client].rng.index(n_replicas)
-            }
-        }
-    }
-
-    fn deadline_for(&self, op: usize, attempt_no: usize) -> Option<Duration> {
-        if self.ops[op].is_write {
-            return None;
-        }
-        match &self.cfg.strategy {
-            Strategy::MittOs { deadline } => {
-                // The final (3rd) retry disables the deadline so the op
-                // always has a completion path. With a backoff policy the
-                // whole-round retry *is* the completion path, so the
-                // deadline stays on every try until the round budget is
-                // spent; the final round then reverts to the plain rule.
-                match self.cfg.resilience {
-                    Some(r) if self.ops[op].backoff_round < r.backoff.max_rounds => Some(*deadline),
-                    _ => (attempt_no + 1 < self.cfg.replication).then_some(*deadline),
-                }
-            }
-            Strategy::MittOsWait { deadline } => {
-                // The rich interface keeps the deadline on every replica
-                // try; when all three reject, the 4th goes to the
-                // least-busy one with the deadline disabled (§7.8.1).
-                (attempt_no < self.cfg.replication).then_some(*deadline)
-            }
-            Strategy::MittOsAuto { .. } => {
-                let t = self.clients[self.ops[op].client]
-                    .tuner
-                    .as_ref()
-                    .expect("auto strategy has a tuner");
-                (attempt_no + 1 < self.cfg.replication).then_some(t.deadline())
-            }
-            _ => None,
-        }
-    }
-
-    fn start_op(&mut self, op: usize, now: SimTime) {
-        {
-            let _t = self.prof.phase(Phase::TraceEmit);
-            self.result.trace.emit(
-                now,
-                Subsystem::Cluster,
-                EventKind::SpanBegin {
-                    name: "op",
-                    id: op as u64,
-                },
-            );
-        }
-        match self.cfg.strategy.clone() {
-            Strategy::Base | Strategy::AppTimeout { .. } | Strategy::NosqlProfile { .. } => {
-                let replica_idx = self.pick_initial(op);
-                let node = self.ops[op].replicas[replica_idx];
-                self.send_try(op, node, now, self.deadline_for(op, 0));
-                match self.cfg.strategy {
-                    Strategy::AppTimeout { timeout } => {
-                        self.schedule(now + timeout, Ev::TimeoutFire { op, attempt: 0 });
-                    }
-                    Strategy::NosqlProfile { timeout, .. } => {
-                        self.schedule(now + timeout, Ev::TimeoutFire { op, attempt: 0 });
-                    }
-                    _ => {}
-                }
-            }
-            Strategy::Clone2 => {
-                // Two random distinct replicas.
-                let r = self.ops[op].replicas.clone();
-                let client = self.ops[op].client;
-                let a = self.clients[client].rng.index(r.len());
-                let mut b = self.clients[client].rng.index(r.len());
-                if b == a {
-                    b = (a + 1) % r.len();
-                }
-                self.send_try(op, r[a], now, None);
-                self.send_try(op, r[b], now, None);
-            }
-            Strategy::Hedged { after } => {
-                let replica_idx = self.pick_initial(op);
-                let node = self.ops[op].replicas[replica_idx];
-                self.send_try(op, node, now, None);
-                self.schedule(now + after, Ev::HedgeFire { op });
-            }
-            Strategy::Tied { delay } => {
-                let replica_idx = self.pick_initial(op);
-                let node = self.ops[op].replicas[replica_idx];
-                self.send_try(op, node, now, None);
-                self.schedule(now + delay, Ev::TiedSend { op });
-            }
-            Strategy::Snitch { alpha: _ } | Strategy::C3 => {
-                let node = self.adaptive_pick(op);
-                self.send_try(op, node, now, None);
-            }
-            Strategy::MittOs { .. } | Strategy::MittOsWait { .. } | Strategy::MittOsAuto { .. } => {
-                let replica_idx = self.pick_initial(op);
-                // Rotate the replica list so failovers walk the remaining
-                // replicas in order.
-                self.ops[op].replicas.rotate_left(replica_idx);
-                if self.cfg.monotonic_guard && !self.ops[op].is_write {
-                    // §8.3: be conservative about switching — walk replicas
-                    // that have applied the session's writes first, so a
-                    // failover never lands on a stale one while a fresh
-                    // one exists.
-                    let key = self.ops[op].key;
-                    let client = self.ops[op].client;
-                    if self.clients[client].last_write.contains_key(&key) {
-                        let fresh_at = &self.fresh_at;
-                        self.ops[op].replicas.sort_by_key(|&r| {
-                            fresh_at.get(&(r, key)).map_or(SimTime::ZERO, |&v| v)
-                        });
-                    }
-                }
-                if !self.breakers.is_empty() {
-                    // Skip replicas whose breaker is open (crashed or
-                    // fail-slow suspects); if every breaker is open keep
-                    // the default order — liveness beats the breaker.
-                    let replicas = self.ops[op].replicas.clone();
-                    if let Some(pos) =
-                        (0..replicas.len()).find(|&i| self.breakers[replicas[i]].allow(now))
-                    {
-                        self.ops[op].replicas.rotate_left(pos);
-                    }
-                }
-                let node = self.ops[op].replicas[0];
-                let d = self.deadline_for(op, 0);
-                self.send_try(op, node, now, d);
-            }
-        }
-    }
-
-    fn adaptive_pick(&mut self, op: usize) -> usize {
-        let client = self.ops[op].client;
-        let replicas = self.ops[op].replicas.clone();
-        let st = &self.clients[client];
-        let mut best = replicas[0];
-        let mut best_score = f64::INFINITY;
-        for &r in &replicas {
-            let base = st.ewma[r];
-            let score = match self.cfg.strategy {
-                Strategy::C3 => {
-                    // C3's cubic queue penalty: the queue estimate blends
-                    // the server-piggybacked backlog with the client's own
-                    // outstanding requests to that replica.
-                    let q = st.qhat[r] + f64::from(st.outstanding[r]) + 1.0;
-                    base + q * q * q * (base.max(1e5) / 8.0)
-                }
-                _ => base,
-            };
-            if score < best_score {
-                best_score = score;
-                best = r;
-            }
-        }
-        best
-    }
-
-    fn send_try(&mut self, op: usize, node: usize, now: SimTime, deadline: Option<Duration>) {
+    /// Sends `op`'s next try to `node`, with the deadline the strategy
+    /// gives that try.
+    pub(crate) fn send_try(&mut self, op: usize, node: usize, now: SimTime) {
         let attempt = self.ops[op].attempts.len();
+        let deadline = self.deadline_for(op);
         // If the replica's breaker just admitted a half-open probe, this
         // try is it: bind_probe is a one-shot claim.
         let probe = !self.breakers.is_empty() && self.breakers[node].bind_probe();
@@ -1296,7 +1025,7 @@ impl ClusterSim {
     /// window: hop spikes add to the sample, and a dropped message costs a
     /// detection delay plus a retransmitted copy — drops delay messages
     /// rather than stranding ops, keeping the event loop live.
-    fn net_delay_node(&mut self, node: usize, now: SimTime) -> Duration {
+    pub(crate) fn net_delay_node(&mut self, node: usize, now: SimTime) -> Duration {
         let base = self.net_delay();
         let (d, faulted) = match self.fault_handles.get(node) {
             Some(fc) => {
@@ -1370,7 +1099,7 @@ impl ClusterSim {
     }
 
     fn submit_io(&mut self, op: usize, attempt: usize, now: SimTime) {
-        if self.ops[op].done && !matches!(self.cfg.strategy, Strategy::Clone2) {
+        if self.ops[op].done && self.cfg.strategy.drops_late_tries() {
             // Late attempt of an already-served op (e.g. hedge raced the
             // reply): drop it before it consumes device time.
             self.ops[op].attempts[attempt].resolved = true;
@@ -1688,41 +1417,6 @@ impl ClusterSim {
         }
     }
 
-    /// Begin-execution hook: drives tied-request revocation.
-    fn on_started(&mut self, node: usize, id: IoId, now: SimTime) {
-        if !matches!(self.cfg.strategy, Strategy::Tied { .. }) {
-            return;
-        }
-        let Some(&IoCtx::Get { op, attempt }) = self.io_ctx.get(&(node, id)) else {
-            return;
-        };
-        if self.ops[op].done {
-            return;
-        }
-        // Only the first attempt to begin execution wins the tie; if a
-        // revocation is already in flight either way, do nothing (both
-        // cancelling each other would orphan the op).
-        if self.ops[op].attempts.iter().any(|a| a.resolved) {
-            return;
-        }
-        let other = 1 - attempt;
-        let Some(other_att) = self.ops[op].attempts.get(other) else {
-            return;
-        };
-        if let Some(other_io) = other_att.io {
-            let other_node = other_att.node;
-            let delay = self.net_delay_node(other_node, now);
-            self.schedule(
-                now + delay,
-                Ev::TiedCancel {
-                    node: other_node,
-                    io: other_io,
-                },
-            );
-            self.ops[op].attempts[other].resolved = true;
-        }
-    }
-
     fn disk_tick(&mut self, node: usize, now: SimTime) {
         let out = self.nodes[node].on_disk_tick(now);
         if let Some(next) = out.next {
@@ -1779,74 +1473,16 @@ impl ClusterSim {
     }
 
     // ------------------------------------------------------------------
-    // Strategy reactions.
+    // Replies.
     // ------------------------------------------------------------------
 
     fn reply(&mut self, op: usize, attempt: usize, result: TryResult, now: SimTime) {
-        let client = self.ops[op].client;
-        let node = self.ops[op].attempts[attempt].node;
-        if self.clients[client].outstanding[node] > 0 {
-            self.clients[client].outstanding[node] -= 1;
-        }
         self.ops[op].attempts[attempt].resolved = true;
-        // Per-replica circuit-breaker feedback (late replies still count:
-        // the breaker tracks replica health, not op outcomes). Probe tries
-        // use the probe-aware edges: only a *successful* probe may close a
-        // tripped breaker, and a rejected probe re-opens it — a gray window
-        // flapping faster than the cooldown can no longer oscillate the
-        // breaker closed.
-        if !self.breakers.is_empty() {
-            let probe = self.ops[op].attempts[attempt].probe;
-            match result {
-                TryResult::Ok { .. } => {
-                    if probe {
-                        self.breakers[node].on_probe_success(now);
-                    } else {
-                        self.breakers[node].on_success();
-                    }
-                }
-                TryResult::Busy { .. } | TryResult::Crashed => {
-                    if probe {
-                        self.breakers[node].on_probe_failure(now);
-                    } else {
-                        self.breakers[node].on_failure(now);
-                    }
-                }
-            }
-        }
-        // Adaptive latency feedback.
-        if let Strategy::Snitch { alpha } = self.cfg.strategy {
-            let sample = now.saturating_since(self.ops[op].started).as_secs_f64() * 1e9;
-            let e = &mut self.clients[client].ewma[node];
-            // mitt-lint: allow(T002, "0.0 is the exact cold-start sentinel for an empty EWMA, never the result of arithmetic")
-            *e = if *e == 0.0 {
-                sample
-            } else {
-                alpha * sample + (1.0 - alpha) * *e
-            };
-        }
-        if matches!(self.cfg.strategy, Strategy::C3) {
-            let sample = now.saturating_since(self.ops[op].started).as_secs_f64() * 1e9;
-            let e = &mut self.clients[client].ewma[node];
-            // mitt-lint: allow(T002, "0.0 is the exact cold-start sentinel for an empty EWMA, never the result of arithmetic")
-            *e = if *e == 0.0 {
-                sample
-            } else {
-                0.3 * sample + 0.7 * *e
-            };
-            if let TryResult::Ok { server_queue } = result {
-                let q = &mut self.clients[client].qhat[node];
-                *q = 0.3 * server_queue as f64 + 0.7 * *q;
-            }
-        }
-        // Deadline auto-tuning feedback.
-        let was_busy = matches!(result, TryResult::Busy { .. });
-        if let Some(t) = self.clients[client].tuner.as_mut() {
-            t.record(was_busy);
-        }
+        self.feedback(op, attempt, result, now);
         if self.ops[op].done {
             return;
         }
+        let node = self.ops[op].attempts[attempt].node;
         match result {
             TryResult::Ok { .. } => self.complete_op(op, attempt, now),
             TryResult::Busy { wait, resource } => {
@@ -1859,86 +1495,17 @@ impl ClusterSim {
                 // counterpart (the node blames its own queue), so the
                 // cluster counts them. Purely observational: no RNG, and
                 // nothing emitted when tracing is off.
-                if let Some(fc) = self.fault_handles.get(node) {
-                    let fc = fc.clone();
+                let window = self.fault_handles.get(node).and_then(|fc| {
                     if fc.gray_active(now) {
-                        self.emit_cluster_attribution(
-                            op,
-                            Resource::GrayWindow,
-                            wait,
-                            node as u64,
-                            true,
-                            now,
-                        );
-                    } else if fc.correlated_active(now) {
-                        self.emit_cluster_attribution(
-                            op,
-                            Resource::FaultWindow,
-                            wait,
-                            node as u64,
-                            true,
-                            now,
-                        );
-                    }
-                }
-                let tries = self.ops[op].attempts.len() - self.ops[op].round_base;
-                if self.cfg.strategy.is_mittos() {
-                    if tries < self.cfg.replication {
-                        self.result.retries += 1;
-                        let next_node = self.next_replica(op, tries, now);
-                        self.emit_failover(op, node, next_node, now);
-                        self.emit_cluster_attribution(op, resource, wait, node as u64, false, now);
-                        let d = self.deadline_for(op, tries);
-                        self.send_try(op, next_node, now, d);
-                    } else if matches!(self.cfg.strategy, Strategy::MittOsWait { .. }) {
-                        // All replicas busy: 4th try to the least-busy one,
-                        // deadline disabled (§7.8.1 extension). With a
-                        // breaker, suspected-dead replicas are excluded
-                        // unless no candidate remains.
-                        self.result.retries += 1;
-                        let mut candidates = self.ops[op].busy_waits.clone();
-                        if !self.breakers.is_empty() {
-                            let healthy: Vec<(usize, Duration)> = candidates
-                                .iter()
-                                .copied()
-                                .filter(|&(n, _)| self.breakers[n].state(now) != BreakerState::Open)
-                                .collect();
-                            if !healthy.is_empty() {
-                                candidates = healthy;
-                            }
-                        }
-                        let (best_node, _) = candidates
-                            .iter()
-                            .min_by_key(|&&(_, w)| w)
-                            .copied()
-                            .expect("at least one busy reply");
-                        self.emit_failover(op, node, best_node, now);
-                        self.emit_cluster_attribution(op, resource, wait, node as u64, false, now);
-                        self.send_try(op, best_node, now, None);
+                        Some(Resource::GrayWindow)
                     } else {
-                        // All tries rejected even with the deadline
-                        // disabled on the last. With a backoff policy the
-                        // client sits out briefly and retries a fresh
-                        // round; otherwise surface an error — with
-                        // P(3 nodes busy) tiny (§6) this is rare.
-                        let backoff = self.cfg.resilience.map(|r| r.backoff);
-                        let round = self.ops[op].backoff_round;
-                        if let Some(delay) = backoff.and_then(|b| b.delay(round)) {
-                            self.ops[op].backoff_round = round + 1;
-                            self.ops[op].round_base = self.ops[op].attempts.len();
-                            self.result.backoff_retries += 1;
-                            self.result.trace.count("cluster.backoff", 1);
-                            self.schedule(now + delay, Ev::RetryOp { op });
-                        } else {
-                            self.result.errors += 1;
-                            self.complete_op(op, attempt, now);
-                        }
+                        fc.correlated_active(now).then_some(Resource::FaultWindow)
                     }
-                } else {
-                    // Non-MittOS strategies never see EBUSY.
-                    self.result.errors += 1;
-                    self.complete_op(op, attempt, now);
+                });
+                if let Some(window) = window {
+                    self.emit_cluster_attribution(op, window, wait, node, true, now);
                 }
+                self.fail_over(op, attempt, Some((resource, wait)), now);
             }
             TryResult::Crashed => {
                 self.result.trace.count("cluster.crash_detected", 1);
@@ -1953,82 +1520,27 @@ impl ClusterSim {
                     op,
                     Resource::FaultWindow,
                     Duration::MAX,
-                    node as u64,
+                    node,
                     true,
                     now,
                 );
-                let tries = self.ops[op].attempts.len() - self.ops[op].round_base;
-                if tries < self.cfg.replication {
-                    // Connection-level failure: every strategy fails over
-                    // (distinct from tail-latency timeouts), each lost try
-                    // having already paid the detection delay.
-                    self.result.retries += 1;
-                    let next_node = self.next_replica(op, tries, now);
-                    self.emit_failover(op, node, next_node, now);
-                    let d = self.deadline_for(op, tries);
-                    self.send_try(op, next_node, now, d);
-                } else {
-                    // Every replica looks dead: surface the outage.
-                    self.result.errors += 1;
-                    self.complete_op(op, attempt, now);
-                }
+                self.fail_over(op, attempt, None, now);
             }
         }
     }
 
-    /// Picks the replica for retry round `tries`, skipping replicas whose
-    /// circuit breaker is open. Falls back to the plain rotation when every
-    /// candidate is open — liveness beats the breaker.
-    fn next_replica(&mut self, op: usize, tries: usize, now: SimTime) -> usize {
-        let replicas = self.ops[op].replicas.clone();
-        let default = replicas[tries % replicas.len()];
-        if self.breakers.is_empty() {
-            return default;
-        }
-        for i in 0..replicas.len() {
-            let cand = replicas[(tries + i) % replicas.len()];
-            if self.breakers[cand].allow(now) {
-                if cand != default {
-                    // The breaker vetoed the rotation's choice: an
-                    // attribution with no node-side counterpart, so the
-                    // cluster counts it too.
-                    self.emit_cluster_attribution(
-                        op,
-                        Resource::Breaker,
-                        Duration::MAX,
-                        default as u64,
-                        true,
-                        now,
-                    );
-                }
-                return cand;
-            }
-        }
-        default
-    }
-
-    /// A backoff delay expired: issue a fresh fast-reject round.
-    fn retry_op(&mut self, op: usize, now: SimTime) {
-        if self.ops[op].done {
-            return;
-        }
-        self.result.retries += 1;
-        let node = self.next_replica(op, 0, now);
-        let d = self.deadline_for(op, 0);
-        self.send_try(op, node, now, d);
-    }
-
-    /// Records a cluster-side SLO attribution directly after the event it
-    /// explains (Failover, Crashed verdict, breaker veto, hedge). `bump`
-    /// controls the per-resource counter: busy-triggered failovers
-    /// re-attribute a rejection the node already counted, so they record
-    /// the event only; causes with no node-side counterpart count here.
-    fn emit_cluster_attribution(
+    /// Records a cluster-side SLO attribution of `op` to `resource` at
+    /// `node` directly after the event it explains (Failover, Crashed
+    /// verdict, breaker veto, hedge). `bump` controls the per-resource
+    /// counter: busy-triggered failovers re-attribute a rejection the node
+    /// already counted, so they record the event only; causes with no
+    /// node-side counterpart count here.
+    pub(crate) fn emit_cluster_attribution(
         &mut self,
         op: usize,
         resource: Resource,
         predicted_wait: Duration,
-        detail: u64,
+        node: usize,
         bump: bool,
         now: SimTime,
     ) {
@@ -2042,7 +1554,7 @@ impl ClusterSim {
                 io: op as u64,
                 resource,
                 predicted_wait,
-                detail,
+                detail: node as u64,
             },
         );
         if bump {
@@ -2050,8 +1562,24 @@ impl ClusterSim {
         }
     }
 
+    /// Records a hedge of `op` to `to` in the trace. A hedge fires on
+    /// client-side tail suspicion: the only resource visible from outside
+    /// the first try's node is the request's network path.
+    pub(crate) fn emit_hedge(&mut self, op: usize, first: usize, to: usize, now: SimTime) {
+        self.result.trace.count("cluster.hedge", 1);
+        self.result.trace.emit(
+            now,
+            Subsystem::Cluster,
+            EventKind::Hedge {
+                op: op as u64,
+                to: to as u32,
+            },
+        );
+        self.emit_cluster_attribution(op, Resource::NetHop, Duration::MAX, first, true, now);
+    }
+
     /// Records an EBUSY-triggered replica switch in the trace.
-    fn emit_failover(&mut self, op: usize, from: usize, to: usize, now: SimTime) {
+    pub(crate) fn emit_failover(&mut self, op: usize, from: usize, to: usize, now: SimTime) {
         self.result.trace.count("cluster.failover", 1);
         self.result.trace.emit(
             now,
@@ -2062,6 +1590,12 @@ impl ClusterSim {
                 to: to as u32,
             },
         );
+    }
+
+    /// Ends `op` with an error the user sees.
+    pub(crate) fn fail_op(&mut self, op: usize, attempt: usize, now: SimTime) {
+        self.result.errors += 1;
+        self.complete_op(op, attempt, now);
     }
 
     fn complete_op(&mut self, op: usize, served_attempt: usize, now: SimTime) {
@@ -2118,94 +1652,6 @@ impl ClusterSim {
             let client = self.ops[op].client;
             self.schedule(now + self.cfg.think_time, Ev::ClientIssue { client });
         }
-    }
-
-    fn hedge_fire(&mut self, op: usize, now: SimTime) {
-        if self.ops[op].done || self.ops[op].attempts.len() > 1 {
-            return;
-        }
-        self.result.retries += 1;
-        // Send the hedge to a different replica.
-        let first = self.ops[op].attempts[0].node;
-        let next = self.ops[op]
-            .replicas
-            .iter()
-            .copied()
-            .find(|&r| r != first)
-            .unwrap_or(first);
-        self.result.trace.count("cluster.hedge", 1);
-        self.result.trace.emit(
-            now,
-            Subsystem::Cluster,
-            EventKind::Hedge {
-                op: op as u64,
-                to: next as u32,
-            },
-        );
-        // A hedge fires on client-side tail suspicion: the only resource
-        // visible from outside the node is the request's network path.
-        self.emit_cluster_attribution(op, Resource::NetHop, Duration::MAX, first as u64, true, now);
-        self.send_try(op, next, now, None);
-    }
-
-    fn timeout_fire(&mut self, op: usize, attempt: usize, now: SimTime) {
-        if self.ops[op].done || self.ops[op].attempts[attempt].resolved {
-            return;
-        }
-        // Application-level cancel: ignore whatever that try returns.
-        self.ops[op].attempts[attempt].resolved = true;
-        if let Some(io) = self.ops[op].attempts[attempt].io {
-            let node = self.ops[op].attempts[attempt].node;
-            self.ctx_remove(node, io);
-        }
-        match self.cfg.strategy {
-            Strategy::NosqlProfile {
-                failover: false, ..
-            } => {
-                // Table 1's surprise: three of six systems surface a read
-                // error instead of failing over.
-                self.result.errors += 1;
-                self.complete_op(op, attempt, now);
-            }
-            Strategy::NosqlProfile {
-                timeout,
-                failover: true,
-            }
-            | Strategy::AppTimeout { timeout } => {
-                self.result.retries += 1;
-                let tries = self.ops[op].attempts.len();
-                let next = self.ops[op].replicas[tries % self.ops[op].replicas.len()];
-                self.send_try(op, next, now, None);
-                let new_attempt = self.ops[op].attempts.len() - 1;
-                // The final try never times out (avoids user-visible
-                // errors, §7.2).
-                if tries + 1 < self.cfg.replication {
-                    self.schedule(
-                        now + timeout,
-                        Ev::TimeoutFire {
-                            op,
-                            attempt: new_attempt,
-                        },
-                    );
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn tied_send(&mut self, op: usize, now: SimTime) {
-        if self.ops[op].done || self.ops[op].attempts.len() > 1 {
-            return;
-        }
-        // If the first try's IO already began execution, skip the clone.
-        let first = self.ops[op].attempts[0].node;
-        let next = self.ops[op]
-            .replicas
-            .iter()
-            .copied()
-            .find(|&r| r != first)
-            .unwrap_or(first);
-        self.send_try(op, next, now, None);
     }
 
     // ------------------------------------------------------------------
@@ -2446,7 +1892,7 @@ impl ClusterSim {
             // back-fill their windows so timelines carry open/close counts.
             for &(node, tr) in &self.result.breaker_transitions {
                 self.tsl
-                    .record_breaker_transition(node as u32, tr.at, u64::from(tr.to.code()));
+                    .record_breaker_transition(node as u32, tr.at, tr.to.code());
             }
             self.tsl.finish(now);
             // An alert fired by the final (partial) window still deserves

@@ -941,7 +941,7 @@ impl FaultClock {
                 if ev.active_at(now) && ev.applies_to(self.node) {
                     active = true;
                     scale *= s;
-                    jitter = jitter + j;
+                    jitter += j;
                 }
             }
         }
@@ -951,7 +951,7 @@ impl FaultClock {
         core.distorted_predictions += 1;
         let mut out = wait.mul_f64(scale.max(0.0));
         if !jitter.is_zero() {
-            out = out + Duration::from_nanos(core.rng.range_u64(0, jitter.as_nanos()));
+            out += Duration::from_nanos(core.rng.range_u64(0, jitter.as_nanos()));
         }
         out
     }
@@ -1198,7 +1198,10 @@ mod tests {
         let c = clock(FaultPlan::new().partial_degrade(0, at(0), ms(10), 0.5, 8.0)).for_node(0);
         let draws: Vec<f64> = (0..64).map(|_| c.degrade_draw(at(5))).collect();
         let hits = draws.iter().filter(|&&m| m > 4.0).count();
-        assert!(draws.iter().all(|&m| m > 4.0 || m < 1.5), "8.0 or 1.0 only");
+        assert!(
+            draws.iter().all(|&m| !(1.5..=4.0).contains(&m)),
+            "8.0 or 1.0 only"
+        );
         assert!(
             hits > 0 && hits < 64,
             "p=0.5 must hit some, not all: {hits}"

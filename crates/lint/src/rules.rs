@@ -196,7 +196,7 @@ pub fn scan_source(
     rule_o001(&ctx, &mut raw);
     rule_t001(&ctx, &mut raw);
     rule_t002(&ctx, &mut raw);
-    raw.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
+    raw.sort_by_key(|a| (a.line, a.rule));
     raw.dedup_by(|a, b| a.line == b.line && a.rule == b.rule);
 
     for v in raw {
@@ -434,9 +434,8 @@ fn contains_word(hay: &str, word: &str) -> bool {
         let abs = start + pos;
         let before = hay[..abs].chars().next_back().unwrap_or(' ');
         let after = hay[abs + word.len()..].chars().next().unwrap_or(' ');
-        if !(before.is_alphanumeric() || before == '_')
-            && !(after.is_alphanumeric() || after == '_')
-        {
+        let word_char = |c: char| c.is_alphanumeric() || c == '_';
+        if !word_char(before) && !word_char(after) {
             return true;
         }
         start = abs + word.len();
@@ -524,8 +523,7 @@ fn rule_d002(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
         return;
     }
     let toks = ctx.toks();
-    for i in 0..toks.len() {
-        let t = &toks[i];
+    for (i, t) in toks.iter().enumerate() {
         let pat = if t.is("rand") && ctx.matches(i + 1, &["::"]) {
             Some("rand::")
         } else if t.is("thread_rng") {
@@ -563,13 +561,13 @@ fn rule_d004(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
         ("Command::new", ["Command", "::", "new"]),
     ];
     let toks = ctx.toks();
-    for i in 0..toks.len() {
+    for (i, t) in toks.iter().enumerate() {
         for (label, pat) in &PATTERNS {
             if ctx.matches(i, pat) {
                 ctx.push(
                     out,
                     Rule::D004,
-                    toks[i].line,
+                    t.line,
                     format!("`{label}` reaches the host environment from a simulation crate"),
                 );
                 break;
@@ -583,12 +581,12 @@ fn rule_o001(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
         return;
     }
     let toks = ctx.toks();
-    for i in 0..toks.len() {
-        if toks[i].is("eprintln") && ctx.matches(i + 1, &["!"]) && !ctx.in_test(toks[i].line) {
+    for (i, t) in toks.iter().enumerate() {
+        if t.is("eprintln") && ctx.matches(i + 1, &["!"]) && !ctx.in_test(t.line) {
             ctx.push(
                 out,
                 Rule::O001,
-                toks[i].line,
+                t.line,
                 "`eprintln!` in a figure binary bypasses `--quiet` and pollutes \
                  stderr captures; use `mitt_bench::progress!` (or `progress::note`)"
                     .to_string(),
@@ -788,9 +786,10 @@ fn hash_container_names(ctx: &Ctx<'_>) -> Vec<String> {
                 continue;
             }
             let mut p = c; // token index just past the binding target
-            if p >= 2 && toks[p - 1].is_punct(".") && toks[p - 2].is("self") {
-                p -= 2;
-            } else if p >= 2 && toks[p - 1].is_punct("::") && toks[p - 2].is("Self") {
+            if p >= 2
+                && (toks[p - 1].is_punct(".") && toks[p - 2].is("self")
+                    || toks[p - 1].is_punct("::") && toks[p - 2].is("Self"))
+            {
                 p -= 2;
             }
             if p >= 2 && toks[p - 1].is_punct("=") && toks[p - 2].kind == TokKind::Ident {
@@ -814,14 +813,9 @@ fn hash_returning_fns(ctx: &Ctx<'_>) -> Vec<String> {
             .body
             .map(|(open, _)| open)
             .unwrap_or_else(|| ctx.lx().item_end(f.name_tok));
-        let mut arrow = None;
-        for j in f.name_tok..sig_end {
-            if toks[j].is_punct("->") {
-                arrow = Some(j);
-                break;
-            }
-        }
-        let Some(arrow) = arrow else { continue };
+        let Some(arrow) = (f.name_tok..sig_end).find(|&j| toks[j].is_punct("->")) else {
+            continue;
+        };
         if toks[arrow..sig_end].iter().any(is_hash_container) && !fns.contains(&f.name) {
             fns.push(f.name.clone());
         }
@@ -926,11 +920,11 @@ fn loop_body_is_order_free(ctx: &Ctx<'_>, open: usize) -> bool {
     // Loop-locals: idents bound by the `for` pattern and by `let` bindings
     // inside the body. Writes to these die with the iteration.
     let mut locals: Vec<String> = Vec::new();
-    for j in for_tok..open {
-        if toks[j].kind == TokKind::Ident && !toks[j].is("for") && !toks[j].is("in") {
-            locals.push(toks[j].text.clone());
+    for t in toks.iter().take(open).skip(for_tok) {
+        if t.kind == TokKind::Ident && !t.is("for") && !t.is("in") {
+            locals.push(t.text.clone());
         }
-        if toks[j].is("in") {
+        if t.is("in") {
             break; // pattern ends; the iterated expression is not a binding
         }
     }
@@ -938,12 +932,12 @@ fn loop_body_is_order_free(ctx: &Ctx<'_>, open: usize) -> bool {
     while j < close {
         if toks[j].is("let") {
             let stop = ctx.stmt_end(j);
-            for k in j + 1..stop {
-                if toks[k].is_punct("=") {
+            for t in toks.iter().take(stop).skip(j + 1) {
+                if t.is_punct("=") {
                     break;
                 }
-                if toks[k].kind == TokKind::Ident && !toks[k].is("mut") {
-                    locals.push(toks[k].text.clone());
+                if t.kind == TokKind::Ident && !t.is("mut") {
+                    locals.push(t.text.clone());
                 }
             }
         }
@@ -1229,8 +1223,8 @@ fn receiver_path(ctx: &Ctx<'_>, call_tok: usize) -> Vec<String> {
 fn matching_paren(ctx: &Ctx<'_>, open: usize) -> usize {
     let toks = ctx.toks();
     let mut depth = 0i32;
-    for i in open..toks.len() {
-        match toks[i].text.as_str() {
+    for (i, t) in toks.iter().enumerate().skip(open) {
+        match t.text.as_str() {
             "(" => depth += 1,
             ")" => {
                 depth -= 1;

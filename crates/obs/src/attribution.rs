@@ -377,8 +377,10 @@ mod tests {
 
     #[test]
     fn digest_is_stable_and_field_sensitive() {
-        let mut a = AttributionSummary::default();
-        a.rejects = 3;
+        let mut a = AttributionSummary {
+            rejects: 3,
+            ..Default::default()
+        };
         let mut h1 = Fnv1a::new();
         a.fold_digest(&mut h1);
         let mut h2 = Fnv1a::new();

@@ -227,8 +227,8 @@ impl BenchReport {
             ));
         }
         let mut report = BenchReport::new(&str_field(v, "fig")?, 0, 0);
-        report.seed = num_field(&v, "seed")? as u64;
-        report.scale = num_field(&v, "scale")? as u64;
+        report.seed = num_field(v, "seed")? as u64;
+        report.scale = num_field(v, "scale")? as u64;
         for row in v
             .get("strategies")
             .and_then(JsonValue::as_arr)

@@ -32,7 +32,7 @@ impl Noop {
     fn dispatch(&mut self, disk: &mut Disk, now: SimTime) -> DispatchOut {
         let mut out = DispatchOut::default();
         let cap = self.ctx.faults.sched_max_inflight(now);
-        while disk.has_room() && cap.map_or(true, |c| disk.occupancy() < c) {
+        while disk.has_room() && cap.is_none_or(|c| disk.occupancy() < c) {
             let Some(io) = self.fifo.pop_front() else {
                 break;
             };

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Canonical local gate for this repo (recorded in ROADMAP.md). Runs the
-# same checks CI would: formatting, a release build (the workspace lints
-# are deny-level, so this doubles as the warning gate), the mitt-lint
-# determinism/invariant scan, the test suite (which itself re-runs the
+# same checks CI would: formatting, clippy with warnings as errors, a
+# release build (the workspace lints are deny-level, so this doubles as
+# the compiler-warning gate), the mitt-lint determinism/invariant scan,
+# the test suite (which itself re-runs the
 # lint and checks its SARIF shape via tests/lint.rs, checks the traced
 # example's Chrome trace, profile and folded stacks via tests/obs.rs, and
 # re-runs the double-run digest check via tests/determinism.rs), every
@@ -61,6 +62,14 @@ if cargo fmt --version >/dev/null 2>&1; then
 else
     # Toolchain without rustfmt (e.g. minimal containers): skip, don't fail.
     echo "   rustfmt not installed; skipping"
+fi
+
+echo "== cargo clippy --workspace --all-targets -- -D warnings"
+if cargo clippy --version >/dev/null 2>&1; then
+    cargo clippy --workspace --all-targets -- -D warnings
+else
+    # Toolchain without clippy: skip, don't fail.
+    echo "   clippy not installed; skipping"
 fi
 
 echo "== cargo build --release"
@@ -154,7 +163,11 @@ done
 echo "== fig9 mutation: a degraded predictor must fail the gate"
 # --degrade injects a whole-run PredictorBias fault. The compare must exit
 # exactly 1 (regressions); 0 would mean the gate cannot fail, and 2 is a
-# usage or IO error, not a caught regression.
+# usage or IO error, not a caught regression. All 12 regressions it
+# produces are calibration rows: on fig9's micro cluster MittOS issues no
+# EBUSY, so its `base` and `mittos` latency rows read the same under the
+# bias and cannot fail until fig9 gets a contended config (ROADMAP item 1).
+# This step gates the calibration rows only; it is not a latency gate.
 MITT_OPS=8 bench fig9 -- --quiet --degrade --bench-json "$tmp/fig9_degraded.json" >/dev/null
 status=0
 compare baselines/BENCH_fig9.json "$tmp/fig9_degraded.json" >"$tmp/degraded.txt" || status=$?
