@@ -15,7 +15,7 @@ use mitt_faults::{
 };
 use mitt_lsm::{GetStep, LsmConfig, LsmEngine};
 use mitt_prof::{GaugeSample, Phase, ProfSink};
-use mitt_sim::{Duration, EventQueue, FastMap, LatencyRecorder, SimRng, SimTime};
+use mitt_sim::{push_within, Duration, EventQueue, FastMap, LatencyRecorder, SimRng, SimTime};
 use mitt_trace::report::{NET_HOP_COUNTER, NET_HOP_FAULTED_COUNTER, NET_HOP_HIST};
 use mitt_trace::{EventKind, Resource, Subsystem, TraceSink, CLUSTER_NODE, DEFAULT_RING_CAPACITY};
 use mitt_tsl::{TslConfig, TslSink};
@@ -531,6 +531,7 @@ impl ClusterSim {
         // 1TB disk / the SSD's space.
         let usable = 900 * GB;
         let target_users = cfg.user_requests();
+        let target_gets = target_users * cfg.scale_factor;
         let btree = cfg
             .mmap_btree
             .as_ref()
@@ -629,8 +630,8 @@ impl ClusterSim {
             tsl: tsl.clone(),
             page_times: Vec::new(),
             result: ExperimentResult {
-                user_latencies: LatencyRecorder::new(),
-                get_latencies: LatencyRecorder::new(),
+                user_latencies: LatencyRecorder::with_limit(target_users),
+                get_latencies: LatencyRecorder::with_limit(target_gets),
                 ebusy: 0,
                 retries: 0,
                 errors: 0,
@@ -1641,7 +1642,8 @@ impl ClusterSim {
         let latency = now.saturating_since(self.ops[op].started);
         self.result.get_latencies.record(latency);
         self.tsl.observe_get(now, latency);
-        self.result.completion_times.push(now);
+        let gets = self.target_users * self.cfg.scale_factor;
+        push_within(&mut self.result.completion_times, now, gets);
         let user = self.ops[op].user;
         self.users[user].remaining -= 1;
         if self.users[user].remaining == 0 {
@@ -1965,6 +1967,61 @@ mod tests {
                 "{}: {long} live ops at 2000 ops per client against {short} at 200",
                 strategy.name()
             );
+        }
+    }
+
+    /// `get_latencies`, `user_latencies` and `completion_times` grow
+    /// toward the run's known counts and never past them, on a healthy run
+    /// and on one whose tries to a crashed replica are lost. The counts
+    /// (300 users, 900 gets) are not powers of two, so plain doubling
+    /// would overshoot both.
+    #[test]
+    fn result_vectors_stay_within_the_run_s_known_counts() {
+        for crash in [false, true] {
+            let mut cfg = quick(Strategy::Base);
+            cfg.clients = 2;
+            cfg.ops_per_client = 150;
+            cfg.scale_factor = 3;
+            cfg.think_time = Duration::from_millis(2);
+            if crash {
+                cfg.faults = FaultPlan::new().crash(
+                    0,
+                    SimTime::ZERO + Duration::from_millis(100),
+                    Duration::from_secs(3),
+                );
+            }
+            let users = cfg.user_requests();
+            let gets = users * cfg.scale_factor;
+            let res = run_experiment(cfg);
+            if crash {
+                assert!(res.injected_faults >= 1, "the crash never fired");
+                assert!(res.retries > 0, "no try was lost to the crash");
+            }
+            for (name, len, capacity, known) in [
+                (
+                    "user_latencies",
+                    res.user_latencies.len(),
+                    res.user_latencies.capacity(),
+                    users,
+                ),
+                (
+                    "get_latencies",
+                    res.get_latencies.len(),
+                    res.get_latencies.capacity(),
+                    gets,
+                ),
+                (
+                    "completion_times",
+                    res.completion_times.len(),
+                    res.completion_times.capacity(),
+                    gets,
+                ),
+            ] {
+                assert!(
+                    len <= known && capacity <= known,
+                    "crash {crash}: {name} len {len}, capacity {capacity}, known {known}"
+                );
+            }
         }
     }
 

@@ -34,5 +34,5 @@ pub use dist::Distribution;
 pub use hash::{FastMap, FastSet};
 pub use queue::{EventClock, EventKey, EventQueue};
 pub use rng::SimRng;
-pub use stats::{reduction_pct, LatencyRecorder, Pow2Hist};
+pub use stats::{push_within, reduction_pct, LatencyRecorder, Pow2Hist};
 pub use time::{Duration, SimTime};

@@ -10,11 +10,33 @@
 use crate::digest::Fnv1a;
 use crate::time::Duration;
 
+/// Pushes `x` onto `v`, growing it by doubling as `Vec::push` does but
+/// never past `limit` slots, so a vector whose final length is known
+/// holds no slack past it and reaches each size no later than an
+/// unbounded one would. Past `limit` it grows as `Vec::push` does.
+pub fn push_within<T>(v: &mut Vec<T>, x: T, limit: usize) {
+    if v.len() == v.capacity() {
+        let grown = (v.capacity() * 2).max(4).min(limit);
+        if grown > v.len() {
+            v.reserve_exact(grown - v.len());
+        }
+    }
+    v.push(x);
+}
+
 /// Collects latency samples and answers exact percentile/CDF queries.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct LatencyRecorder {
     samples: Vec<u64>,
     sorted: bool,
+    /// Most samples the recorder expects (see [`push_within`]).
+    limit: usize,
+}
+
+impl Default for LatencyRecorder {
+    fn default() -> Self {
+        Self::with_limit(usize::MAX)
+    }
 }
 
 impl LatencyRecorder {
@@ -23,10 +45,25 @@ impl LatencyRecorder {
         Self::default()
     }
 
+    /// Creates an empty recorder that expects at most `limit` samples:
+    /// its buffer grows by doubling but never past `limit` slots.
+    pub fn with_limit(limit: usize) -> Self {
+        LatencyRecorder {
+            samples: Vec::new(),
+            sorted: false,
+            limit,
+        }
+    }
+
     /// Records one latency sample.
     pub fn record(&mut self, latency: Duration) {
-        self.samples.push(latency.as_nanos());
+        push_within(&mut self.samples, latency.as_nanos(), self.limit);
         self.sorted = false;
+    }
+
+    /// Samples the buffer can hold before it next grows.
+    pub fn capacity(&self) -> usize {
+        self.samples.capacity()
     }
 
     /// Number of samples recorded.
@@ -143,28 +180,25 @@ pub fn reduction_pct(other: Duration, ours: Duration) -> f64 {
 
 /// Power-of-two-bucket histogram of nanosecond samples: bucket `i` holds
 /// values in `[2^i, 2^(i+1))` (zero counts as one), so the whole
-/// nanosecond-to-centuries range fits in 64 fixed buckets with no
-/// allocation per sample. Quantiles are bucket upper bounds taken at
-/// integer milli-quantiles (990 = p99), so they never touch a float.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// nanosecond-to-centuries range fits in 64 buckets. Only non-empty
+/// buckets are stored, as `(index, count)` pairs in ascending index
+/// order: a timeline cell touches a few buckets, so an empty
+/// histogram allocates nothing and a filled one holds a few pairs rather
+/// than 64 counts. Quantiles are bucket upper bounds taken at integer
+/// milli-quantiles (990 = p99), so they never touch a float.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Pow2Hist {
-    counts: [u64; 64],
+    buckets: Vec<(u8, u64)>,
     total: u64,
     sum: u64,
     max: u64,
-}
-
-impl Default for Pow2Hist {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Pow2Hist {
     /// An empty histogram.
     pub const fn new() -> Self {
         Pow2Hist {
-            counts: [0; 64],
+            buckets: Vec::new(),
             total: 0,
             sum: 0,
             max: 0,
@@ -173,8 +207,16 @@ impl Pow2Hist {
 
     /// Records one nanosecond sample.
     pub fn observe(&mut self, ns: u64) {
-        let idx = 63 - ns.max(1).leading_zeros() as usize;
-        self.counts[idx] += 1;
+        let idx = (63 - ns.max(1).leading_zeros()) as u8;
+        match self.buckets.binary_search_by_key(&idx, |&(i, _)| i) {
+            Ok(at) => self.buckets[at].1 += 1,
+            Err(at) => {
+                // A histogram gains at most 64 buckets, so growing by
+                // exactly one costs few reallocations and no slack.
+                self.buckets.reserve_exact(1);
+                self.buckets.insert(at, (idx, 1));
+            }
+        }
         self.total += 1;
         self.sum = self.sum.saturating_add(ns);
         self.max = self.max.max(ns);
@@ -208,7 +250,7 @@ impl Pow2Hist {
         }
         let rank = ((u128::from(self.total) * u128::from(q_milli)).div_ceil(1000)).max(1) as u64;
         let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
+        for &(i, c) in &self.buckets {
             seen += c;
             if seen >= rank {
                 return 1u64 << (i + 1).min(63);
@@ -221,11 +263,9 @@ impl Pow2Hist {
     /// into a digest.
     pub fn fold(&self, h: &mut Fnv1a) {
         h.write_u64(self.total);
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c > 0 {
-                h.write_u64(i as u64);
-                h.write_u64(c);
-            }
+        for &(i, c) in &self.buckets {
+            h.write_u64(u64::from(i));
+            h.write_u64(c);
         }
     }
 }
@@ -252,6 +292,153 @@ mod tests {
         assert_eq!(h.quantile_milli(990), 1 << 10);
         assert_eq!(h.quantile_milli(999), 1 << 20);
         assert!((h.mean_ns() - 10_990.0).abs() < 1e-9);
+    }
+
+    /// The dense form `Pow2Hist` had before it stored only non-empty
+    /// buckets: 64 fixed counters. The sparse form must answer exactly as
+    /// this does.
+    struct DenseHist {
+        counts: [u64; 64],
+        total: u64,
+        sum: u64,
+        max: u64,
+    }
+
+    impl DenseHist {
+        fn new() -> Self {
+            DenseHist {
+                counts: [0; 64],
+                total: 0,
+                sum: 0,
+                max: 0,
+            }
+        }
+
+        fn observe(&mut self, ns: u64) {
+            self.counts[63 - ns.max(1).leading_zeros() as usize] += 1;
+            self.total += 1;
+            self.sum = self.sum.saturating_add(ns);
+            self.max = self.max.max(ns);
+        }
+
+        fn mean_ns(&self) -> f64 {
+            if self.total == 0 {
+                0.0
+            } else {
+                self.sum as f64 / self.total as f64
+            }
+        }
+
+        fn quantile_milli(&self, q_milli: u64) -> u64 {
+            if self.total == 0 {
+                return 0;
+            }
+            let rank =
+                ((u128::from(self.total) * u128::from(q_milli)).div_ceil(1000)).max(1) as u64;
+            let mut seen = 0u64;
+            for (i, &c) in self.counts.iter().enumerate() {
+                seen += c;
+                if seen >= rank {
+                    return 1u64 << (i + 1).min(63);
+                }
+            }
+            1u64 << 63
+        }
+
+        fn digest(&self) -> u64 {
+            let mut h = Fnv1a::new();
+            h.write_u64(self.total);
+            for (i, &c) in self.counts.iter().enumerate() {
+                if c > 0 {
+                    h.write_u64(i as u64);
+                    h.write_u64(c);
+                }
+            }
+            h.finish()
+        }
+    }
+
+    fn assert_same(sparse: &Pow2Hist, dense: &DenseHist, ctx: &str) {
+        assert_eq!(sparse.total(), dense.total, "{ctx}: total");
+        assert_eq!(sparse.max_ns(), dense.max, "{ctx}: max");
+        assert_eq!(
+            sparse.mean_ns().to_bits(),
+            dense.mean_ns().to_bits(),
+            "{ctx}: mean"
+        );
+        for q in 0..=1000 {
+            assert_eq!(
+                sparse.quantile_milli(q),
+                dense.quantile_milli(q),
+                "{ctx}: quantile {q}"
+            );
+        }
+        let mut h = Fnv1a::new();
+        sparse.fold(&mut h);
+        assert_eq!(h.finish(), dense.digest(), "{ctx}: fold");
+    }
+
+    #[test]
+    fn sparse_pow2_hist_matches_the_dense_oracle() {
+        // 0, 1, u64::MAX and both sides of every power-of-two edge.
+        let mut edges = vec![0, 1, u64::MAX];
+        for k in 1..64 {
+            let p = 1u64 << k;
+            edges.extend([p - 1, p, p + 1]);
+        }
+        for seed in [1u64, 7, 42, 0x9e37_79b9_7f4a_7c15] {
+            let mut x = seed;
+            let mut next = || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let mut sparse = Pow2Hist::new();
+            let mut dense = DenseHist::new();
+            assert_same(&sparse, &dense, "empty");
+            for n in 0..3_000u64 {
+                let r = next();
+                // Mix edge values, latency-like values of a few buckets,
+                // and full-range draws, so buckets arrive in every order.
+                let ns = match r % 4 {
+                    0 => edges[(r >> 8) as usize % edges.len()],
+                    1 => 200_000 + (r >> 8) % 3_000_000,
+                    2 => r >> (r >> 58),
+                    _ => r >> 40,
+                };
+                sparse.observe(ns);
+                dense.observe(ns);
+                if n < 64 || n % 250 == 0 {
+                    assert_same(&sparse, &dense, &format!("seed {seed} after {}", n + 1));
+                }
+            }
+            assert_same(&sparse, &dense, &format!("seed {seed} at end"));
+        }
+    }
+
+    #[test]
+    fn push_within_doubles_up_to_the_limit_and_no_further() {
+        let mut capped = Vec::new();
+        let mut plain = Vec::new();
+        for i in 0..100u64 {
+            push_within(&mut capped, i, 100);
+            plain.push(i);
+            let expect = if plain.capacity() > 100 {
+                100
+            } else {
+                plain.capacity()
+            };
+            assert_eq!(capped.capacity(), expect, "after {} pushes", i + 1);
+        }
+        assert_eq!(capped, plain);
+        let mut r = LatencyRecorder::with_limit(5);
+        for i in 0..5 {
+            r.record(ms(i));
+        }
+        assert_eq!((r.len(), r.capacity()), (5, 5));
+        r.record(ms(5));
+        assert_eq!(r.len(), 6, "past the limit it still records");
     }
 
     #[test]

@@ -35,7 +35,6 @@
 //! node holds a handle.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use mitt_faults::invariants::NearMiss;
@@ -112,29 +111,24 @@ pub struct WindowStats {
     pub breaker_opens: u64,
     /// Breaker transitions into `Closed` landing in this window.
     pub breaker_closes: u64,
-    /// End-to-end get latency histogram (cluster rows); allocated on the
-    /// first sample, so node rows do not carry one.
-    latency: Option<Box<Pow2Hist>>,
-    /// Device service-time histogram (node rows); allocated on the first
-    /// sample, so cluster rows do not carry one.
-    service: Option<Box<Pow2Hist>>,
+    /// The cell's one histogram: end-to-end get latency on the cluster
+    /// row, device service time on a node row. A row fills only its own
+    /// kind, so the other reads, folds and exports as empty.
+    hist: Pow2Hist,
 }
 
-/// What an absent histogram reads, folds and exports as.
-static EMPTY_HIST: Pow2Hist = Pow2Hist::new();
-
 impl WindowStats {
-    /// End-to-end get latency histogram (cluster rows).
-    pub fn latency(&self) -> &Pow2Hist {
-        self.latency.as_deref().unwrap_or(&EMPTY_HIST)
+    /// The `(latency, service)` histograms of this cell on `node`'s row,
+    /// with `empty` standing for the kind the row does not fill.
+    fn hists<'a>(&'a self, node: u32, empty: &'a Pow2Hist) -> (&'a Pow2Hist, &'a Pow2Hist) {
+        if node == CLUSTER_NODE {
+            (&self.hist, empty)
+        } else {
+            (empty, &self.hist)
+        }
     }
 
-    /// Device service-time histogram (node rows).
-    pub fn service(&self) -> &Pow2Hist {
-        self.service.as_deref().unwrap_or(&EMPTY_HIST)
-    }
-
-    fn fold(&self, h: &mut Fnv1a) {
+    fn fold(&self, node: u32, h: &mut Fnv1a) {
         h.write_u64(self.gets);
         h.write_u64(self.misses);
         h.write_u64(self.ebusy);
@@ -145,8 +139,10 @@ impl WindowStats {
         h.write_u64(self.completes);
         h.write_u64(self.breaker_opens);
         h.write_u64(self.breaker_closes);
-        self.latency().fold(h);
-        self.service().fold(h);
+        let empty = Pow2Hist::new();
+        let (latency, service) = self.hists(node, &empty);
+        latency.fold(h);
+        service.fold(h);
     }
 }
 
@@ -363,10 +359,13 @@ fn slot(w: u64) -> usize {
 struct TslCore {
     cfg: TslConfig,
     strategy: String,
-    /// Timeline rows by node, iterated in `(node, window)` order;
-    /// [`CLUSTER_NODE`]'s row holds the cluster-level gets/misses/EBUSY
-    /// the burn rate reads.
-    rows: BTreeMap<u32, Row>,
+    /// Timeline rows indexed by node id; a node nothing recorded at has
+    /// an empty row.
+    nodes: Vec<Row>,
+    /// [`CLUSTER_NODE`]'s row: the cluster-level gets/misses/EBUSY the
+    /// burn rate reads. It folds after the node rows (where the id
+    /// `u32::MAX` sorts) and exports before them.
+    cluster: Row,
     /// Windows strictly below this index have been closed and evaluated.
     closed_through: u64,
     alerts: Vec<TslAlert>,
@@ -391,25 +390,40 @@ impl TslCore {
 
     fn cell(&mut self, node: u32, at: SimTime) -> &mut WindowStats {
         let w = self.window_of(at);
-        self.rows.entry(node).or_default().cell(w)
+        let row = if node == CLUSTER_NODE {
+            &mut self.cluster
+        } else {
+            let i = usize::try_from(node).expect("node id fits in usize");
+            if i >= self.nodes.len() {
+                self.nodes.resize_with(i + 1, Row::default);
+            }
+            &mut self.nodes[i]
+        };
+        row.cell(w)
+    }
+
+    /// Touched rows with their node id, nodes in id order and the cluster
+    /// row last.
+    fn rows(&self) -> impl Iterator<Item = (u32, &Row)> + '_ {
+        (0..)
+            .zip(&self.nodes)
+            .chain([(CLUSTER_NODE, &self.cluster)])
+            .filter(|(_, row)| !row.cells.is_empty())
     }
 
     /// Touched cells in `(node, window)` order.
     fn cells(&self) -> impl Iterator<Item = (u32, u64, &WindowStats)> + '_ {
-        self.rows
-            .iter()
-            .flat_map(|(&node, row)| row.iter().map(move |(w, s)| (node, w, s)))
+        self.rows()
+            .flat_map(|(node, row)| row.iter().map(move |(w, s)| (node, w, s)))
     }
 
     /// Sums `(gets, misses)` over cluster windows `[lo, hi]` inclusive.
     fn span_totals(&self, lo: u64, hi: u64) -> (u64, u64) {
         let mut gets = 0;
         let mut misses = 0;
-        if let Some(row) = self.rows.get(&CLUSTER_NODE) {
-            for s in (lo..=hi).filter_map(|w| row.get(w)) {
-                gets += s.gets;
-                misses += s.misses;
-            }
+        for s in (lo..=hi).filter_map(|w| self.cluster.get(w)) {
+            gets += s.gets;
+            misses += s.misses;
         }
         (gets, misses)
     }
@@ -488,7 +502,8 @@ impl TslSink {
             core: Some(Rc::new(RefCell::new(TslCore {
                 cfg,
                 strategy: strategy.to_string(),
-                rows: BTreeMap::new(),
+                nodes: Vec::new(),
+                cluster: Row::default(),
                 closed_through: 0,
                 alerts: Vec::new(),
                 fast_active: false,
@@ -532,8 +547,13 @@ impl TslSink {
     /// Records one completed cluster get: bumps the window's get count,
     /// latency histogram, and — when `latency` blows the SLO deadline —
     /// its miss count. Cluster-row only; call on the cluster-tagged handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a node-tagged handle.
     pub fn observe_get(&self, at: SimTime, latency: Duration) {
         if let Some(core) = &self.core {
+            assert_eq!(self.node, CLUSTER_NODE, "gets record on the cluster row");
             let mut core = core.borrow_mut();
             let miss = latency > core.cfg.deadline;
             core.cum_gets += 1;
@@ -545,9 +565,7 @@ impl TslSink {
             if miss {
                 cell.misses += 1;
             }
-            cell.latency
-                .get_or_insert_with(Box::default)
-                .observe(latency.as_nanos());
+            cell.hist.observe(latency.as_nanos());
         }
     }
 
@@ -593,14 +611,17 @@ impl TslSink {
 
     /// Records one device completion with its service time at this
     /// handle's node.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the cluster-tagged handle.
     pub fn observe_service(&self, at: SimTime, service: Duration) {
         if let Some(core) = &self.core {
+            assert_ne!(self.node, CLUSTER_NODE, "service times record on node rows");
             let mut core = core.borrow_mut();
             let cell = self.cell_for(&mut core, at);
             cell.completes += 1;
-            cell.service
-                .get_or_insert_with(Box::default)
-                .observe(service.as_nanos());
+            cell.hist.observe(service.as_nanos());
         }
     }
 
@@ -757,10 +778,7 @@ impl TslSink {
         };
         let width = core.cfg.window.as_nanos();
         let mut out = Vec::new();
-        let Some(cluster) = core.rows.get(&CLUSTER_NODE) else {
-            return out;
-        };
-        for (w, stats) in cluster.iter() {
+        for (w, stats) in core.cluster.iter() {
             let at = SimTime::from_nanos((w + 1) * width);
             out.push(TraceEvent {
                 at,
@@ -768,7 +786,7 @@ impl TslSink {
                 subsystem: Subsystem::Cluster,
                 kind: EventKind::Counter {
                     name: "tsl.p99_us",
-                    value: stats.latency().quantile_milli(990) / 1_000,
+                    value: stats.hist.quantile_milli(990) / 1_000,
                 },
             });
             out.push(TraceEvent {
@@ -809,7 +827,7 @@ impl TslSink {
         for (node, w, stats) in core.cells() {
             h.write_u64(u64::from(node));
             h.write_u64(w);
-            stats.fold(h);
+            stats.fold(node, h);
         }
         h.write_u64(core.alerts.len() as u64);
         for a in &core.alerts {
@@ -862,12 +880,12 @@ impl TslSink {
             cfg.slow_windows, cfg.slow_threshold_milli
         ));
 
-        // Timelines: cluster row first, then per-node rows in node order
-        // (BTreeMap order puts CLUSTER_NODE, u32::MAX, last).
-        let cluster = core.rows.get_key_value(&CLUSTER_NODE);
-        let nodes = core.rows.iter().filter(|&(&n, _)| n != CLUSTER_NODE);
+        // Timelines: cluster row first, then per-node rows in node order.
+        let cluster = core.rows().filter(|&(n, _)| n == CLUSTER_NODE);
+        let nodes = core.rows().filter(|&(n, _)| n != CLUSTER_NODE);
+        let empty = Pow2Hist::new();
         out.push_str(",\"timelines\":[");
-        for (ni, (&node, row)) in cluster.into_iter().chain(nodes).enumerate() {
+        for (ni, (node, row)) in cluster.chain(nodes).enumerate() {
             if ni > 0 {
                 out.push(',');
             }
@@ -876,6 +894,7 @@ impl TslSink {
                 if i > 0 {
                     out.push(',');
                 }
+                let (latency, service) = s.hists(node, &empty);
                 out.push_str(&format!("{{\"w\":{w},\"start_us\":{}", w * width / 1_000));
                 out.push_str(&format!(",\"gets\":{}", s.gets));
                 out.push_str(&format!(",\"misses\":{}", s.misses));
@@ -886,23 +905,23 @@ impl TslSink {
                 out.push_str(&format!(",\"completes\":{}", s.completes));
                 out.push_str(&format!(
                     ",\"p50_us\":{}",
-                    s.latency().quantile_milli(500) / 1_000
+                    latency.quantile_milli(500) / 1_000
                 ));
                 out.push_str(&format!(
                     ",\"p95_us\":{}",
-                    s.latency().quantile_milli(950) / 1_000
+                    latency.quantile_milli(950) / 1_000
                 ));
                 out.push_str(&format!(
                     ",\"p99_us\":{}",
-                    s.latency().quantile_milli(990) / 1_000
+                    latency.quantile_milli(990) / 1_000
                 ));
                 out.push_str(&format!(
                     ",\"p999_us\":{}",
-                    s.latency().quantile_milli(999) / 1_000
+                    latency.quantile_milli(999) / 1_000
                 ));
                 out.push_str(&format!(
                     ",\"service_p99_us\":{}",
-                    s.service().quantile_milli(990) / 1_000
+                    service.quantile_milli(990) / 1_000
                 ));
                 out.push_str(&format!(
                     ",\"burn_milli\":{}",
@@ -1013,15 +1032,31 @@ mod tests {
         let core = s.core.as_ref().expect("enabled").borrow();
         let cells: Vec<_> = core.cells().collect();
         assert_eq!(cells.len(), 2);
+        let empty = Pow2Hist::new();
         for (node, _, stats) in cells {
-            let (filled, absent) = if node == CLUSTER_NODE {
-                (&stats.latency, &stats.service)
+            let (latency, service) = stats.hists(node, &empty);
+            let (filled, absent, max) = if node == CLUSTER_NODE {
+                (latency, service, 2_000_000)
             } else {
-                (&stats.service, &stats.latency)
+                (service, latency, 300_000)
             };
-            assert_eq!(filled.as_ref().map(|h| h.total()), Some(1), "node {node}");
-            assert!(absent.is_none(), "node {node}");
+            assert_eq!((filled.total(), filled.max_ns()), (1, max), "node {node}");
+            assert_eq!(absent.total(), 0, "node {node}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "gets record on the cluster row")]
+    fn a_get_on_a_node_row_panics() {
+        TslSink::enabled(cfg_10ms(), "test")
+            .for_node(0)
+            .observe_get(at_ms(1), Duration::from_millis(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "service times record on node rows")]
+    fn a_service_time_on_the_cluster_row_panics() {
+        TslSink::enabled(cfg_10ms(), "test").observe_service(at_ms(1), Duration::from_micros(1));
     }
 
     #[test]
