@@ -18,12 +18,15 @@ use mittos_repro::cluster::{
 use mittos_repro::device::{IoClass, ProcessId, GB};
 use mittos_repro::faults::{FaultKind, FaultPlan, FaultScope, NodeCtx, ScopeLabel};
 use mittos_repro::obs::attribution::AttributionSummary;
-use mittos_repro::obs::calibration::{CalibrationConfig, CalibrationStream};
-use mittos_repro::obs::replay::{replay_audit_traced, REPLAY_RING};
+use mittos_repro::obs::calibration::{
+    chrome_export_with_counters, CalibrationConfig, CalibrationStream,
+};
+use mittos_repro::obs::replay::{p95_wait, replay_audit_traced, REPLAY_RING};
 use mittos_repro::obs::{
     chrome_export_with_timeline, verify_attribution_invariants, BenchReport, CalibrationRow,
     JsonValue, StrategyRow,
 };
+use mittos_repro::sim::digest::Fnv1a;
 use mittos_repro::sim::{Duration, EventQueue, SimRng, SimTime};
 use mittos_repro::trace::{EventKind, Resource, Subsystem, TraceEvent, TraceSink};
 use mittos_repro::tsl::TslConfig;
@@ -478,6 +481,76 @@ fn calibration_stream_matches_the_trace_event_stream() {
             stats.false_pos + stats.false_neg <= stats.total,
             "{name}: fp+fn exceeds total"
         );
+    }
+}
+
+/// Each predictor's `(name, total, rejected, false_pos, false_neg)`, and
+/// the FNV-1a digest of the counter-track Chrome export, for one sink.
+fn calibration_pin(
+    sink: &TraceSink,
+    cfg: CalibrationConfig,
+) -> (Vec<(&'static str, u64, u64, u64, u64)>, u64) {
+    let stream = CalibrationStream::from_sink(sink, cfg);
+    let counts = stream
+        .stats()
+        .iter()
+        .map(|(name, s)| (*name, s.total, s.rejected, s.false_pos, s.false_neg))
+        .collect();
+    let mut h = Fnv1a::new();
+    h.write_str(&chrome_export_with_counters(sink, cfg));
+    (counts, h.finish())
+}
+
+#[test]
+fn calibration_counts_and_counter_export_are_pinned() {
+    // A faulted, enforcing cluster run: the join closes on Reject as well
+    // as on Complete, and a bias window makes the predictor misclassify.
+    let res = run_experiment(faulted_traced_config(62));
+    assert_eq!(res.trace.dropped(), 0, "ring too small for the run");
+    assert_eq!(
+        calibration_pin(&res.trace, CalibrationConfig::default()),
+        (vec![("mittcfq", 357, 121, 0, 19)], 0x0b16_8c79_5614_3aa7),
+        "faulted cluster run"
+    );
+
+    // Audit replays: CFQ classified as Figure 9 does, at the replay's p95;
+    // SSD at the placeholder deadline each `Predict` event carries.
+    for (name, node, medium, spec, rerate, at_p95, pin) in [
+        (
+            "cfq",
+            NodeConfig::disk_cfq(),
+            Medium::Disk,
+            TraceSpec::tpcc(),
+            1.0,
+            true,
+            (vec![("mittcfq", 158, 0, 2, 5)], 0x3df2_1368_51c5_e46e),
+        ),
+        (
+            "ssd",
+            NodeConfig::ssd(),
+            Medium::Ssd,
+            TraceSpec::dtrs(),
+            128.0,
+            false,
+            (vec![("mittssd", 142, 0, 0, 0)], 0xc019_4b93_f5ad_711a),
+        ),
+    ] {
+        let trace = spec.generate(Duration::from_secs(5), &mut SimRng::new(80));
+        let out = replay_audit_traced(
+            node,
+            medium,
+            &trace,
+            rerate,
+            81,
+            FaultPlan::new(),
+            REPLAY_RING,
+        );
+        assert_eq!(out.trace.dropped(), 0, "{name}: ring too small");
+        let cfg = CalibrationConfig {
+            hop: mittos_repro::os::DEFAULT_HOP,
+            deadline_override: at_p95.then(|| p95_wait(&out.pairs)),
+        };
+        assert_eq!(calibration_pin(&out.trace, cfg), pin, "{name} audit replay");
     }
 }
 
