@@ -320,9 +320,12 @@ pub struct AuditPair {
     pub predicted_wait: Duration,
     /// Wait the IO actually experienced.
     pub actual_wait: Duration,
-    /// Whether MittOS would have returned EBUSY.
+    /// Whether MittOS would have returned EBUSY at `deadline`, the
+    /// placeholder the audited read carried (or was later bumped).
+    /// `mitt_obs::classify` recomputes the verdict at the offline deadline
+    /// and never reads this field.
     pub would_reject: bool,
-    /// The deadline the decision was made against.
+    /// The placeholder deadline the decision was made against.
     pub deadline: Duration,
 }
 
@@ -454,10 +457,14 @@ struct CacheStack {
     swap_rng: SimRng,
 }
 
-struct OpenAudit {
+/// An admitted IO's prediction, open until the IO completes or is revoked:
+/// a traced run keeps one per admitted IO, for its error sample and a
+/// bumped IO's attributed wait; audit mode keeps one per deadline IO, with
+/// the [`AuditPair`] its completion fills in.
+#[derive(Clone, Copy)]
+struct OpenPrediction {
     predicted_wait: Duration,
-    deadline: Duration,
-    would_reject: bool,
+    audit: Option<AuditPair>,
 }
 
 /// What the node does with a predictor's raw verdict on a deadline IO:
@@ -465,8 +472,8 @@ struct OpenAudit {
 /// flip it.
 struct Policy {
     audit_mode: bool,
-    /// Audited IOs awaiting their actual wait.
-    open: FastMap<IoId, OpenAudit>,
+    /// The audit of the IO being admitted, which [`Node::settle`] takes.
+    audited: Option<AuditPair>,
     injector: Option<ErrorInjector>,
 }
 
@@ -476,14 +483,12 @@ impl Policy {
             return raw;
         };
         if self.audit_mode {
-            self.open.insert(
-                io.id,
-                OpenAudit {
-                    predicted_wait: raw.predicted_wait(),
-                    deadline,
-                    would_reject: !raw.is_admit(),
-                },
-            );
+            self.audited = Some(AuditPair {
+                predicted_wait: raw.predicted_wait(),
+                actual_wait: Duration::ZERO,
+                would_reject: !raw.is_admit(),
+                deadline,
+            });
             return Decision::Admit {
                 predicted_wait: raw.predicted_wait(),
             };
@@ -516,9 +521,8 @@ pub struct Node {
     /// service is recorded here, where the verdict or completion leaves
     /// the storage stack.
     tsl: TslSink,
-    /// Predicted wait of each admitted, traced IO, resolved against the
-    /// actual wait at completion to feed the prediction-error histogram.
-    pred_wait: FastMap<IoId, Duration>,
+    /// Open predictions of admitted IOs, resolved at completion.
+    open: FastMap<IoId, OpenPrediction>,
     /// The driving calendar's position: SSD page releases settle against
     /// its current key and draw their sequence numbers from it.
     clock: EventClock,
@@ -583,7 +587,7 @@ impl Node {
             ids: IoIdGen::new(),
             policy: Policy {
                 audit_mode: cfg.audit_mode,
-                open: FastMap::default(),
+                audited: None,
                 injector,
             },
             disable_bump_cancel: cfg.disable_bump_cancel,
@@ -592,7 +596,7 @@ impl Node {
             ebusy_times: None,
             ctx: NodeCtx::disabled(),
             tsl: TslSink::disabled(),
-            pred_wait: FastMap::default(),
+            open: FastMap::default(),
             clock: EventClock::default(),
         }
     }
@@ -782,8 +786,8 @@ impl Node {
     }
 
     /// Settles the verdict of a storage admission: a rejection becomes
-    /// EBUSY and the returned submission; an admitted IO's predicted wait
-    /// is kept for its prediction-error sample.
+    /// EBUSY and the returned submission; an admitted IO's prediction stays
+    /// open when it is traced or audited.
     fn settle(&mut self, io: &BlockIo, adm: &Admission, now: SimTime) -> Option<Submission> {
         match adm.decision {
             Decision::Reject { predicted_wait } => {
@@ -807,8 +811,13 @@ impl Node {
             }
             Decision::Admit { predicted_wait } => {
                 self.tsl.record_admit(now);
-                if self.ctx.trace.is_enabled() {
-                    self.pred_wait.insert(io.id, predicted_wait);
+                let audit = self.policy.audited.take();
+                if audit.is_some() || self.ctx.trace.is_enabled() {
+                    let open = OpenPrediction {
+                        predicted_wait,
+                        audit,
+                    };
+                    self.open.insert(io.id, open);
                 }
                 None
             }
@@ -835,7 +844,7 @@ impl Node {
             // EBUSY is not enforced in audit mode: bumped IOs keep running,
             // but their predictions flip to "would reject".
             for id in bumped.drain(..) {
-                if let Some(a) = self.policy.open.get_mut(&id) {
+                if let Some(a) = self.open.get_mut(&id).and_then(|o| o.audit.as_mut()) {
                     a.would_reject = true;
                 }
             }
@@ -847,7 +856,8 @@ impl Node {
         for &id in &bumped {
             // The bumped IO's own Predict event carried its admission-time
             // wait; attribute with that value.
-            let pw = self.pred_wait.remove(&id).unwrap_or(Duration::MAX);
+            let pw = self.open.remove(&id).map(|o| o.predicted_wait);
+            let pw = pw.unwrap_or(Duration::MAX);
             self.reject(id.0, Duration::MAX, pw, adm.resource, adm.detail, now);
         }
         let ds = self.disk.as_mut().expect("node has no disk stack");
@@ -1052,18 +1062,15 @@ impl Node {
         }
     }
 
-    /// Resolves a finished IO: closes its audit record into an
+    /// Resolves a finished IO: closes its open prediction into an
     /// [`AuditPair`] (audit mode, traced or not), then emits the node-level
-    /// completion event and resolves the IO's prediction-error sample
+    /// completion event and the IO's prediction-error sample
     /// (|predicted - actual| wait).
     fn resolve_prediction(&mut self, id: IoId, actual_wait: Duration, now: SimTime) {
-        if let Some(open) = self.policy.open.remove(&id) {
-            self.audit_pairs.push(AuditPair {
-                predicted_wait: open.predicted_wait,
-                actual_wait,
-                would_reject: open.would_reject,
-                deadline: open.deadline,
-            });
+        let open = self.open.remove(&id);
+        if let Some(mut pair) = open.and_then(|o| o.audit) {
+            pair.actual_wait = actual_wait;
+            self.audit_pairs.push(pair);
         }
         if !self.ctx.trace.is_enabled() {
             return;
@@ -1076,8 +1083,8 @@ impl Node {
                 wait: actual_wait,
             },
         );
-        if let Some(predicted) = self.pred_wait.remove(&id) {
-            let err = predicted.as_nanos().abs_diff(actual_wait.as_nanos());
+        if let Some(OpenPrediction { predicted_wait, .. }) = open {
+            let err = predicted_wait.as_nanos().abs_diff(actual_wait.as_nanos());
             self.ctx.trace.observe_ns(PREDICT_ERROR_HIST, err);
         }
     }
@@ -1092,7 +1099,7 @@ impl Node {
         if ds.sched.cancel(id).is_some() {
             ds.mitt.on_cancel(id);
             self.fill_after_read.remove(&id);
-            self.pred_wait.remove(&id);
+            self.open.remove(&id);
             self.ctx
                 .trace
                 .emit(now, Subsystem::Node, EventKind::Revoke { io: id.0 });

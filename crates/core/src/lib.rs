@@ -67,5 +67,5 @@ pub use mittnoop::MittNoop;
 pub use mittssd::MittSsd;
 pub use naive::{NaiveDisk, NaiveSsd};
 pub use profile::{profile_disk, profile_ssd, DiskProfile, ProfileError, SsdProfile};
-pub use slo::{decide, Decision, MittError, Slo, DEFAULT_HOP};
+pub use slo::{decide, misses, Decision, MittError, Slo, DEFAULT_HOP};
 pub use tuning::DeadlineTuner;

@@ -85,11 +85,20 @@ impl std::fmt::Display for MittError {
 
 impl std::error::Error for MittError {}
 
+/// The §4.1 rule: a wait misses iff `wait > deadline + hop`. [`decide`]
+/// rejects the predicted waits that miss; Figure 9 (§7.6) scores each
+/// prediction against whether the measured wait missed.
+pub fn misses(wait: Duration, deadline: Duration, hop: Duration) -> bool {
+    wait > deadline + hop
+}
+
 /// Decides admit/reject given a predicted wait, deadline, and hop cost:
-/// reject iff `wait > deadline + hop` (§4.1).
+/// reject iff the predicted wait [`misses`] the deadline.
 pub fn decide(predicted_wait: Duration, slo: Option<Slo>, hop: Duration) -> Decision {
     match slo {
-        Some(slo) if predicted_wait > slo.deadline + hop => Decision::Reject { predicted_wait },
+        Some(slo) if misses(predicted_wait, slo.deadline, hop) => {
+            Decision::Reject { predicted_wait }
+        }
         _ => Decision::Admit { predicted_wait },
     }
 }
@@ -114,6 +123,16 @@ mod tests {
         let d = decide(Duration::from_micros(20_301), slo, hop);
         assert!(!d.is_admit());
         assert_eq!(d.predicted_wait(), Duration::from_micros(20_301));
+    }
+
+    #[test]
+    fn the_outcome_rule_is_the_admission_rule() {
+        let (d, hop) = (Duration::from_millis(20), Duration::from_micros(300));
+        for us in [0, 20_000, 20_300, 20_301, 90_000] {
+            let wait = Duration::from_micros(us);
+            let reject = !decide(wait, Some(Slo::deadline(d)), hop).is_admit();
+            assert_eq!(misses(wait, d, hop), reject, "wait {us} us");
+        }
     }
 
     #[test]

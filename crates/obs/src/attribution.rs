@@ -7,9 +7,10 @@
 //! module consumes a recorded event stream and produces:
 //!
 //! - per-resource counts, split by node-level and cluster-level causes;
-//! - deadline-miss attribution, by joining each `Predict` with its
-//!   `Complete` against the §4.1 bound (`deadline + hop`) and blaming
-//!   the predictor's resource — or the active fault window;
+//! - deadline-miss attribution: each `Complete` that the shared
+//!   [`PredictionJoin`] pairs with its `Predict`, and that misses by the
+//!   §4.1 rule (`mittos::misses`), is blamed on the predictor's resource —
+//!   or on the active fault window;
 //! - the predicted-vs-actual wait delta across those misses;
 //! - invariant checks ([`verify_attribution_invariants`]) used by the
 //!   tier-1 tests.
@@ -20,7 +21,7 @@
 use mitt_sim::{Duration, Fnv1a};
 use mitt_trace::{EventKind, Resource, Subsystem, TraceEvent, TraceSink};
 
-use std::collections::BTreeMap;
+use crate::join::{Joined, PredictionJoin};
 
 /// Per-resource counts and miss attribution for one recorded run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -31,8 +32,9 @@ pub struct AttributionSummary {
     /// Cluster-level attribution events per resource (failovers, crash
     /// retries, breaker vetoes, hedges).
     pub cluster_counts: [u64; 8],
-    /// Deadline misses (completed but `actual > deadline + hop`) blamed
-    /// per resource via the `Predict`/`Complete` join.
+    /// Deadline misses (completed, and the actual wait misses by
+    /// `mittos::misses`) blamed per resource via the `Predict`/`Complete`
+    /// join.
     pub miss_counts: [u64; 8],
     /// `Reject` events seen.
     pub rejects: u64,
@@ -51,11 +53,24 @@ impl AttributionSummary {
     /// network allowance added to each deadline (§4.1).
     pub fn from_events(events: &[TraceEvent], hop: Duration) -> Self {
         let mut s = AttributionSummary::default();
-        // Predict joins keyed by (node, io); value = (subsystem, predicted,
-        // deadline). Only deadline-carrying predictions participate.
-        let mut open: BTreeMap<(u32, u64), (Subsystem, Duration, Duration)> = BTreeMap::new();
+        let mut join = PredictionJoin::default();
         let mut fault_windows_active: u64 = 0;
         for ev in events {
+            if let Joined::Completed(p, wait) = join.on_event(ev) {
+                s.completed += 1;
+                if mittos::misses(wait, p.deadline, hop) {
+                    let resource = if fault_windows_active > 0 {
+                        Resource::FaultWindow
+                    } else {
+                        predictor_resource(p.sub)
+                    };
+                    s.miss_counts[resource.code() as usize] += 1;
+                    s.misses += 1;
+                    let delta = p.predicted.as_nanos().abs_diff(wait.as_nanos());
+                    s.miss_delta_sum_ns = s.miss_delta_sum_ns.saturating_add(delta);
+                    s.miss_delta_max_ns = s.miss_delta_max_ns.max(delta);
+                }
+            }
             match ev.kind {
                 EventKind::FaultStart { .. } => fault_windows_active += 1,
                 EventKind::FaultEnd { .. } => {
@@ -69,41 +84,7 @@ impl AttributionSummary {
                         s.node_counts[idx] += 1;
                     }
                 }
-                EventKind::Reject { io, .. } => {
-                    s.rejects += 1;
-                    // A rejected IO never completes; close its join.
-                    open.remove(&(ev.node, io));
-                }
-                EventKind::Predict {
-                    io,
-                    predicted_wait,
-                    deadline: Some(d),
-                    ..
-                } => {
-                    open.insert((ev.node, io), (ev.subsystem, predicted_wait, d));
-                }
-                EventKind::Complete { io, wait } if ev.subsystem == Subsystem::Node => {
-                    if let Some((sub, pred, deadline)) = open.remove(&(ev.node, io)) {
-                        s.completed += 1;
-                        if wait > deadline + hop {
-                            let resource = if fault_windows_active > 0 {
-                                Resource::FaultWindow
-                            } else {
-                                predictor_resource(sub)
-                            };
-                            s.miss_counts[resource.code() as usize] += 1;
-                            s.misses += 1;
-                            let delta = if wait > pred {
-                                wait - pred
-                            } else {
-                                pred - wait
-                            };
-                            s.miss_delta_sum_ns =
-                                s.miss_delta_sum_ns.saturating_add(delta.as_nanos());
-                            s.miss_delta_max_ns = s.miss_delta_max_ns.max(delta.as_nanos());
-                        }
-                    }
-                }
+                EventKind::Reject { .. } => s.rejects += 1,
                 _ => {}
             }
         }
@@ -180,10 +161,7 @@ fn predictor_resource(sub: Subsystem) -> Resource {
         Subsystem::MittNoop => Resource::NoopNextFree,
         Subsystem::MittCfq => Resource::CfqQueue,
         Subsystem::MittSsd => Resource::SsdChannel,
-        Subsystem::MittCache => Resource::CacheMiss,
-        // Deadline-carrying predictions only come from the four
-        // predictors; anything else is charged to the network hop.
-        _ => Resource::NetHop,
+        other => unreachable!("{} emits no Predict", other.name()),
     }
 }
 

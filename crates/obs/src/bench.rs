@@ -86,9 +86,10 @@ pub struct CalibrationRow {
     pub fn_pct: f64,
     /// FP% + FN%.
     pub inaccuracy_pct: f64,
-    /// Mean |predicted − actual| error, ms.
+    /// Mean |predicted − actual| error over the misclassified IOs (false
+    /// positives and false negatives) only, ms; Figure 9's "diff" column.
     pub mean_err_ms: f64,
-    /// Max |predicted − actual| error, ms.
+    /// Max |predicted − actual| error over the misclassified IOs, ms.
     pub max_err_ms: f64,
 }
 

@@ -1,17 +1,12 @@
 //! Streaming predictor-calibration telemetry (Figure 9, §7.6).
 //!
-//! [`CalibrationStream`] consumes a trace event stream and maintains, per
-//! predictor (`MittNoop`/`MittCfq`/`MittSsd`/`MittCache`), the Figure 9
-//! quantities — false positives (would-reject but met the deadline),
-//! false negatives (no reject but missed it), total inaccuracy — plus a
-//! power-of-two-bucketed histogram of |predicted − actual| error.
-//!
-//! The join is `Predict` → `Complete`, keyed by `(node, io)`; a `Reject`
-//! closes the join without an observable outcome (enforcing mode returns
-//! EBUSY before the IO runs). Classification recomputes the §4.1 rule
-//! `predicted_wait > deadline + hop` against a configurable deadline, the
-//! same way [`crate::replay::classify`] does for audit pairs — so on an
-//! audit-mode replay trace the two pipelines agree exactly.
+//! [`CalibrationStream`] drives the shared [`PredictionJoin`] over a trace
+//! event stream and keeps, per predictor, the Figure 9 counts: false
+//! positives (would-reject but met the deadline) and false negatives (no
+//! reject but missed it). A `Reject` closes a prediction with no outcome
+//! (EBUSY before the IO ran); a `Complete` is scored by
+//! [`PredictorStats::score`], as [`crate::replay::classify`] scores audit
+//! pairs, so on an audit-mode replay trace the two pipelines agree exactly.
 //!
 //! [`chrome_export_with_counters`] re-exports a sink's trace with
 //! synthesized Chrome/Perfetto counter tracks (`ph:"C"`): after each
@@ -22,9 +17,10 @@
 
 use std::collections::BTreeMap;
 
-use mitt_sim::{Duration, Fnv1a};
-use mitt_trace::metrics::bound_label;
-use mitt_trace::{EventKind, Histogram, Subsystem, TraceEvent, TraceSink, DEFAULT_BOUNDS_NS};
+use mitt_sim::Duration;
+use mitt_trace::{EventKind, Subsystem, TraceEvent, TraceSink};
+
+use crate::join::{Joined, PredictionJoin};
 
 /// How the stream classifies each resolved prediction.
 #[derive(Debug, Clone, Copy)]
@@ -47,7 +43,7 @@ impl Default for CalibrationConfig {
 }
 
 /// Running Figure 9 counters for one predictor.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PredictorStats {
     /// Predictions resolved by a completion.
     pub total: u64,
@@ -57,23 +53,6 @@ pub struct PredictorStats {
     pub false_pos: u64,
     /// False negatives: admitted, missed the deadline.
     pub false_neg: u64,
-    /// |predicted − actual| error, pow2-bucketed (ns).
-    pub error_hist: Histogram,
-    /// Max |predicted − actual| error, ns.
-    pub err_max_ns: u64,
-}
-
-impl Default for PredictorStats {
-    fn default() -> Self {
-        PredictorStats {
-            total: 0,
-            rejected: 0,
-            false_pos: 0,
-            false_neg: 0,
-            error_hist: Histogram::new(&DEFAULT_BOUNDS_NS),
-            err_max_ns: 0,
-        }
-    }
 }
 
 impl PredictorStats {
@@ -92,40 +71,34 @@ impl PredictorStats {
         self.fp_pct() + self.fn_pct()
     }
 
-    /// Mean |predicted − actual| error in ms over resolved predictions.
-    pub fn mean_err_ms(&self) -> f64 {
-        self.error_hist.mean() / 1e6
+    /// Counts one prediction scored against its outcome: the predicted and
+    /// the actual wait are each judged by `mittos::misses` at `deadline`
+    /// and `hop`. Returns true if the prediction was misclassified.
+    pub fn score(
+        &mut self,
+        predicted: Duration,
+        actual: Duration,
+        deadline: Duration,
+        hop: Duration,
+    ) -> bool {
+        self.total += 1;
+        match (
+            mittos::misses(predicted, deadline, hop),
+            mittos::misses(actual, deadline, hop),
+        ) {
+            (true, false) => self.false_pos += 1,
+            (false, true) => self.false_neg += 1,
+            _ => return false,
+        }
+        true
     }
-
-    /// Max |predicted − actual| error in ms.
-    pub fn max_err_ms(&self) -> f64 {
-        self.err_max_ns as f64 / 1e6
-    }
-
-    /// Folds the counters and histogram into a digest.
-    pub fn fold(&self, h: &mut Fnv1a) {
-        h.write_u64(self.total);
-        h.write_u64(self.rejected);
-        h.write_u64(self.false_pos);
-        h.write_u64(self.false_neg);
-        h.write_u64(self.err_max_ns);
-        self.error_hist.fold(h);
-    }
-}
-
-/// One open `Predict` awaiting its `Complete`.
-#[derive(Debug, Clone, Copy)]
-struct OpenPrediction {
-    sub: Subsystem,
-    predicted: Duration,
-    deadline: Duration,
 }
 
 /// Streaming per-predictor calibration over a trace event stream.
 #[derive(Debug, Clone)]
 pub struct CalibrationStream {
     cfg: CalibrationConfig,
-    open: BTreeMap<(u32, u64), OpenPrediction>,
+    join: PredictionJoin,
     stats: BTreeMap<&'static str, PredictorStats>,
 }
 
@@ -150,78 +123,38 @@ impl CalibrationStream {
     pub fn new(cfg: CalibrationConfig) -> Self {
         CalibrationStream {
             cfg,
-            open: BTreeMap::new(),
+            join: PredictionJoin::default(),
             stats: BTreeMap::new(),
         }
     }
 
     /// Feeds one event; reports whether it resolved a prediction.
     pub fn on_event(&mut self, ev: &TraceEvent) -> Resolved {
-        match ev.kind {
-            EventKind::Predict {
-                io,
-                predicted_wait,
-                deadline: Some(d),
-                ..
-            } if is_predictor(ev.subsystem) => {
-                self.open.insert(
-                    (ev.node, io),
-                    OpenPrediction {
-                        sub: ev.subsystem,
-                        predicted: predicted_wait,
-                        deadline: d,
-                    },
-                );
+        match self.join.on_event(ev) {
+            Joined::None => Resolved::None,
+            Joined::Rejected(p) => {
+                self.stats.entry(p.sub.name()).or_default().rejected += 1;
                 Resolved::None
             }
-            EventKind::Reject { io, .. } => {
-                if let Some(open) = self.open.remove(&(ev.node, io)) {
-                    self.stats_mut(open.sub).rejected += 1;
-                }
-                Resolved::None
-            }
-            EventKind::Complete { io, wait } if ev.subsystem == Subsystem::Node => {
-                let Some(open) = self.open.remove(&(ev.node, io)) else {
-                    return Resolved::None;
-                };
-                let bound = self.cfg.deadline_override.unwrap_or(open.deadline) + self.cfg.hop;
-                let would_reject = open.predicted > bound;
-                let violates = wait > bound;
-                let err = if wait > open.predicted {
-                    wait - open.predicted
-                } else {
-                    open.predicted - wait
-                };
-                let s = self.stats_mut(open.sub);
-                s.total += 1;
-                if would_reject && !violates {
-                    s.false_pos += 1;
-                } else if !would_reject && violates {
-                    s.false_neg += 1;
-                }
-                s.error_hist.observe(err.as_nanos());
-                s.err_max_ns = s.err_max_ns.max(err.as_nanos());
+            Joined::Completed(p, wait) => {
+                let (deadline, hop) = (self.cfg.deadline_override, self.cfg.hop);
+                let s = self.stats.entry(p.sub.name()).or_default();
+                s.score(p.predicted, wait, deadline.unwrap_or(p.deadline), hop);
                 Resolved::Sample {
-                    sub: open.sub,
-                    err_ns: err.as_nanos(),
+                    sub: p.sub,
+                    err_ns: p.predicted.as_nanos().abs_diff(wait.as_nanos()),
                     inaccurate: s.false_pos + s.false_neg,
                 }
             }
-            _ => Resolved::None,
-        }
-    }
-
-    /// Feeds a whole event slice.
-    pub fn ingest(&mut self, events: &[TraceEvent]) {
-        for ev in events {
-            self.on_event(ev);
         }
     }
 
     /// Builds a stream over everything a sink recorded.
     pub fn from_sink(sink: &TraceSink, cfg: CalibrationConfig) -> Self {
         let mut s = CalibrationStream::new(cfg);
-        s.ingest(&sink.events());
+        for ev in &sink.events() {
+            s.on_event(ev);
+        }
         s
     }
 
@@ -230,92 +163,20 @@ impl CalibrationStream {
         &self.stats
     }
 
-    /// Stats for one predictor, if it made any classified prediction.
-    pub fn predictor(&self, sub: Subsystem) -> Option<&PredictorStats> {
-        self.stats.get(sub.name())
-    }
-
     /// Predictions still waiting for a completion (in-flight at trace end).
     pub fn unresolved(&self) -> usize {
-        self.open.len()
-    }
-
-    /// Folds every predictor's stats into a digest, in name order.
-    pub fn fold_digest(&self, h: &mut Fnv1a) {
-        h.write_usize(self.stats.len());
-        for (name, s) in &self.stats {
-            h.write_str(name);
-            s.fold(h);
-        }
-    }
-
-    /// Figure 9-style rendering for run reports.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("predictor calibration (figure 9):\n");
-        if self.stats.is_empty() {
-            out.push_str("  (no deadline-carrying predictions recorded)\n");
-            return out;
-        }
-        for (name, s) in &self.stats {
-            out.push_str(&format!(
-                "  {:<10} total {:>7}  rejected {:>6}  FP {:.3}%  FN {:.3}%  \
-                 inaccuracy {:.3}%  mean err {:.3} ms  max err {:.3} ms\n",
-                name,
-                s.total,
-                s.rejected,
-                s.fp_pct(),
-                s.fn_pct(),
-                s.inaccuracy_pct(),
-                s.mean_err_ms(),
-                s.max_err_ms()
-            ));
-        }
-        // One non-empty error bucket line per predictor keeps the report
-        // short but shows the error distribution's shape.
-        for (name, s) in &self.stats {
-            let mut line = format!("  {name} err buckets:");
-            for (bound, count) in s.error_hist.buckets() {
-                if count > 0 {
-                    line.push_str(&format!(" {}:{count}", bound_label(bound)));
-                }
-            }
-            line.push('\n');
-            out.push_str(&line);
-        }
-        out
-    }
-
-    fn stats_mut(&mut self, sub: Subsystem) -> &mut PredictorStats {
-        self.stats.entry(sub.name()).or_default()
+        self.join.open()
     }
 }
 
-/// True for the four SLO predictors whose `Predict` events are audited.
-fn is_predictor(sub: Subsystem) -> bool {
-    matches!(
-        sub,
-        Subsystem::MittNoop | Subsystem::MittCfq | Subsystem::MittSsd | Subsystem::MittCache
-    )
-}
-
-/// Counter-track name for a predictor's cumulative FP+FN count.
-const fn inaccuracy_track(sub: Subsystem) -> &'static str {
+/// Counter-track names of a predictor: its cumulative FP+FN count, and
+/// its per-sample |pred − actual| error in µs.
+fn tracks(sub: Subsystem) -> (&'static str, &'static str) {
     match sub {
-        Subsystem::MittNoop => "mittnoop.inaccurate",
-        Subsystem::MittCfq => "mittcfq.inaccurate",
-        Subsystem::MittSsd => "mittssd.inaccurate",
-        _ => "mittcache.inaccurate",
-    }
-}
-
-/// Counter-track name for a predictor's per-sample |pred − actual| error.
-const fn error_track(sub: Subsystem) -> &'static str {
-    match sub {
-        Subsystem::MittNoop => "mittnoop.err_us",
-        Subsystem::MittCfq => "mittcfq.err_us",
-        Subsystem::MittSsd => "mittssd.err_us",
-        _ => "mittcache.err_us",
+        Subsystem::MittNoop => ("mittnoop.inaccurate", "mittnoop.err_us"),
+        Subsystem::MittCfq => ("mittcfq.inaccurate", "mittcfq.err_us"),
+        Subsystem::MittSsd => ("mittssd.inaccurate", "mittssd.err_us"),
+        other => unreachable!("{} emits no Predict", other.name()),
     }
 }
 
@@ -336,24 +197,15 @@ pub fn chrome_export_with_counters(sink: &TraceSink, cfg: CalibrationConfig) -> 
             inaccurate,
         } = stream.on_event(&ev)
         {
-            merged.push(TraceEvent {
-                at: ev.at,
-                node: ev.node,
-                subsystem: sub,
-                kind: EventKind::Counter {
-                    name: inaccuracy_track(sub),
-                    value: inaccurate,
-                },
-            });
-            merged.push(TraceEvent {
-                at: ev.at,
-                node: ev.node,
-                subsystem: sub,
-                kind: EventKind::Counter {
-                    name: error_track(sub),
-                    value: err_ns / 1_000,
-                },
-            });
+            let (inaccuracy, error) = tracks(sub);
+            for (name, value) in [(inaccuracy, inaccurate), (error, err_ns / 1_000)] {
+                merged.push(TraceEvent {
+                    at: ev.at,
+                    node: ev.node,
+                    subsystem: sub,
+                    kind: EventKind::Counter { name, value },
+                });
+            }
         }
     }
     mitt_trace::chrome::export(merged.into_iter(), sink.dropped())
@@ -404,7 +256,7 @@ mod tests {
                 },
             ));
         }
-        let st = s.predictor(Subsystem::MittCfq).unwrap();
+        let st = &s.stats()["mittcfq"];
         assert_eq!(st.total, 4);
         assert_eq!(st.false_pos, 1);
         assert_eq!(st.false_neg, 1);
@@ -430,7 +282,7 @@ mod tests {
                 predicted_wait: Duration::from_millis(50),
             },
         ));
-        let st = s.predictor(Subsystem::MittSsd).unwrap();
+        let st = &s.stats()["mittssd"];
         assert_eq!(st.rejected, 1);
         assert_eq!(st.total, 0);
         assert_eq!(s.unresolved(), 0);
@@ -460,7 +312,7 @@ mod tests {
                 deadline_override: Some(deadline),
             },
         );
-        let st = stream.predictor(Subsystem::MittCfq).unwrap();
+        let st = &stream.stats()["mittcfq"];
         assert_eq!(st.total as usize, stats.total, "pair/event count mismatch");
         assert_eq!(st.false_pos as usize, stats.fp_count);
         assert_eq!(st.false_neg as usize, stats.fn_count);

@@ -13,8 +13,10 @@
 //! 2. **Predictor calibration** ([`calibration`]): a streaming consumer of
 //!    `Predict`/`Complete` events that maintains per-predictor false
 //!    positive / false negative / inaccuracy counters (Figure 9
-//!    definitions) and power-of-two error histograms, and synthesizes
-//!    Chrome/Perfetto counter tracks alongside the event tracks.
+//!    definitions), and synthesizes Chrome/Perfetto counter tracks of the
+//!    running inaccuracy and each sample's error. It and attribution pair
+//!    predictions with outcomes through one join ([`join`]) and judge them
+//!    by `mittos::decide`'s own rule, `mittos::misses` (§4.1).
 //!
 //! 3. **Bench baselines** ([`bench`] + [`json`]): a stable JSON schema for
 //!    per-figure benchmark reports (`BENCH_<fig>.json`) — per-strategy
@@ -29,6 +31,7 @@
 pub mod attribution;
 pub mod bench;
 pub mod calibration;
+pub mod join;
 pub mod json;
 pub mod replay;
 pub mod timeline;

@@ -30,6 +30,8 @@ use mitt_trace::TraceSink;
 use mitt_workload::TraceIo;
 use mittos::{NaiveDisk, NaiveSsd};
 
+use crate::calibration::PredictorStats;
+
 /// Trace-ring capacity for audited replays: large enough that a Figure 9
 /// replay records every event without drops, so event-stream calibration
 /// can be cross-checked 1:1 against the node's audit pairs.
@@ -269,44 +271,32 @@ pub fn p95_wait(pairs: &[AuditPair]) -> Duration {
     }
 }
 
-/// Classifies pairs against a deadline: rejection rule is
-/// `predicted_wait > deadline + hop` (§4.1), violation is
-/// `actual_wait > deadline + hop`.
+/// Classifies pairs against a deadline with [`PredictorStats::score`]:
+/// the §4.1 rule `wait > deadline + hop` judges both waits. The verdict is
+/// recomputed at `deadline`, so [`AuditPair::would_reject`] (the verdict
+/// at the placeholder deadline) is never read.
 pub fn classify(pairs: &[AuditPair], deadline: Duration, hop: Duration) -> AuditStats {
-    let bound = deadline + hop;
-    let mut fp = 0usize;
-    let mut fneg = 0usize;
-    let mut diffs = Vec::new();
+    let (mut s, mut sum_ms, mut max_ms) = (PredictorStats::default(), 0.0, 0.0_f64);
     for p in pairs {
-        let pred_reject = p.predicted_wait > bound;
-        let violates = p.actual_wait > bound;
-        if pred_reject != violates {
-            if pred_reject {
-                fp += 1;
-            } else {
-                fneg += 1;
-            }
-            let d = if p.actual_wait > p.predicted_wait {
-                p.actual_wait - p.predicted_wait
-            } else {
-                p.predicted_wait - p.actual_wait
-            };
-            diffs.push(d.as_millis_f64());
+        if s.score(p.predicted_wait, p.actual_wait, deadline, hop) {
+            let d = p
+                .actual_wait
+                .as_nanos()
+                .abs_diff(p.predicted_wait.as_nanos());
+            let d = Duration::from_nanos(d).as_millis_f64();
+            sum_ms += d;
+            max_ms = max_ms.max(d);
         }
     }
-    let total = pairs.len().max(1);
     AuditStats {
-        fp_pct: 100.0 * fp as f64 / total as f64,
-        fn_pct: 100.0 * fneg as f64 / total as f64,
-        mean_diff_ms: if diffs.is_empty() {
-            0.0
-        } else {
-            diffs.iter().sum::<f64>() / diffs.len() as f64
-        },
-        max_diff_ms: diffs.iter().copied().fold(0.0, f64::max),
+        fp_pct: s.fp_pct(),
+        fn_pct: s.fn_pct(),
+        // An empty sum is 0.0, so max(1) only guards the division.
+        mean_diff_ms: sum_ms / (s.false_pos + s.false_neg).max(1) as f64,
+        max_diff_ms: max_ms,
         total: pairs.len(),
-        fp_count: fp,
-        fn_count: fneg,
+        fp_count: s.false_pos as usize,
+        fn_count: s.false_neg as usize,
     }
 }
 

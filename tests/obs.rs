@@ -485,11 +485,11 @@ fn calibration_stream_matches_the_trace_event_stream() {
 }
 
 /// Each predictor's `(name, total, rejected, false_pos, false_neg)`, and
-/// the FNV-1a digest of the counter-track Chrome export, for one sink.
-fn calibration_pin(
-    sink: &TraceSink,
-    cfg: CalibrationConfig,
-) -> (Vec<(&'static str, u64, u64, u64, u64)>, u64) {
+/// the FNV-1a digest of the counter-track Chrome export.
+type CalibrationPin = (Vec<(&'static str, u64, u64, u64, u64)>, u64);
+
+/// The [`CalibrationPin`] of one sink.
+fn calibration_pin(sink: &TraceSink, cfg: CalibrationConfig) -> CalibrationPin {
     let stream = CalibrationStream::from_sink(sink, cfg);
     let counts = stream
         .stats()
