@@ -12,8 +12,8 @@
 //! disk.
 
 use mittos_repro::cluster::{
-    run_experiment, ExperimentConfig, ExperimentResult, InitialReplica, Medium, NodeConfig,
-    NoiseKind, NoiseStream, Strategy, Topology,
+    run_experiment, BtreeConfig, ExperimentConfig, ExperimentResult, InitialReplica, Medium,
+    NodeConfig, NoiseKind, NoiseStream, Strategy, Topology,
 };
 use mittos_repro::device::{IoClass, SsdSpec};
 use mittos_repro::faults::{FaultPlan, FaultPlanGen, PlanGenConfig, ResilienceConfig};
@@ -638,6 +638,38 @@ fn tiered_config(seed: u64, medium: Medium, via_cache: bool) -> ExperimentConfig
     cfg
 }
 
+/// The mmap B-tree path (§5's `addrcheck` use case): cached-disk nodes
+/// whose whole B-tree file is preloaded into the page cache, under rotating
+/// cache swap-out, trace on. Walks hit, EBUSY at a swapped-out page
+/// mid-walk, fail over, and refill the cache from disk. The file starts
+/// 37 pages past a 3 GiB boundary, so its pages straddle page-table chunk
+/// edges far from page 0.
+fn mmap_btree_config(seed: u64) -> ExperimentConfig {
+    let mut cfg = ExperimentConfig::micro(
+        NodeConfig::cached_disk(),
+        Strategy::MittOs {
+            deadline: Duration::from_micros(100),
+        },
+    );
+    cfg.seed = seed;
+    cfg.clients = 3;
+    cfg.ops_per_client = 100;
+    cfg.record_count = 20_000;
+    cfg.think_time = Duration::from_millis(5);
+    cfg.mmap_btree = Some(BtreeConfig {
+        fanout: 64,
+        region_offset: (3 << 30) + 37 * 4096,
+        ..BtreeConfig::default()
+    });
+    cfg.preload_cache = true;
+    cfg.trace = true;
+    cfg.noise = vec![NoiseStream {
+        kind: NoiseKind::CacheSwap,
+        schedules: rotating_schedule(3, Duration::from_millis(200), Duration::from_secs(600), 30),
+    }];
+    cfg
+}
+
 /// An audited single-node trace replay (§7.6) with a `PredictorBias`
 /// window and tracing on; the digest covers every audit pair (MittOS and
 /// naive) and the replay's trace.
@@ -680,7 +712,7 @@ fn audit_replay_digest(seed: u64) -> u64 {
 /// To regenerate after a deliberate behaviour change, run
 /// `cargo test --test determinism golden -- --nocapture`: the failure
 /// message lists every run's current digest in this table's format.
-const GOLDEN_DIGESTS: [(&str, u64); 18] = [
+const GOLDEN_DIGESTS: [(&str, u64); 19] = [
     ("config/base/21", 0x218c0b21de18c9c0),
     ("config/mittos/21", 0xad50989445b3df27),
     ("ssd_config/23", 0x396929dd2f56f4a3),
@@ -699,6 +731,7 @@ const GOLDEN_DIGESTS: [(&str, u64); 18] = [
     ("bump_config+tsl/44", 0x51dd57c5de2d38b4),
     ("ssd_ties_config/45", 0x846f62195fd1a677),
     ("ssd_config+tsl/46", 0xb2fbed994edd4492),
+    ("mmap_btree_config/47", 0x8aba2347be821dbc),
 ];
 
 fn golden_run_digests() -> Vec<(&'static str, u64)> {
@@ -765,6 +798,7 @@ fn golden_run_digests() -> Vec<(&'static str, u64)> {
         ("bump_config+tsl/44", tsl_digest(bump_config(44))),
         ("ssd_ties_config/45", digest_of(ssd_ties_config(45))),
         ("ssd_config+tsl/46", tsl_digest(ssd_tsl_config(46))),
+        ("mmap_btree_config/47", digest_of(mmap_btree_config(47))),
     ]
 }
 
@@ -781,6 +815,18 @@ fn golden_digests_are_unchanged() {
         "run digests drifted from the pinned goldens; if the behaviour change \
          is deliberate, replace GOLDEN_DIGESTS with:\n{table}"
     );
+}
+
+/// The `mmap_btree_config` golden must exercise what it pins: swap-outs,
+/// EBUSY at a swapped-out page mid-walk, and completed walks.
+#[test]
+fn mmap_btree_golden_swaps_and_rejects() {
+    let res = run_experiment(mmap_btree_config(47));
+    assert_eq!(res.ops, 300);
+    assert_eq!(res.errors, 0);
+    assert!(res.ebusy > 0, "no walk met a swapped-out page");
+    let evicted = res.trace.metrics().counter_total("cache.evicted");
+    assert!(evicted > 0, "no page was swapped out");
 }
 
 #[test]
