@@ -6,8 +6,9 @@
 //! encoding (`mitt-bench/v1`). [`BenchReport::parse`] rejects a report
 //! whose percentiles are negative or out of order, and
 //! [`BenchReport::compare`] checks a run against a committed baseline and
-//! returns the list of regressions beyond two fixed thresholds;
-//! `mitt-obs compare`, which parses both files, is the one gate over them.
+//! returns the list of regressions beyond two fixed thresholds, plus every
+//! strategy row that stopped issuing EBUSY; `mitt-obs compare`, which
+//! parses both files, is the one gate over them.
 //!
 //! Formatting rules keeping the artifact deterministic: field order is
 //! fixed by the writer (never a hash map), floats are fixed-point with
@@ -276,8 +277,9 @@ impl BenchReport {
 
     /// Compares `run` against `self` (the baseline); returns one line per
     /// regression beyond [`LATENCY_THRESHOLD_PCT`] or
-    /// [`CALIBRATION_THRESHOLD_PP`], and one per baseline row missing from
-    /// `run`. Empty = pass.
+    /// [`CALIBRATION_THRESHOLD_PP`], one per strategy row that issued EBUSY
+    /// in the baseline and none in `run`, and one per baseline row missing
+    /// from `run`. Empty = pass.
     pub fn compare(&self, run: &BenchReport) -> Vec<String> {
         let mut regressions = Vec::new();
         if self.fig != run.fig {
@@ -319,6 +321,14 @@ impl BenchReport {
                 regressions.push(format!(
                     "{}: errors {} exceed baseline {}",
                     base.name, cur.errors, base.errors
+                ));
+            }
+            // A row that engaged MittOS in the baseline and no longer
+            // rejects anything has lost the mechanism the gate certifies.
+            if base.ebusy > 0 && cur.ebusy == 0 {
+                regressions.push(format!(
+                    "{}: 0 EBUSY where baseline had {}",
+                    base.name, base.ebusy
                 ));
             }
         }
@@ -447,6 +457,25 @@ mod tests {
         assert_eq!(regs.len(), 2, "{regs:?}");
         assert!(regs[0].contains("p95"));
         assert!(regs[1].contains("inaccuracy"));
+    }
+
+    /// A never-reject predictor can leave latency inside the threshold (a
+    /// lightly loaded figure), so losing every EBUSY is a regression of its
+    /// own; a row whose baseline never rejected stays free to.
+    #[test]
+    fn a_row_that_stops_rejecting_is_a_regression() {
+        let base = sample();
+        let mut run = sample();
+        run.strategies[0].ebusy = 0;
+        let regs = base.compare(&run);
+        assert_eq!(regs, vec!["mittos: 0 EBUSY where baseline had 40"]);
+        run.strategies[0].ebusy = 1;
+        assert!(base.compare(&run).is_empty());
+        let mut quiet = sample();
+        quiet.strategies[0].ebusy = 0;
+        assert!(quiet.compare(&run).is_empty());
+        run.strategies[0].ebusy = 0;
+        assert!(quiet.compare(&run).is_empty());
     }
 
     #[test]

@@ -13,6 +13,13 @@
 //! removal of any one page are each O(1), and eviction order depends only on
 //! the sequence of calls.
 //!
+//! Residency and swap history share one page table, as in an OS: one 4-byte
+//! entry per page holding the page's LRU slot, "was resident, is not" or
+//! "never resident", in 2 KiB chunks of 512 pages under a hashed directory.
+//! A resident page costs its 16-byte slot plus 4 bytes of table; a chunk
+//! holding a single page costs the whole 2 KiB. A page lookup is one
+//! directory probe and an index.
+//!
 //! # Examples
 //!
 //! ```
@@ -27,10 +34,22 @@
 //! assert!(cache.addrcheck(0, 8192).contended);
 //! ```
 
-use mitt_sim::{Duration, FastMap, FastSet, SimRng};
+use mitt_sim::{Duration, FastMap, SimRng};
 
 /// Marks an absent link.
 const NIL: u32 = u32::MAX;
+
+/// log2 of the pages one page-table chunk covers.
+const CHUNK_SHIFT: u32 = 9;
+
+/// Pages per page-table chunk: 512 four-byte entries, 2 KiB.
+const CHUNK_PAGES: usize = 1 << CHUNK_SHIFT;
+
+/// Page-table entry of a page that has never been resident.
+const NEVER: u32 = u32::MAX;
+
+/// Page-table entry of a page that was resident and is not.
+const OUT: u32 = u32::MAX - 1;
 
 /// Result of checking one page's residency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,6 +99,67 @@ impl Default for PageCacheConfig {
     }
 }
 
+/// Page number -> entry: the page's LRU slot, [`OUT`] or [`NEVER`].
+///
+/// Entries sit in 512-page chunks keyed by `page >> 9`, the leaf level of
+/// a two-level page table under a hashed directory; a page whose chunk is
+/// absent is [`NEVER`]. A chunk is never freed, so a page keeps its swap
+/// history for the cache's lifetime.
+#[derive(Default)]
+struct PageTable {
+    chunks: FastMap<u64, Box<[u32; CHUNK_PAGES]>>,
+    /// The chunk keys in ascending order, rebuilt by each
+    /// [`PageTable::resident_sorted`]; kept so that a swap-out allocates
+    /// only its page list.
+    sorted_keys: Vec<u64>,
+}
+
+/// A page's index within its chunk.
+fn in_chunk(page: u64) -> usize {
+    (page & (CHUNK_PAGES as u64 - 1)) as usize
+}
+
+impl PageTable {
+    fn get(&self, page: u64) -> u32 {
+        self.chunks
+            .get(&(page >> CHUNK_SHIFT))
+            .map_or(NEVER, |chunk| chunk[in_chunk(page)])
+    }
+
+    /// The entry of `page`, or `None` if its chunk is absent.
+    fn get_mut(&mut self, page: u64) -> Option<&mut u32> {
+        self.chunks
+            .get_mut(&(page >> CHUNK_SHIFT))
+            .map(|chunk| &mut chunk[in_chunk(page)])
+    }
+
+    /// The entry of `page`, adding its chunk if absent.
+    fn entry(&mut self, page: u64) -> &mut u32 {
+        let chunk = self
+            .chunks
+            .entry(page >> CHUNK_SHIFT)
+            .or_insert_with(|| Box::new([NEVER; CHUNK_PAGES]));
+        &mut chunk[in_chunk(page)]
+    }
+
+    /// The `resident` resident pages, in ascending page order.
+    fn resident_sorted(&mut self, resident: usize) -> Vec<u64> {
+        self.sorted_keys.clear();
+        self.sorted_keys.extend(self.chunks.keys());
+        self.sorted_keys.sort_unstable(); // Hash-map order is unspecified; fix it.
+        let mut pages = Vec::with_capacity(resident);
+        for key in &self.sorted_keys {
+            let chunk = &self.chunks[key];
+            pages.extend(
+                (0..CHUNK_PAGES)
+                    .filter(|&i| chunk[i] < OUT)
+                    .map(|i| key << CHUNK_SHIFT | i as u64),
+            );
+        }
+        pages
+    }
+}
+
 #[derive(Clone, Copy)]
 struct Slot {
     page: u64,
@@ -89,83 +169,19 @@ struct Slot {
     older: u32,
 }
 
-/// An exact-LRU page cache with swap-out tracking.
-///
-/// Resident pages sit in `slots`, linked newest to oldest; `pages` maps a
-/// page to its slot. A slot freed by an eviction, an fadvise or a swap-out
+/// Exact LRU order over slots, linked newest to oldest. A released slot
 /// joins a free list chained through `older` and is reused first.
-pub struct PageCache {
-    cfg: PageCacheConfig,
-    /// page -> its slot in `slots`.
-    pages: FastMap<u64, u32>,
+struct Lru {
     slots: Vec<Slot>,
     newest: u32,
     oldest: u32,
     /// Head of the free-slot list.
     free: u32,
-    /// Pages that have ever been resident.
-    ever_resident: FastSet<u64>,
-    hits: u64,
-    misses: u64,
 }
 
-impl PageCache {
-    /// Creates an empty cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.capacity_pages` does not fit the 32-bit slot index.
-    pub fn new(cfg: PageCacheConfig) -> Self {
-        assert!(
-            cfg.capacity_pages < NIL as usize,
-            "page cache capacity too large"
-        );
-        PageCache {
-            cfg,
-            pages: FastMap::default(),
-            slots: Vec::new(),
-            newest: NIL,
-            oldest: NIL,
-            free: NIL,
-            ever_resident: FastSet::default(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// The cache's static parameters.
-    pub fn config(&self) -> &PageCacheConfig {
-        &self.cfg
-    }
-
-    /// Pages a byte range `[offset, offset+len)` spans.
-    pub fn pages_of(&self, offset: u64, len: u32) -> std::ops::RangeInclusive<u64> {
-        let ps = u64::from(self.cfg.page_size);
-        let first = offset / ps;
-        let last = (offset + u64::from(len).max(1) - 1) / ps;
-        first..=last
-    }
-
-    /// Residency state of one page.
-    pub fn page_state(&self, page: u64) -> PageState {
-        if self.pages.contains_key(&page) {
-            PageState::Resident
-        } else if self.ever_resident.contains(&page) {
-            PageState::SwappedOut
-        } else {
-            PageState::NeverLoaded
-        }
-    }
-
-    /// Makes `page` resident and most recently used.
-    fn bump(&mut self, page: u64) {
-        if let Some(&slot) = self.pages.get(&page) {
-            if slot != self.newest {
-                self.unlink(slot);
-                self.push_newest(slot);
-            }
-            return;
-        }
+impl Lru {
+    /// Takes a slot for `page` and makes it the most recently used.
+    fn push(&mut self, page: u64) -> u32 {
         let slot = match self.free {
             NIL => {
                 self.slots.push(Slot {
@@ -173,8 +189,8 @@ impl PageCache {
                     newer: NIL,
                     older: NIL,
                 });
-                // At most capacity + 1 pages are resident at once, and `new`
-                // bounds the capacity below `NIL`.
+                // At most capacity + 1 pages are resident at once, and
+                // `PageCache::new` bounds the capacity below `OUT`.
                 (self.slots.len() - 1) as u32
             }
             f => {
@@ -184,26 +200,27 @@ impl PageCache {
             }
         };
         self.push_newest(slot);
-        self.pages.insert(page, slot);
+        slot
     }
 
-    /// Evicts the least recently used page.
-    fn evict_lru(&mut self) -> Option<u64> {
-        if self.oldest == NIL {
-            return None;
-        }
-        let page = self.slots[self.oldest as usize].page;
-        self.remove(page);
-        Some(page)
-    }
-
-    /// Drops `page` if it is resident.
-    fn remove(&mut self, page: u64) {
-        if let Some(slot) = self.pages.remove(&page) {
+    /// Makes `slot` the most recently used.
+    fn touch(&mut self, slot: u32) {
+        if slot != self.newest {
             self.unlink(slot);
-            self.slots[slot as usize].older = self.free;
-            self.free = slot;
+            self.push_newest(slot);
         }
+    }
+
+    /// Unlinks `slot` and puts it on the free list.
+    fn release(&mut self, slot: u32) {
+        self.unlink(slot);
+        self.slots[slot as usize].older = self.free;
+        self.free = slot;
+    }
+
+    /// The least recently used page.
+    fn oldest_page(&self) -> Option<u64> {
+        (self.oldest != NIL).then(|| self.slots[self.oldest as usize].page)
     }
 
     fn unlink(&mut self, slot: u32) {
@@ -227,6 +244,92 @@ impl PageCache {
             n => self.slots[n as usize].newer = slot,
         }
         self.newest = slot;
+    }
+}
+
+/// An exact-LRU page cache with swap-out tracking.
+///
+/// `table` maps each page to its slot in `lru` while it is resident, and
+/// records whether a non-resident page ever was.
+pub struct PageCache {
+    cfg: PageCacheConfig,
+    table: PageTable,
+    lru: Lru,
+    /// Pages whose table entry is a slot.
+    resident: usize,
+    hits: u64,
+    misses: u64,
+}
+
+impl PageCache {
+    /// Creates an empty cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.capacity_pages` would let a slot index reach the
+    /// page table's sentinel entries (`u32::MAX - 1` and up).
+    pub fn new(cfg: PageCacheConfig) -> Self {
+        assert!(
+            cfg.capacity_pages < OUT as usize,
+            "page cache capacity too large"
+        );
+        PageCache {
+            cfg,
+            table: PageTable::default(),
+            lru: Lru {
+                slots: Vec::new(),
+                newest: NIL,
+                oldest: NIL,
+                free: NIL,
+            },
+            resident: 0,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// The cache's static parameters.
+    pub fn config(&self) -> &PageCacheConfig {
+        &self.cfg
+    }
+
+    /// Pages a byte range `[offset, offset+len)` spans.
+    pub fn pages_of(&self, offset: u64, len: u32) -> std::ops::RangeInclusive<u64> {
+        let ps = u64::from(self.cfg.page_size);
+        let first = offset / ps;
+        let last = (offset + (u64::from(len).max(1) - 1)) / ps;
+        first..=last
+    }
+
+    /// Residency state of one page.
+    pub fn page_state(&self, page: u64) -> PageState {
+        match self.table.get(page) {
+            NEVER => PageState::NeverLoaded,
+            OUT => PageState::SwappedOut,
+            _ => PageState::Resident,
+        }
+    }
+
+    /// Makes `page` resident and most recently used.
+    fn bump(&mut self, page: u64) {
+        let entry = self.table.entry(page);
+        if *entry < OUT {
+            self.lru.touch(*entry);
+        } else {
+            *entry = self.lru.push(page);
+            self.resident += 1;
+        }
+    }
+
+    /// Drops `page` if it is resident.
+    fn remove(&mut self, page: u64) {
+        if let Some(entry) = self.table.get_mut(page) {
+            if *entry < OUT {
+                self.lru.release(*entry);
+                *entry = OUT;
+                self.resident -= 1;
+            }
+        }
     }
 
     /// Walks the page table for a byte range without side effects other
@@ -272,10 +375,10 @@ impl PageCache {
     pub fn insert_range(&mut self, offset: u64, len: u32) -> Vec<u64> {
         let mut evicted = Vec::new();
         for page in self.pages_of(offset, len) {
-            self.ever_resident.insert(page);
             self.bump(page);
-            while self.pages.len() > self.cfg.capacity_pages {
-                if let Some(e) = self.evict_lru() {
+            while self.resident > self.cfg.capacity_pages {
+                if let Some(e) = self.lru.oldest_page() {
+                    self.remove(e);
                     evicted.push(e);
                 }
             }
@@ -293,10 +396,10 @@ impl PageCache {
 
     /// Swaps out a uniformly random `fraction` of resident pages,
     /// emulating another tenant's memory ballooning (§6, Figure 3c).
+    /// The draw is a shuffle of the resident pages in ascending order.
     pub fn swap_out_fraction(&mut self, fraction: f64, rng: &mut SimRng) -> usize {
-        let n = ((self.pages.len() as f64) * fraction.clamp(0.0, 1.0)) as usize;
-        let mut all: Vec<u64> = self.pages.keys().copied().collect();
-        all.sort_unstable(); // Hash-map order is unspecified; fix it.
+        let n = ((self.resident as f64) * fraction.clamp(0.0, 1.0)) as usize;
+        let mut all = self.table.resident_sorted(self.resident);
         rng.shuffle(&mut all);
         for &page in all.iter().take(n) {
             self.remove(page);
@@ -306,7 +409,7 @@ impl PageCache {
 
     /// Number of resident pages.
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.resident
     }
 
     /// (hits, misses) counters.
@@ -320,6 +423,7 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
+    use mitt_sim::FastSet;
 
     fn cache(capacity: usize) -> PageCache {
         PageCache::new(PageCacheConfig {
@@ -414,12 +518,13 @@ mod tests {
 
     /// The stamp-map LRU the linked slot list replaced, kept as the
     /// reference for eviction order: page -> stamp, and stamp -> page with
-    /// the oldest stamp first.
+    /// the oldest stamp first. Swap history is a plain set of every page
+    /// ever loaded, and a swap-out shuffles the sorted resident pages.
     struct StampLru {
         cfg: PageCacheConfig,
         pages: FastMap<u64, u64>,
         order: BTreeMap<u64, u64>,
-        ever_resident: FastSet<u64>,
+        loaded: FastSet<u64>,
         stamp: u64,
         hits: u64,
         misses: u64,
@@ -431,7 +536,7 @@ mod tests {
                 cfg,
                 pages: FastMap::default(),
                 order: BTreeMap::new(),
-                ever_resident: FastSet::default(),
+                loaded: FastSet::default(),
                 stamp: 0,
                 hits: 0,
                 misses: 0,
@@ -440,13 +545,13 @@ mod tests {
 
         fn span(&self, offset: u64, len: u32) -> std::ops::RangeInclusive<u64> {
             let ps = u64::from(self.cfg.page_size);
-            offset / ps..=(offset + u64::from(len).max(1) - 1) / ps
+            offset / ps..=(offset + (u64::from(len).max(1) - 1)) / ps
         }
 
         fn page_state(&self, page: u64) -> PageState {
             if self.pages.contains_key(&page) {
                 PageState::Resident
-            } else if self.ever_resident.contains(&page) {
+            } else if self.loaded.contains(&page) {
                 PageState::SwappedOut
             } else {
                 PageState::NeverLoaded
@@ -482,7 +587,7 @@ mod tests {
         fn insert_range(&mut self, offset: u64, len: u32) -> Vec<u64> {
             let mut evicted = Vec::new();
             for page in self.span(offset, len) {
-                self.ever_resident.insert(page);
+                self.loaded.insert(page);
                 self.bump(page);
                 while self.pages.len() > self.cfg.capacity_pages {
                     let (&stamp, &oldest) = self.order.iter().next().expect("over capacity");
@@ -516,7 +621,9 @@ mod tests {
     /// seeded calls, at capacities small enough that most inserts evict,
     /// and compares everything observable after every call. No golden run
     /// evicts (their caches hold 1 M pages), so this is the guard on
-    /// eviction order.
+    /// eviction order. Ranges fall in four regions of the page space: from
+    /// page 0, across the chunk edges at pages 511/512/513, in a chunk
+    /// 2^40 pages away, and just below the last page.
     #[test]
     fn lru_matches_the_stamp_map_reference() {
         for &capacity in &[0usize, 1, 2, 16, 1_000] {
@@ -533,10 +640,18 @@ mod tests {
                 // ranges of up to a fiftieth of it, so a large cache fills.
                 let universe = 2 * capacity as u64 + 8;
                 let max_len = 4096 * (capacity as u64 / 50).max(4);
+                let width = universe;
+                let regions = [
+                    0,
+                    512u64.saturating_sub(width / 2),
+                    1 << 40,
+                    u64::MAX / 4096 - width - max_len / 4096,
+                ];
                 let mut touched = std::collections::BTreeSet::new();
                 let mut evictions = 0;
                 for step in 0..1_500 {
-                    let offset = rng.range_u64(0, universe * 4096);
+                    let base = regions[rng.range_u64(0, 4) as usize];
+                    let offset = base * 4096 + rng.range_u64(0, width * 4096);
                     let len = rng.range_u64(1, max_len) as u32;
                     touched.extend(got.pages_of(offset, len));
                     match rng.range_u64(0, 100) {
@@ -582,6 +697,79 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `swap_out_fraction` shuffles the resident pages in ascending order
+    /// whatever order their chunks were added in, so the same pages leave
+    /// as in the reference's sort-and-shuffle.
+    #[test]
+    fn swap_out_draws_match_the_reference_across_chunks() {
+        let cfg = PageCacheConfig::default();
+        let mut got = PageCache::new(cfg.clone());
+        let mut want = StampLru::new(cfg);
+        let last = u64::MAX / 4096;
+        // Six chunks, added out of page order, two ranges across an edge.
+        let ranges = [
+            (1u64 << 40, 40),
+            (500, 30),
+            (last - 39, 40),
+            (3 << 20, 9),
+            (1_020, 8),
+        ];
+        let mut pages = Vec::new();
+        for (round, seed) in (0..6u64).enumerate() {
+            for &(first, n) in &ranges[..=round % ranges.len()] {
+                got.insert_range(first * 4096, n * 4096);
+                want.insert_range(first * 4096, n * 4096);
+                pages.extend(first..first + u64::from(n));
+            }
+            let (mut got_rng, mut want_rng) = (SimRng::new(seed), SimRng::new(seed));
+            assert_eq!(
+                got.swap_out_fraction(0.3, &mut got_rng),
+                want.swap_out_fraction(0.3, &mut want_rng)
+            );
+            for &page in &pages {
+                assert_eq!(got.page_state(page), want.page_state(page), "page {page}");
+            }
+            assert_eq!(got.resident_pages(), want.pages.len());
+        }
+        assert!(got.resident_pages() > 0);
+    }
+
+    #[test]
+    fn pages_at_chunk_edges_and_the_top_of_the_page_space() {
+        let mut c = cache(16);
+        let last = u64::MAX / 4096;
+        c.insert_range(511 * 4096, 3 * 4096);
+        c.insert_range(last * 4096, 4096);
+        for page in [511, 512, 513, last] {
+            assert_eq!(c.page_state(page), PageState::Resident, "page {page}");
+        }
+        for page in [510, 514, 1 << 40, last - 1] {
+            assert_eq!(c.page_state(page), PageState::NeverLoaded, "page {page}");
+        }
+        c.fadvise_dontneed(512 * 4096, 4096);
+        c.fadvise_dontneed(last * 4096, 4096);
+        assert_eq!(c.page_state(511), PageState::Resident);
+        assert_eq!(c.page_state(512), PageState::SwappedOut);
+        assert_eq!(c.page_state(513), PageState::Resident);
+        assert_eq!(c.page_state(last), PageState::SwappedOut);
+        assert_eq!(c.resident_pages(), 2);
+        assert!(c.addrcheck(511 * 4096, 3 * 4096).contended);
+    }
+
+    /// Slot indices run up to the capacity itself (one page over it, just
+    /// before the eviction), so `u32::MAX - 2` is the largest capacity
+    /// whose slots stay below the sentinel entries.
+    #[test]
+    fn the_largest_capacity_keeps_slots_below_the_sentinels() {
+        assert_eq!(cache(u32::MAX as usize - 2).resident_pages(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "page cache capacity too large")]
+    fn a_capacity_reaching_the_sentinels_panics() {
+        cache(u32::MAX as usize - 1);
     }
 
     #[test]

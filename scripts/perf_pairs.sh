@@ -11,7 +11,10 @@
 # change won (higher gets/s wins), and a verdict line: "claim met" when
 # there were at least 10 pairs, the change won at least 9/10 of them and
 # its median beats the parent's by more than the parent's interquartile
-# range, else "claim not met". Then each side's peak_heap_mb median and setup_s median and
+# range, else "claim not met". Then each side's peak_heap_mb median and a
+# "peak_heap_mb claim met" line when there were at least 10 pairs and the
+# change's peak heap was strictly below the parent's in every one (else
+# "peak_heap_mb claim not met"). Then each side's setup_s median and
 # quartiles, with the change in the setup_s median relative to the
 # parent's. Then the same verdict for setup_s, pair by pair: each run's
 # setup_s is the median of its timed repetitions, the pair goes to the
@@ -123,6 +126,7 @@ setup_b=()
 setup_med_a=()
 setup_med_b=()
 setup_wins=0
+heap_wins=0
 wins=0
 drift=0
 failed_a=0
@@ -164,6 +168,10 @@ for i in $(seq 1 "$pairs"); do
     done
     mapfile -t -O "${#heap_a[@]}" heap_a < <(metric "$out/parent.$i.json" peak_heap_mb)
     mapfile -t -O "${#heap_b[@]}" heap_b < <(metric "$out/change.$i.json" peak_heap_mb)
+    hx=$(metric "$out/parent.$i.json" peak_heap_mb | sort -g | tail -n 1)
+    hy=$(metric "$out/change.$i.json" peak_heap_mb | sort -g | tail -n 1)
+    heap_won=$(awk -v x="$hx" -v y="$hy" 'BEGIN { print (x != "" && y != "" && y < x) ? 1 : 0 }')
+    heap_wins=$((heap_wins + heap_won))
     mapfile -t -O "${#setup_a[@]}" setup_a < <(metric "$out/parent.$i.json" setup_s)
     mapfile -t -O "${#setup_b[@]}" setup_b < <(metric "$out/change.$i.json" setup_s)
     mapfile -t run_setup < <(metric "$out/parent.$i.json" setup_s)
@@ -194,6 +202,11 @@ awk -v wins="$wins" -v pairs="$pairs" -v a="$(quartiles "${a[@]}")" \
 echo "# peak_heap_mb"
 summary parent 2 "${heap_a[@]}"
 summary change 2 "${heap_b[@]}"
+awk -v wins="$heap_wins" -v pairs="$pairs" 'BEGIN {
+    met = pairs >= 10 && wins == pairs
+    printf "peak_heap_mb claim %s: change lower in %d/%d pairs (needs 10+ pairs, lower in every one)\n",
+        met ? "met" : "not met", wins, pairs
+}'
 echo "# setup_s (every timed run of every pair)"
 summary parent 4 "${setup_a[@]}"
 summary change 4 "${setup_b[@]}"
