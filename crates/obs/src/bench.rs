@@ -7,8 +7,9 @@
 //! whose percentiles are negative or out of order, and
 //! [`BenchReport::compare`] checks a run against a committed baseline and
 //! returns the list of regressions beyond two fixed thresholds, plus every
-//! strategy row that stopped issuing EBUSY; `mitt-obs compare`, which
-//! parses both files, is the one gate over them.
+//! strategy row that stopped issuing EBUSY or, having rejected and beaten
+//! Base's p99 in the baseline, stopped beating it; `mitt-obs compare`,
+//! which parses both files, is the one gate over them.
 //!
 //! Formatting rules keeping the artifact deterministic: field order is
 //! fixed by the writer (never a hash map), floats are fixed-point with
@@ -275,11 +276,19 @@ impl BenchReport {
         Ok(report)
     }
 
+    /// The Base strategy's row (`base` or `Base`), if the report has one.
+    fn base_row(&self) -> Option<&StrategyRow> {
+        self.strategies
+            .iter()
+            .find(|s| s.name == "base" || s.name == "Base")
+    }
+
     /// Compares `run` against `self` (the baseline); returns one line per
     /// regression beyond [`LATENCY_THRESHOLD_PCT`] or
     /// [`CALIBRATION_THRESHOLD_PP`], one per strategy row that issued EBUSY
-    /// in the baseline and none in `run`, and one per baseline row missing
-    /// from `run`. Empty = pass.
+    /// in the baseline and none in `run`, one per row that issued EBUSY and
+    /// beat Base's p99 in the baseline but not in `run`, and one per
+    /// baseline row missing from `run`. Empty = pass.
     pub fn compare(&self, run: &BenchReport) -> Vec<String> {
         let mut regressions = Vec::new();
         if self.fig != run.fig {
@@ -296,6 +305,7 @@ impl BenchReport {
             ));
             return regressions;
         }
+        let base_p99 = self.base_row().map(|b| b.p99_ms);
         for base in &self.strategies {
             let Some(cur) = run.strategies.iter().find(|s| s.name == base.name) else {
                 regressions.push(format!("strategy '{}' missing from run", base.name));
@@ -330,6 +340,16 @@ impl BenchReport {
                     "{}: 0 EBUSY where baseline had {}",
                     base.name, base.ebusy
                 ));
+            }
+            // A rejecting row that beat Base in the baseline must still
+            // beat the run's Base at p99.
+            if base.ebusy > 0 && base_p99.is_some_and(|p99| base.p99_ms < p99) {
+                if let Some(run_base) = run.base_row().filter(|b| cur.p99_ms >= b.p99_ms) {
+                    regressions.push(format!(
+                        "{}: p99 {:.3} ms no longer beats {} p99 {:.3} ms",
+                        base.name, cur.p99_ms, run_base.name, run_base.p99_ms
+                    ));
+                }
             }
         }
         for base in &self.calibration {
@@ -476,6 +496,49 @@ mod tests {
         assert!(quiet.compare(&run).is_empty());
         run.strategies[0].ebusy = 0;
         assert!(quiet.compare(&run).is_empty());
+    }
+
+    /// `sample()` with a Base row whose p99 is `base_p99`.
+    fn with_base(base_p99: f64) -> BenchReport {
+        let mut r = sample();
+        r.strategies.push(StrategyRow {
+            name: "Base".to_string(),
+            ebusy: 0,
+            p99_ms: base_p99,
+            ..r.strategies[0].clone()
+        });
+        r
+    }
+
+    /// A rejecting row that beat Base's p99 in the baseline regresses when
+    /// the run's Base catches up with it, even inside the latency
+    /// threshold.
+    #[test]
+    fn a_rejecting_row_that_stops_beating_base_is_a_regression() {
+        let base = with_base(21.0);
+        assert!(base.compare(&with_base(21.0)).is_empty());
+        assert!(base.compare(&with_base(20.5)).is_empty());
+        let regs = base.compare(&with_base(20.0));
+        assert_eq!(
+            regs,
+            vec!["mittos: p99 20.000 ms no longer beats Base p99 20.000 ms"]
+        );
+        let mut run = with_base(21.0);
+        run.strategies[0].p99_ms = 21.5;
+        assert_eq!(base.compare(&run).len(), 1, "{:?}", base.compare(&run));
+    }
+
+    /// The rule binds only a row that rejected and beat Base in the
+    /// baseline.
+    #[test]
+    fn rows_that_did_not_reject_or_beat_base_are_not_bound() {
+        let mut quiet = with_base(21.0);
+        quiet.strategies[0].ebusy = 0;
+        let mut run = with_base(19.0);
+        run.strategies[0].ebusy = 0;
+        assert!(quiet.compare(&run).is_empty());
+        let behind = with_base(19.0);
+        assert!(behind.compare(&with_base(19.0)).is_empty());
     }
 
     #[test]

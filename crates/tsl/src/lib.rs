@@ -88,61 +88,196 @@ impl Default for TslConfig {
     }
 }
 
-/// Everything recorded into one `(node, window)` cell of the timeline.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WindowStats {
-    /// Cluster-level get completions observed in the window.
-    pub gets: u64,
-    /// Gets whose end-to-end latency exceeded the SLO deadline.
-    pub misses: u64,
-    /// EBUSY replies the cluster driver saw in the window.
-    pub ebusy: u64,
-    /// Predictor admissions recorded at this node.
-    pub admits: u64,
-    /// Predictor rejections recorded at this node.
-    pub rejects: u64,
-    /// Rejections/EBUSYs by blamed [`Resource`], indexed by `code()`.
-    pub rejects_by_resource: [u64; 8],
-    /// Scheduler dispatches recorded at this node.
-    pub dispatches: u64,
-    /// Device completions recorded at this node.
-    pub completes: u64,
-    /// Breaker transitions into `Open` landing in this window.
-    pub breaker_opens: u64,
-    /// Breaker transitions into `Closed` landing in this window.
-    pub breaker_closes: u64,
-    /// The cell's one histogram: end-to-end get latency on the cluster
-    /// row, device service time on a node row. A row fills only its own
-    /// kind, so the other reads, folds and exports as empty.
-    hist: Pow2Hist,
+/// One thing a `(node, window)` cell counts.
+#[derive(Debug, Clone, Copy)]
+enum Rec {
+    /// A completed cluster get, its latency in ns, and whether it missed
+    /// the SLO deadline (cluster row).
+    Get { ns: u64, miss: bool },
+    /// A device completion with its service time in ns (node rows).
+    Service(u64),
+    /// A predictor admission (node rows).
+    Admit,
+    /// A predictor rejection blamed on a resource (node rows).
+    Reject(Resource),
+    /// An EBUSY reply blamed on a resource (cluster row).
+    Ebusy(Resource),
+    /// A scheduler dispatch (node rows).
+    Dispatch,
+    /// A breaker move to the state with this `BreakerState::code()`
+    /// (either row).
+    Breaker(u64),
 }
 
-impl WindowStats {
-    /// The `(latency, service)` histograms of this cell on `node`'s row,
-    /// with `empty` standing for the kind the row does not fill.
-    fn hists<'a>(&'a self, node: u32, empty: &'a Pow2Hist) -> (&'a Pow2Hist, &'a Pow2Hist) {
-        if node == CLUSTER_NODE {
-            (&self.hist, empty)
-        } else {
-            (empty, &self.hist)
+impl Rec {
+    /// Panics when `node`'s row is not the kind this record belongs on: a
+    /// cell's hot counters mean different things on the two kinds.
+    fn check_row(self, node: u32) {
+        let cluster = node == CLUSTER_NODE;
+        match self {
+            Rec::Get { .. } => assert!(cluster, "gets record on the cluster row"),
+            Rec::Ebusy(_) => assert!(cluster, "EBUSY replies record on the cluster row"),
+            Rec::Service(_) => assert!(!cluster, "service times record on node rows"),
+            Rec::Admit | Rec::Reject(_) | Rec::Dispatch => {
+                assert!(
+                    !cluster,
+                    "admits, rejects and dispatches record on node rows"
+                );
+            }
+            Rec::Breaker(_) => {}
+        }
+    }
+}
+
+/// A cell's counters as every reader (fold, export, counter tracks, burn
+/// spans) sees them. A row kind reads zero for the counters it never
+/// records: `gets`, `misses` and `ebusy` on a node row, `admits`,
+/// `rejects`, `dispatches` and `completes` on the cluster row.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Counts {
+    /// Cluster-level get completions observed in the window.
+    gets: u64,
+    /// Gets whose end-to-end latency exceeded the SLO deadline.
+    misses: u64,
+    /// EBUSY replies the cluster driver saw in the window.
+    ebusy: u64,
+    /// Predictor admissions recorded at this node.
+    admits: u64,
+    /// Predictor rejections recorded at this node.
+    rejects: u64,
+    /// Rejections/EBUSYs by blamed [`Resource`], indexed by `code()`.
+    rejects_by_resource: [u64; 8],
+    /// Scheduler dispatches recorded at this node.
+    dispatches: u64,
+    /// Device completions recorded at this node.
+    completes: u64,
+    /// Breaker transitions into `Open` landing in this window.
+    breaker_opens: u64,
+    /// Breaker transitions into `Closed` landing in this window.
+    breaker_closes: u64,
+}
+
+/// What a timeline keeps per touched `(node, window)`: counters that read
+/// out as [`Counts`], and one histogram, end-to-end get latency on the
+/// cluster row and device service time on a node row.
+trait WindowCell: Default {
+    fn record(&mut self, rec: Rec);
+    /// The counters as read on `node`'s row.
+    fn counts(&self, node: u32) -> Counts;
+    fn hist(&self) -> &Pow2Hist;
+}
+
+/// The `(latency, service)` histograms of a cell on `node`'s row, with
+/// `empty` standing for the kind the row does not fill.
+fn hists<'a>(node: u32, hist: &'a Pow2Hist, empty: &'a Pow2Hist) -> (&'a Pow2Hist, &'a Pow2Hist) {
+    if node == CLUSTER_NODE {
+        (hist, empty)
+    } else {
+        (empty, hist)
+    }
+}
+
+fn fold_cell(cell: &impl WindowCell, node: u32, h: &mut Fnv1a) {
+    let c = cell.counts(node);
+    h.write_u64(c.gets);
+    h.write_u64(c.misses);
+    h.write_u64(c.ebusy);
+    h.write_u64(c.admits);
+    h.write_u64(c.rejects);
+    h.write_u64_slice(&c.rejects_by_resource);
+    h.write_u64(c.dispatches);
+    h.write_u64(c.completes);
+    h.write_u64(c.breaker_opens);
+    h.write_u64(c.breaker_closes);
+    let empty = Pow2Hist::new();
+    let (latency, service) = hists(node, cell.hist(), &empty);
+    latency.fold(h);
+    service.fold(h);
+}
+
+// Slots of `Cell::hot`. A node row counts admits, rejects and dispatches
+// there; the cluster row counts misses and EBUSY replies.
+const ADMITS: usize = 0;
+const REJECTS: usize = 1;
+const DISPATCHES: usize = 2;
+const MISSES: usize = 0;
+const EBUSY: usize = 1;
+
+/// The timeline's cell, 80 bytes. Its histogram's total is the row's get
+/// count (cluster) or completion count (node), so neither is stored
+/// again; the counters most cells move sit inline, and the rest in a
+/// [`Rare`] record that only a cell with a reject, an EBUSY or a breaker
+/// edge allocates.
+#[derive(Debug, Default)]
+struct Cell {
+    hist: Pow2Hist,
+    /// Indexed by [`ADMITS`], [`REJECTS`], [`DISPATCHES`] on a node row
+    /// and by [`MISSES`], [`EBUSY`] on the cluster row.
+    hot: [u64; 3],
+    rare: Option<Box<Rare>>,
+}
+
+/// The counters of a [`Cell`] that few cells move.
+#[derive(Debug, Default, Clone, Copy)]
+struct Rare {
+    rejects_by_resource: [u64; 8],
+    breaker_opens: u64,
+    breaker_closes: u64,
+}
+
+impl Cell {
+    fn rare(&mut self) -> &mut Rare {
+        self.rare.get_or_insert_with(Box::default)
+    }
+}
+
+impl WindowCell for Cell {
+    fn record(&mut self, rec: Rec) {
+        match rec {
+            Rec::Get { ns, miss } => {
+                self.hist.observe(ns);
+                self.hot[MISSES] += u64::from(miss);
+            }
+            Rec::Service(ns) => self.hist.observe(ns),
+            Rec::Admit => self.hot[ADMITS] += 1,
+            Rec::Reject(r) => {
+                self.hot[REJECTS] += 1;
+                self.rare().rejects_by_resource[r.code() as usize] += 1;
+            }
+            Rec::Ebusy(r) => {
+                self.hot[EBUSY] += 1;
+                self.rare().rejects_by_resource[r.code() as usize] += 1;
+            }
+            Rec::Dispatch => self.hot[DISPATCHES] += 1,
+            Rec::Breaker(1) => self.rare().breaker_opens += 1,
+            Rec::Breaker(0) => self.rare().breaker_closes += 1,
+            Rec::Breaker(_) => {}
         }
     }
 
-    fn fold(&self, node: u32, h: &mut Fnv1a) {
-        h.write_u64(self.gets);
-        h.write_u64(self.misses);
-        h.write_u64(self.ebusy);
-        h.write_u64(self.admits);
-        h.write_u64(self.rejects);
-        h.write_u64_slice(&self.rejects_by_resource);
-        h.write_u64(self.dispatches);
-        h.write_u64(self.completes);
-        h.write_u64(self.breaker_opens);
-        h.write_u64(self.breaker_closes);
-        let empty = Pow2Hist::new();
-        let (latency, service) = self.hists(node, &empty);
-        latency.fold(h);
-        service.fold(h);
+    fn counts(&self, node: u32) -> Counts {
+        let rare = self.rare.as_deref().copied().unwrap_or_default();
+        let mut c = Counts {
+            rejects_by_resource: rare.rejects_by_resource,
+            breaker_opens: rare.breaker_opens,
+            breaker_closes: rare.breaker_closes,
+            ..Counts::default()
+        };
+        if node == CLUSTER_NODE {
+            c.gets = self.hist.total();
+            c.misses = self.hot[MISSES];
+            c.ebusy = self.hot[EBUSY];
+        } else {
+            c.admits = self.hot[ADMITS];
+            c.rejects = self.hot[REJECTS];
+            c.dispatches = self.hot[DISPATCHES];
+            c.completes = self.hist.total();
+        }
+        c
+    }
+
+    fn hist(&self) -> &Pow2Hist {
+        &self.hist
     }
 }
 
@@ -314,21 +449,36 @@ fn burn_milli(misses: u64, gets: u64, budget_ppm: u64) -> u64 {
     (misses as u128 * 1_000_000_000u128 / (gets as u128 * budget_ppm as u128)) as u64
 }
 
+/// Where a timeline keeps its cells: [`Rows`] of compact [`Cell`]s here,
+/// a map of the 17-counter reference cells in the tests.
+trait Timeline: Default {
+    type Cell: WindowCell;
+    /// The cell for window `w` on `node`'s row, created on first touch. A
+    /// touched cell stays even when it counts nothing (a breaker move to
+    /// HalfOpen).
+    fn touch(&mut self, node: u32, w: u64) -> &mut Self::Cell;
+    /// The cell for window `w` on `node`'s row, if anything touched it.
+    fn get(&self, node: u32, w: u64) -> Option<&Self::Cell>;
+    /// Touched cells in `(node, window)` order: node rows in id order,
+    /// then the cluster row (where the id `u32::MAX` sorts).
+    fn cells(&self) -> impl Iterator<Item = (u32, u64, &Self::Cell)> + '_;
+}
+
 /// One node's timeline: window `w` lives in `cells[w]`. Windows are dense
 /// and only move forward within a run, so a row grows at its end and a
 /// record is an index, not a tree descent. A slot stays `None` until
 /// something touches its window; a touched cell stays even when it counts
-/// nothing (a breaker move to HalfOpen), exactly as a map entry would.
-/// Cells are boxed so an untouched slot costs one pointer.
+/// nothing, exactly as a map entry would. Cells are boxed so an untouched
+/// slot costs one pointer.
 #[derive(Debug, Default)]
 struct Row {
-    cells: Vec<Option<Box<WindowStats>>>,
+    cells: Vec<Option<Box<Cell>>>,
 }
 
 impl Row {
     /// The cell for window `w`, created (and the row extended) on first
     /// touch.
-    fn cell(&mut self, w: u64) -> &mut WindowStats {
+    fn cell(&mut self, w: u64) -> &mut Cell {
         let i = slot(w);
         if i >= self.cells.len() {
             self.cells.resize_with(i + 1, || None);
@@ -337,12 +487,12 @@ impl Row {
     }
 
     /// The cell for window `w`, if anything touched it.
-    fn get(&self, w: u64) -> Option<&WindowStats> {
+    fn get(&self, w: u64) -> Option<&Cell> {
         self.cells.get(slot(w))?.as_deref()
     }
 
     /// Touched cells with their window index, in window order.
-    fn iter(&self) -> impl Iterator<Item = (u64, &WindowStats)> + '_ {
+    fn iter(&self) -> impl Iterator<Item = (u64, &Cell)> + '_ {
         (0..)
             .zip(&self.cells)
             .filter_map(|(w, c)| Some((w, c.as_deref()?)))
@@ -354,18 +504,53 @@ fn slot(w: u64) -> usize {
     usize::try_from(w).expect("timeline row spans more windows than memory")
 }
 
+/// The timeline's rows: one per node in a `Vec` indexed by node id (a
+/// node nothing recorded at has an empty row), and [`CLUSTER_NODE`]'s on
+/// its own.
+#[derive(Debug, Default)]
+struct Rows {
+    nodes: Vec<Row>,
+    cluster: Row,
+}
+
+impl Timeline for Rows {
+    type Cell = Cell;
+
+    fn touch(&mut self, node: u32, w: u64) -> &mut Cell {
+        let row = if node == CLUSTER_NODE {
+            &mut self.cluster
+        } else {
+            let i = usize::try_from(node).expect("node id fits in usize");
+            if i >= self.nodes.len() {
+                self.nodes.resize_with(i + 1, Row::default);
+            }
+            &mut self.nodes[i]
+        };
+        row.cell(w)
+    }
+
+    fn get(&self, node: u32, w: u64) -> Option<&Cell> {
+        if node == CLUSTER_NODE {
+            self.cluster.get(w)
+        } else {
+            self.nodes.get(usize::try_from(node).ok()?)?.get(w)
+        }
+    }
+
+    fn cells(&self) -> impl Iterator<Item = (u32, u64, &Cell)> + '_ {
+        (0..)
+            .zip(&self.nodes)
+            .chain([(CLUSTER_NODE, &self.cluster)])
+            .flat_map(|(node, row)| row.iter().map(move |(w, c)| (node, w, c)))
+    }
+}
+
 /// The shared timeline collector behind every [`TslSink`] handle.
 #[derive(Debug)]
-struct TslCore {
+struct TslCore<T: Timeline = Rows> {
     cfg: TslConfig,
     strategy: String,
-    /// Timeline rows indexed by node id; a node nothing recorded at has
-    /// an empty row.
-    nodes: Vec<Row>,
-    /// [`CLUSTER_NODE`]'s row: the cluster-level gets/misses/EBUSY the
-    /// burn rate reads. It folds after the node rows (where the id
-    /// `u32::MAX` sorts) and exports before them.
-    cluster: Row,
+    timeline: T,
     /// Windows strictly below this index have been closed and evaluated.
     closed_through: u64,
     alerts: Vec<TslAlert>,
@@ -383,47 +568,68 @@ struct TslCore {
     finished: bool,
 }
 
-impl TslCore {
+impl<T: Timeline> TslCore<T> {
+    fn new(cfg: TslConfig, strategy: &str) -> Self {
+        TslCore {
+            cfg,
+            strategy: strategy.to_string(),
+            timeline: T::default(),
+            closed_through: 0,
+            alerts: Vec::new(),
+            fast_active: false,
+            slow_active: false,
+            near_misses: Vec::new(),
+            dumps: Vec::new(),
+            pending_triggers: Vec::new(),
+            cum_rejects: [0; 8],
+            cum_ebusy: 0,
+            cum_gets: 0,
+            cum_misses: 0,
+            finished: false,
+        }
+    }
+
     fn window_of(&self, at: SimTime) -> u64 {
         at.as_nanos() / self.cfg.window.as_nanos().max(1)
     }
 
-    fn cell(&mut self, node: u32, at: SimTime) -> &mut WindowStats {
-        let w = self.window_of(at);
-        let row = if node == CLUSTER_NODE {
-            &mut self.cluster
-        } else {
-            let i = usize::try_from(node).expect("node id fits in usize");
-            if i >= self.nodes.len() {
-                self.nodes.resize_with(i + 1, Row::default);
+    /// Counts `rec` into `node`'s cell for the window containing `at` and
+    /// into the run's cumulative counters.
+    fn record(&mut self, node: u32, at: SimTime, rec: Rec) {
+        rec.check_row(node);
+        match rec {
+            Rec::Get { miss, .. } => {
+                self.cum_gets += 1;
+                self.cum_misses += u64::from(miss);
             }
-            &mut self.nodes[i]
-        };
-        row.cell(w)
+            Rec::Ebusy(r) => {
+                self.cum_ebusy += 1;
+                self.cum_rejects[r.code() as usize] += 1;
+            }
+            Rec::Reject(r) => self.cum_rejects[r.code() as usize] += 1,
+            _ => {}
+        }
+        let w = self.window_of(at);
+        self.timeline.touch(node, w).record(rec);
     }
 
-    /// Touched rows with their node id, nodes in id order and the cluster
-    /// row last.
-    fn rows(&self) -> impl Iterator<Item = (u32, &Row)> + '_ {
-        (0..)
-            .zip(&self.nodes)
-            .chain([(CLUSTER_NODE, &self.cluster)])
-            .filter(|(_, row)| !row.cells.is_empty())
-    }
-
-    /// Touched cells in `(node, window)` order.
-    fn cells(&self) -> impl Iterator<Item = (u32, u64, &WindowStats)> + '_ {
-        self.rows()
-            .flat_map(|(node, row)| row.iter().map(move |(w, s)| (node, w, s)))
+    /// A breaker move lands on both the node's row and the cluster row.
+    fn record_breaker_transition(&mut self, node: u32, at: SimTime, to_code: u64) {
+        for row in [node, CLUSTER_NODE] {
+            self.record(row, at, Rec::Breaker(to_code));
+        }
     }
 
     /// Sums `(gets, misses)` over cluster windows `[lo, hi]` inclusive.
     fn span_totals(&self, lo: u64, hi: u64) -> (u64, u64) {
         let mut gets = 0;
         let mut misses = 0;
-        for s in (lo..=hi).filter_map(|w| self.cluster.get(w)) {
-            gets += s.gets;
-            misses += s.misses;
+        for w in lo..=hi {
+            if let Some(cell) = self.timeline.get(CLUSTER_NODE, w) {
+                let c = cell.counts(CLUSTER_NODE);
+                gets += c.gets;
+                misses += c.misses;
+            }
         }
         (gets, misses)
     }
@@ -443,6 +649,23 @@ impl TslCore {
             self.evaluate_window(w);
             self.closed_through += 1;
         }
+    }
+
+    /// Closes all windows through the one containing `run_end`. Idempotent.
+    fn finish(&mut self, run_end: SimTime) {
+        if self.finished {
+            return;
+        }
+        // Close everything up to and *including* the window containing
+        // the run's end, so a tail burst in the final partial window
+        // still evaluates.
+        let last = self.window_of(run_end);
+        while self.closed_through <= last {
+            let w = self.closed_through;
+            self.evaluate_window(w);
+            self.closed_through += 1;
+        }
+        self.finished = true;
     }
 
     fn evaluate_window(&mut self, w: u64) {
@@ -476,6 +699,223 @@ impl TslCore {
             self.pending_triggers.push(kind.name());
         }
     }
+
+    /// See [`TslSink::counter_events`].
+    fn counter_events(&self) -> Vec<TraceEvent> {
+        use mitt_trace::{EventKind, Subsystem};
+        let width = self.cfg.window.as_nanos();
+        let mut out = Vec::new();
+        for (_, w, cell) in self.cluster_cells() {
+            let at = SimTime::from_nanos((w + 1) * width);
+            let c = cell.counts(CLUSTER_NODE);
+            out.push(TraceEvent {
+                at,
+                node: CLUSTER_NODE,
+                subsystem: Subsystem::Cluster,
+                kind: EventKind::Counter {
+                    name: "tsl.p99_us",
+                    value: cell.hist().quantile_milli(990) / 1_000,
+                },
+            });
+            out.push(TraceEvent {
+                at,
+                node: CLUSTER_NODE,
+                subsystem: Subsystem::Cluster,
+                kind: EventKind::Counter {
+                    name: "tsl.burn_milli",
+                    value: burn_milli(c.misses, c.gets, self.cfg.slo_budget_ppm),
+                },
+            });
+        }
+        out
+    }
+
+    /// The cluster row's touched cells, in window order.
+    fn cluster_cells(&self) -> impl Iterator<Item = (u32, u64, &T::Cell)> + '_ {
+        self.timeline
+            .cells()
+            .filter(|&(node, _, _)| node == CLUSTER_NODE)
+    }
+
+    /// See [`TslSink::fold_digest`] (an enabled sink).
+    fn fold_digest(&self, h: &mut Fnv1a) {
+        h.write_u64(1);
+        h.write_str(&self.strategy);
+        h.write_u64(self.cfg.window.as_nanos());
+        h.write_u64(self.cfg.deadline.as_nanos());
+        h.write_u64(self.cfg.slo_budget_ppm);
+        h.write_u64(self.cfg.fast_windows);
+        h.write_u64(self.cfg.fast_threshold_milli);
+        h.write_u64(self.cfg.slow_windows);
+        h.write_u64(self.cfg.slow_threshold_milli);
+        h.write_u64(self.timeline.cells().count() as u64);
+        for (node, w, cell) in self.timeline.cells() {
+            h.write_u64(u64::from(node));
+            h.write_u64(w);
+            fold_cell(cell, node, h);
+        }
+        h.write_u64(self.alerts.len() as u64);
+        for a in &self.alerts {
+            h.write_u64(a.kind.code());
+            h.write_u64(a.window);
+            h.write_u64(a.at.as_nanos());
+            h.write_u64(a.burn_milli);
+        }
+        h.write_u64(self.near_misses.len() as u64);
+        for nm in &self.near_misses {
+            h.write_str(nm.invariant);
+            h.write_u64(nm.margin.as_nanos());
+            h.write_u64(nm.budget.as_nanos());
+        }
+        h.write_u64(self.dumps.len() as u64);
+        for d in &self.dumps {
+            d.fold(h);
+        }
+    }
+
+    /// See [`TslSink::export_json_with_bench`] (an enabled sink).
+    fn export_json_with_bench(&self, bench_json: Option<&str>) -> String {
+        let cfg = self.cfg;
+        let width = cfg.window.as_nanos();
+        let mut out = String::with_capacity(16 * 1024);
+        out.push_str("{\"schema\":\"mitt-tsl/v1\"");
+        out.push_str(&format!(",\"strategy\":\"{}\"", self.strategy));
+        out.push_str(&format!(",\"window_us\":{}", cfg.window.as_micros()));
+        out.push_str(&format!(",\"deadline_us\":{}", cfg.deadline.as_micros()));
+        out.push_str(&format!(",\"slo_budget_ppm\":{}", cfg.slo_budget_ppm));
+        out.push_str(&format!(
+            ",\"fast_burn\":{{\"windows\":{},\"threshold_milli\":{}}}",
+            cfg.fast_windows, cfg.fast_threshold_milli
+        ));
+        out.push_str(&format!(
+            ",\"slow_burn\":{{\"windows\":{},\"threshold_milli\":{}}}",
+            cfg.slow_windows, cfg.slow_threshold_milli
+        ));
+
+        // Timelines: cluster row first, then per-node rows in node order,
+        // each row's touched windows in window order.
+        let nodes = self
+            .timeline
+            .cells()
+            .filter(|&(node, _, _)| node != CLUSTER_NODE);
+        let empty = Pow2Hist::new();
+        let mut row = None;
+        out.push_str(",\"timelines\":[");
+        for (node, w, cell) in self.cluster_cells().chain(nodes) {
+            if row == Some(node) {
+                out.push(',');
+            } else {
+                if row.is_some() {
+                    out.push_str("]},");
+                }
+                row = Some(node);
+                out.push_str(&format!("{{\"node\":{node},\"windows\":["));
+            }
+            let s = cell.counts(node);
+            let (latency, service) = hists(node, cell.hist(), &empty);
+            out.push_str(&format!("{{\"w\":{w},\"start_us\":{}", w * width / 1_000));
+            out.push_str(&format!(",\"gets\":{}", s.gets));
+            out.push_str(&format!(",\"misses\":{}", s.misses));
+            out.push_str(&format!(",\"ebusy\":{}", s.ebusy));
+            out.push_str(&format!(",\"admits\":{}", s.admits));
+            out.push_str(&format!(",\"rejects\":{}", s.rejects));
+            out.push_str(&format!(",\"dispatches\":{}", s.dispatches));
+            out.push_str(&format!(",\"completes\":{}", s.completes));
+            out.push_str(&format!(
+                ",\"p50_us\":{}",
+                latency.quantile_milli(500) / 1_000
+            ));
+            out.push_str(&format!(
+                ",\"p95_us\":{}",
+                latency.quantile_milli(950) / 1_000
+            ));
+            out.push_str(&format!(
+                ",\"p99_us\":{}",
+                latency.quantile_milli(990) / 1_000
+            ));
+            out.push_str(&format!(
+                ",\"p999_us\":{}",
+                latency.quantile_milli(999) / 1_000
+            ));
+            out.push_str(&format!(
+                ",\"service_p99_us\":{}",
+                service.quantile_milli(990) / 1_000
+            ));
+            out.push_str(&format!(
+                ",\"burn_milli\":{}",
+                burn_milli(s.misses, s.gets, cfg.slo_budget_ppm)
+            ));
+            out.push_str(&format!(",\"breaker_opens\":{}", s.breaker_opens));
+            out.push_str(&format!(",\"breaker_closes\":{}", s.breaker_closes));
+            out.push_str(",\"reject_by_resource\":{");
+            let mut rf = true;
+            for r in Resource::ALL {
+                let n = s.rejects_by_resource[r.code() as usize];
+                if n > 0 {
+                    if !rf {
+                        out.push(',');
+                    }
+                    rf = false;
+                    out.push_str(&format!("\"{}\":{}", r.name(), n));
+                }
+            }
+            out.push_str("}}");
+        }
+        if row.is_some() {
+            out.push_str("]}");
+        }
+        out.push_str("],\"alerts\":[");
+        for (i, a) in self.alerts.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let (lo, hi) = a.span(&cfg);
+            out.push_str(&format!(
+                "{{\"kind\":\"{}\",\"window\":{},\"at_us\":{},\"span_start_us\":{},\"span_end_us\":{},\"burn_milli\":{}}}",
+                a.kind.name(),
+                a.window,
+                a.at.as_micros(),
+                lo.as_micros(),
+                hi.as_micros(),
+                a.burn_milli
+            ));
+        }
+        out.push_str("],\"near_misses\":[");
+        for (i, nm) in self.near_misses.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!(
+                "{{\"invariant\":\"{}\",\"margin_us\":{},\"budget_us\":{}}}",
+                nm.invariant,
+                nm.margin.as_micros(),
+                nm.budget.as_micros()
+            ));
+        }
+        out.push_str("],\"flight_recorder\":[");
+        for (i, d) in self.dumps.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let open = d.breakers.iter().filter(|&&(_, st)| st == 1).count();
+            out.push_str(&format!(
+                "{{\"id\":{},\"trigger\":\"{}\",\"at_us\":{},\"events\":{},\"breakers_open\":{},\"digest\":\"{:#018x}\"}}",
+                d.id,
+                d.trigger,
+                d.at.as_micros(),
+                d.events.len(),
+                open,
+                d.digest()
+            ));
+        }
+        out.push(']');
+        if let Some(bench) = bench_json {
+            out.push_str(",\"bench\":");
+            out.push_str(bench);
+        }
+        out.push('}');
+        out
+    }
 }
 
 /// A cheap clonable handle to a shared timeline collector, mirroring
@@ -499,24 +939,7 @@ impl TslSink {
     /// A live sink collecting under `cfg` for a run labelled `strategy`.
     pub fn enabled(cfg: TslConfig, strategy: &str) -> Self {
         TslSink {
-            core: Some(Rc::new(RefCell::new(TslCore {
-                cfg,
-                strategy: strategy.to_string(),
-                nodes: Vec::new(),
-                cluster: Row::default(),
-                closed_through: 0,
-                alerts: Vec::new(),
-                fast_active: false,
-                slow_active: false,
-                near_misses: Vec::new(),
-                dumps: Vec::new(),
-                pending_triggers: Vec::new(),
-                cum_rejects: [0; 8],
-                cum_ebusy: 0,
-                cum_gets: 0,
-                cum_misses: 0,
-                finished: false,
-            }))),
+            core: Some(Rc::new(RefCell::new(TslCore::new(cfg, strategy)))),
             node: CLUSTER_NODE,
         }
     }
@@ -544,6 +967,13 @@ impl TslSink {
         self.core.as_ref().map(|c| c.borrow().cfg)
     }
 
+    /// Runs `f` on the collector, if enabled.
+    fn with(&self, f: impl FnOnce(&mut TslCore)) {
+        if let Some(core) = &self.core {
+            f(&mut core.borrow_mut());
+        }
+    }
+
     /// Records one completed cluster get: bumps the window's get count,
     /// latency histogram, and — when `latency` blows the SLO deadline —
     /// its miss count. Cluster-row only; call on the cluster-tagged handle.
@@ -552,61 +982,41 @@ impl TslSink {
     ///
     /// Panics on a node-tagged handle.
     pub fn observe_get(&self, at: SimTime, latency: Duration) {
-        if let Some(core) = &self.core {
-            assert_eq!(self.node, CLUSTER_NODE, "gets record on the cluster row");
-            let mut core = core.borrow_mut();
+        self.with(|core| {
             let miss = latency > core.cfg.deadline;
-            core.cum_gets += 1;
-            if miss {
-                core.cum_misses += 1;
-            }
-            let cell = self.cell_for(&mut core, at);
-            cell.gets += 1;
-            if miss {
-                cell.misses += 1;
-            }
-            cell.hist.observe(latency.as_nanos());
-        }
+            let ns = latency.as_nanos();
+            core.record(self.node, at, Rec::Get { ns, miss });
+        });
     }
 
-    /// Records one EBUSY reply blamed on `resource` (cluster handle).
+    /// Records one EBUSY reply blamed on `resource`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a node-tagged handle.
     pub fn record_ebusy(&self, at: SimTime, resource: Resource) {
-        if let Some(core) = &self.core {
-            let mut core = core.borrow_mut();
-            core.cum_ebusy += 1;
-            core.cum_rejects[resource.code() as usize] += 1;
-            let cell = self.cell_for(&mut core, at);
-            cell.ebusy += 1;
-            cell.rejects_by_resource[resource.code() as usize] += 1;
-        }
+        self.with(|core| core.record(self.node, at, Rec::Ebusy(resource)));
     }
 
     /// Records one predictor admission at this handle's node.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the cluster-tagged handle, as do
+    /// [`TslSink::record_reject`] and [`TslSink::record_dispatch`].
     pub fn record_admit(&self, at: SimTime) {
-        if let Some(core) = &self.core {
-            let mut core = core.borrow_mut();
-            self.cell_for(&mut core, at).admits += 1;
-        }
+        self.with(|core| core.record(self.node, at, Rec::Admit));
     }
 
     /// Records one predictor rejection blamed on `resource` at this
     /// handle's node.
     pub fn record_reject(&self, at: SimTime, resource: Resource) {
-        if let Some(core) = &self.core {
-            let mut core = core.borrow_mut();
-            core.cum_rejects[resource.code() as usize] += 1;
-            let cell = self.cell_for(&mut core, at);
-            cell.rejects += 1;
-            cell.rejects_by_resource[resource.code() as usize] += 1;
-        }
+        self.with(|core| core.record(self.node, at, Rec::Reject(resource)));
     }
 
     /// Records one scheduler dispatch at this handle's node.
     pub fn record_dispatch(&self, at: SimTime) {
-        if let Some(core) = &self.core {
-            let mut core = core.borrow_mut();
-            self.cell_for(&mut core, at).dispatches += 1;
-        }
+        self.with(|core| core.record(self.node, at, Rec::Dispatch));
     }
 
     /// Records one device completion with its service time at this
@@ -616,13 +1026,7 @@ impl TslSink {
     ///
     /// Panics on the cluster-tagged handle.
     pub fn observe_service(&self, at: SimTime, service: Duration) {
-        if let Some(core) = &self.core {
-            assert_ne!(self.node, CLUSTER_NODE, "service times record on node rows");
-            let mut core = core.borrow_mut();
-            let cell = self.cell_for(&mut core, at);
-            cell.completes += 1;
-            cell.hist.observe(service.as_nanos());
-        }
+        self.with(|core| core.record(self.node, at, Rec::Service(service.as_nanos())));
     }
 
     /// Records a breaker state change for `node` (state codes from
@@ -630,31 +1034,20 @@ impl TslSink {
     /// closes are bucketed into the window containing `at` on both the
     /// node's row and the cluster row.
     pub fn record_breaker_transition(&self, node: u32, at: SimTime, to_code: u64) {
-        if let Some(core) = &self.core {
-            let mut core = core.borrow_mut();
-            for row in [node, CLUSTER_NODE] {
-                let cell = core.cell(row, at);
-                if to_code == 1 {
-                    cell.breaker_opens += 1;
-                } else if to_code == 0 {
-                    cell.breaker_closes += 1;
-                }
-            }
-        }
+        self.with(|core| core.record_breaker_transition(node, at, to_code));
     }
 
     /// Records an invariant near-miss (see [`NearMiss`]); a close one
     /// ([`NearMiss::is_close`]) also arms the flight recorder.
     pub fn record_near_miss(&self, nm: NearMiss) {
-        if let Some(core) = &self.core {
-            let mut core = core.borrow_mut();
+        self.with(|core| {
             if nm.is_close()
                 && core.dumps.len() + core.pending_triggers.len() < core.cfg.flight_capacity
             {
                 core.pending_triggers.push("near_miss");
             }
             core.near_misses.push(nm);
-        }
+        });
     }
 
     /// Advances the window clock to `now`, closing and evaluating every
@@ -684,8 +1077,7 @@ impl TslSink {
     /// trace-ring tail (the sink truncates it to the configured bound),
     /// `breakers` the per-replica breaker state codes at snapshot time.
     pub fn flight_record(&self, events: Vec<TraceEvent>, breakers: Vec<(u32, u64)>, now: SimTime) {
-        if let Some(core) = &self.core {
-            let mut core = core.borrow_mut();
+        self.with(|core| {
             if core.pending_triggers.is_empty() || core.dumps.len() >= core.cfg.flight_capacity {
                 core.pending_triggers.clear();
                 return;
@@ -706,28 +1098,13 @@ impl TslSink {
                 misses: core.cum_misses,
             };
             core.dumps.push(dump);
-        }
+        });
     }
 
     /// Closes all windows through `run_end` and evaluates the final one.
     /// Idempotent; call once when the run drains.
     pub fn finish(&self, run_end: SimTime) {
-        if let Some(core) = &self.core {
-            let mut core = core.borrow_mut();
-            if core.finished {
-                return;
-            }
-            // Close everything up to and *including* the window containing
-            // the run's end, so a tail burst in the final partial window
-            // still evaluates.
-            let last = core.window_of(run_end);
-            while core.closed_through <= last {
-                let w = core.closed_through;
-                core.evaluate_window(w);
-                core.closed_through += 1;
-            }
-            core.finished = true;
-        }
+        self.with(|core| core.finish(run_end));
     }
 
     /// All recorded alerts in trigger order.
@@ -762,44 +1139,14 @@ impl TslSink {
             .unwrap_or_default()
     }
 
-    /// The stats cell for `(self.node, window containing at)`.
-    fn cell_for<'a>(&self, core: &'a mut TslCore, at: SimTime) -> &'a mut WindowStats {
-        core.cell(self.node, at)
-    }
-
     /// Synthesizes Chrome counter-track events (`tsl.p99_us`,
     /// `tsl.burn_milli`) at each cluster window's end, for merging into a
     /// trace export so alerts are visible next to Fault/Gray spans.
     pub fn counter_events(&self) -> Vec<TraceEvent> {
-        use mitt_trace::{EventKind, Subsystem};
-        let core = match &self.core {
-            Some(c) => c.borrow(),
-            None => return Vec::new(),
-        };
-        let width = core.cfg.window.as_nanos();
-        let mut out = Vec::new();
-        for (w, stats) in core.cluster.iter() {
-            let at = SimTime::from_nanos((w + 1) * width);
-            out.push(TraceEvent {
-                at,
-                node: CLUSTER_NODE,
-                subsystem: Subsystem::Cluster,
-                kind: EventKind::Counter {
-                    name: "tsl.p99_us",
-                    value: stats.hist.quantile_milli(990) / 1_000,
-                },
-            });
-            out.push(TraceEvent {
-                at,
-                node: CLUSTER_NODE,
-                subsystem: Subsystem::Cluster,
-                kind: EventKind::Counter {
-                    name: "tsl.burn_milli",
-                    value: burn_milli(stats.misses, stats.gets, core.cfg.slo_budget_ppm),
-                },
-            });
-        }
-        out
+        self.core
+            .as_ref()
+            .map(|c| c.borrow().counter_events())
+            .unwrap_or_default()
     }
 
     /// Folds the whole timeline state into a run digest. A disabled sink
@@ -807,44 +1154,9 @@ impl TslSink {
     /// alerts, near-misses, and flight-dump digests — so same-seed runs
     /// must produce bit-identical timelines.
     pub fn fold_digest(&self, h: &mut Fnv1a) {
-        let core = match &self.core {
-            Some(c) => c.borrow(),
-            None => {
-                h.write_u64(0);
-                return;
-            }
-        };
-        h.write_u64(1);
-        h.write_str(&core.strategy);
-        h.write_u64(core.cfg.window.as_nanos());
-        h.write_u64(core.cfg.deadline.as_nanos());
-        h.write_u64(core.cfg.slo_budget_ppm);
-        h.write_u64(core.cfg.fast_windows);
-        h.write_u64(core.cfg.fast_threshold_milli);
-        h.write_u64(core.cfg.slow_windows);
-        h.write_u64(core.cfg.slow_threshold_milli);
-        h.write_u64(core.cells().count() as u64);
-        for (node, w, stats) in core.cells() {
-            h.write_u64(u64::from(node));
-            h.write_u64(w);
-            stats.fold(node, h);
-        }
-        h.write_u64(core.alerts.len() as u64);
-        for a in &core.alerts {
-            h.write_u64(a.kind.code());
-            h.write_u64(a.window);
-            h.write_u64(a.at.as_nanos());
-            h.write_u64(a.burn_milli);
-        }
-        h.write_u64(core.near_misses.len() as u64);
-        for nm in &core.near_misses {
-            h.write_str(nm.invariant);
-            h.write_u64(nm.margin.as_nanos());
-            h.write_u64(nm.budget.as_nanos());
-        }
-        h.write_u64(core.dumps.len() as u64);
-        for d in &core.dumps {
-            d.fold(h);
+        match &self.core {
+            Some(c) => c.borrow().fold_digest(h),
+            None => h.write_u64(0),
         }
     }
 
@@ -859,143 +1171,10 @@ impl TslSink {
     /// `mitt-obs compare` can gate a timeline export directly against a
     /// committed bench baseline.
     pub fn export_json_with_bench(&self, bench_json: Option<&str>) -> String {
-        let core = match &self.core {
-            Some(c) => c.borrow(),
-            None => return String::from("{\"schema\":\"mitt-tsl/v1\",\"enabled\":false}"),
-        };
-        let cfg = core.cfg;
-        let width = cfg.window.as_nanos();
-        let mut out = String::with_capacity(16 * 1024);
-        out.push_str("{\"schema\":\"mitt-tsl/v1\"");
-        out.push_str(&format!(",\"strategy\":\"{}\"", core.strategy));
-        out.push_str(&format!(",\"window_us\":{}", cfg.window.as_micros()));
-        out.push_str(&format!(",\"deadline_us\":{}", cfg.deadline.as_micros()));
-        out.push_str(&format!(",\"slo_budget_ppm\":{}", cfg.slo_budget_ppm));
-        out.push_str(&format!(
-            ",\"fast_burn\":{{\"windows\":{},\"threshold_milli\":{}}}",
-            cfg.fast_windows, cfg.fast_threshold_milli
-        ));
-        out.push_str(&format!(
-            ",\"slow_burn\":{{\"windows\":{},\"threshold_milli\":{}}}",
-            cfg.slow_windows, cfg.slow_threshold_milli
-        ));
-
-        // Timelines: cluster row first, then per-node rows in node order.
-        let cluster = core.rows().filter(|&(n, _)| n == CLUSTER_NODE);
-        let nodes = core.rows().filter(|&(n, _)| n != CLUSTER_NODE);
-        let empty = Pow2Hist::new();
-        out.push_str(",\"timelines\":[");
-        for (ni, (node, row)) in cluster.chain(nodes).enumerate() {
-            if ni > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"node\":{node},\"windows\":["));
-            for (i, (w, s)) in row.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let (latency, service) = s.hists(node, &empty);
-                out.push_str(&format!("{{\"w\":{w},\"start_us\":{}", w * width / 1_000));
-                out.push_str(&format!(",\"gets\":{}", s.gets));
-                out.push_str(&format!(",\"misses\":{}", s.misses));
-                out.push_str(&format!(",\"ebusy\":{}", s.ebusy));
-                out.push_str(&format!(",\"admits\":{}", s.admits));
-                out.push_str(&format!(",\"rejects\":{}", s.rejects));
-                out.push_str(&format!(",\"dispatches\":{}", s.dispatches));
-                out.push_str(&format!(",\"completes\":{}", s.completes));
-                out.push_str(&format!(
-                    ",\"p50_us\":{}",
-                    latency.quantile_milli(500) / 1_000
-                ));
-                out.push_str(&format!(
-                    ",\"p95_us\":{}",
-                    latency.quantile_milli(950) / 1_000
-                ));
-                out.push_str(&format!(
-                    ",\"p99_us\":{}",
-                    latency.quantile_milli(990) / 1_000
-                ));
-                out.push_str(&format!(
-                    ",\"p999_us\":{}",
-                    latency.quantile_milli(999) / 1_000
-                ));
-                out.push_str(&format!(
-                    ",\"service_p99_us\":{}",
-                    service.quantile_milli(990) / 1_000
-                ));
-                out.push_str(&format!(
-                    ",\"burn_milli\":{}",
-                    burn_milli(s.misses, s.gets, cfg.slo_budget_ppm)
-                ));
-                out.push_str(&format!(",\"breaker_opens\":{}", s.breaker_opens));
-                out.push_str(&format!(",\"breaker_closes\":{}", s.breaker_closes));
-                out.push_str(",\"reject_by_resource\":{");
-                let mut rf = true;
-                for r in Resource::ALL {
-                    let n = s.rejects_by_resource[r.code() as usize];
-                    if n > 0 {
-                        if !rf {
-                            out.push(',');
-                        }
-                        rf = false;
-                        out.push_str(&format!("\"{}\":{}", r.name(), n));
-                    }
-                }
-                out.push_str("}}");
-            }
-            out.push_str("]}");
+        match &self.core {
+            Some(c) => c.borrow().export_json_with_bench(bench_json),
+            None => String::from("{\"schema\":\"mitt-tsl/v1\",\"enabled\":false}"),
         }
-        out.push_str("],\"alerts\":[");
-        for (i, a) in core.alerts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let (lo, hi) = a.span(&cfg);
-            out.push_str(&format!(
-                "{{\"kind\":\"{}\",\"window\":{},\"at_us\":{},\"span_start_us\":{},\"span_end_us\":{},\"burn_milli\":{}}}",
-                a.kind.name(),
-                a.window,
-                a.at.as_micros(),
-                lo.as_micros(),
-                hi.as_micros(),
-                a.burn_milli
-            ));
-        }
-        out.push_str("],\"near_misses\":[");
-        for (i, nm) in core.near_misses.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"invariant\":\"{}\",\"margin_us\":{},\"budget_us\":{}}}",
-                nm.invariant,
-                nm.margin.as_micros(),
-                nm.budget.as_micros()
-            ));
-        }
-        out.push_str("],\"flight_recorder\":[");
-        for (i, d) in core.dumps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let open = d.breakers.iter().filter(|&&(_, st)| st == 1).count();
-            out.push_str(&format!(
-                "{{\"id\":{},\"trigger\":\"{}\",\"at_us\":{},\"events\":{},\"breakers_open\":{},\"digest\":\"{:#018x}\"}}",
-                d.id,
-                d.trigger,
-                d.at.as_micros(),
-                d.events.len(),
-                open,
-                d.digest()
-            ));
-        }
-        out.push(']');
-        if let Some(bench) = bench_json {
-            out.push_str(",\"bench\":");
-            out.push_str(bench);
-        }
-        out.push('}');
-        out
     }
 }
 
@@ -1030,11 +1209,11 @@ mod tests {
         n0.observe_service(at_ms(1), Duration::from_micros(300));
         n0.record_dispatch(at_ms(1));
         let core = s.core.as_ref().expect("enabled").borrow();
-        let cells: Vec<_> = core.cells().collect();
+        let cells: Vec<_> = core.timeline.cells().collect();
         assert_eq!(cells.len(), 2);
         let empty = Pow2Hist::new();
-        for (node, _, stats) in cells {
-            let (latency, service) = stats.hists(node, &empty);
+        for (node, _, cell) in cells {
+            let (latency, service) = hists(node, cell.hist(), &empty);
             let (filled, absent, max) = if node == CLUSTER_NODE {
                 (latency, service, 2_000_000)
             } else {
@@ -1043,6 +1222,224 @@ mod tests {
             assert_eq!((filled.total(), filled.max_ns()), (1, max), "node {node}");
             assert_eq!(absent.total(), 0, "node {node}");
         }
+    }
+
+    /// The cell as it was before it was compacted: all 17 counters stored
+    /// apart beside the histogram. The compact [`Cell`] must read exactly
+    /// as this does.
+    #[derive(Debug, Default)]
+    struct WindowStats {
+        gets: u64,
+        misses: u64,
+        ebusy: u64,
+        admits: u64,
+        rejects: u64,
+        rejects_by_resource: [u64; 8],
+        dispatches: u64,
+        completes: u64,
+        breaker_opens: u64,
+        breaker_closes: u64,
+        hist: Pow2Hist,
+    }
+
+    impl WindowCell for WindowStats {
+        fn record(&mut self, rec: Rec) {
+            match rec {
+                Rec::Get { ns, miss } => {
+                    self.gets += 1;
+                    if miss {
+                        self.misses += 1;
+                    }
+                    self.hist.observe(ns);
+                }
+                Rec::Service(ns) => {
+                    self.completes += 1;
+                    self.hist.observe(ns);
+                }
+                Rec::Admit => self.admits += 1,
+                Rec::Reject(r) => {
+                    self.rejects += 1;
+                    self.rejects_by_resource[r.code() as usize] += 1;
+                }
+                Rec::Ebusy(r) => {
+                    self.ebusy += 1;
+                    self.rejects_by_resource[r.code() as usize] += 1;
+                }
+                Rec::Dispatch => self.dispatches += 1,
+                Rec::Breaker(code) => {
+                    if code == 1 {
+                        self.breaker_opens += 1;
+                    } else if code == 0 {
+                        self.breaker_closes += 1;
+                    }
+                }
+            }
+        }
+
+        fn counts(&self, _node: u32) -> Counts {
+            Counts {
+                gets: self.gets,
+                misses: self.misses,
+                ebusy: self.ebusy,
+                admits: self.admits,
+                rejects: self.rejects,
+                rejects_by_resource: self.rejects_by_resource,
+                dispatches: self.dispatches,
+                completes: self.completes,
+                breaker_opens: self.breaker_opens,
+                breaker_closes: self.breaker_closes,
+            }
+        }
+
+        fn hist(&self) -> &Pow2Hist {
+            &self.hist
+        }
+    }
+
+    /// The reference store: one map entry per touched `(node, window)`.
+    #[derive(Debug, Default)]
+    struct MapTimeline(std::collections::BTreeMap<(u32, u64), WindowStats>);
+
+    impl Timeline for MapTimeline {
+        type Cell = WindowStats;
+
+        fn touch(&mut self, node: u32, w: u64) -> &mut WindowStats {
+            self.0.entry((node, w)).or_default()
+        }
+
+        fn get(&self, node: u32, w: u64) -> Option<&WindowStats> {
+            self.0.get(&(node, w))
+        }
+
+        fn cells(&self) -> impl Iterator<Item = (u32, u64, &WindowStats)> + '_ {
+            self.0.iter().map(|(&(node, w), cell)| (node, w, cell))
+        }
+    }
+
+    /// One step of a differential drive.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Rec(u32, Rec),
+        Breaker(u32, u64),
+        Tick,
+    }
+
+    fn apply<T: Timeline>(core: &mut TslCore<T>, at: SimTime, step: Step) {
+        match step {
+            Step::Rec(node, rec) => core.record(node, at, rec),
+            Step::Breaker(node, code) => core.record_breaker_transition(node, at, code),
+            Step::Tick => core.advance_to(at),
+        }
+    }
+
+    #[test]
+    fn a_cell_is_at_most_80_bytes() {
+        assert!(
+            std::mem::size_of::<Cell>() <= 80,
+            "{}",
+            std::mem::size_of::<Cell>()
+        );
+    }
+
+    #[test]
+    fn compact_cells_read_like_the_17_counter_reference() {
+        let cfg = cfg_10ms();
+        let width = cfg.window.as_nanos();
+        let (mut zero_cells, mut gaps) = (0, 0);
+        for seed in [1u64, 7, 42, 0x9e37_79b9_7f4a_7c15] {
+            let mut compact = TslCore::<Rows>::new(cfg, "mittos");
+            let mut reference = TslCore::<MapTimeline>::new(cfg, "mittos");
+            let mut x = seed;
+            let mut next = || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let mut t = 0u64;
+            for _ in 0..4_000 {
+                let r = next();
+                // Mostly steps inside a window, sometimes a jump over several
+                // (untouched windows between touched ones), sometimes back.
+                t = match r % 16 {
+                    0 => t + (r >> 8) % (6 * width),
+                    1 => t.saturating_sub((r >> 8) % (2 * width)),
+                    _ => t + (r >> 8) % (width / 20),
+                };
+                let node = ((r >> 40) % 4) as u32;
+                let resource = Resource::ALL[((r >> 44) % 8) as usize];
+                // Latencies straddle the 5 ms deadline.
+                let ns = (r >> 20) % 12_000_000;
+                let step = match (r >> 4) % 20 {
+                    0..=5 => Step::Rec(
+                        CLUSTER_NODE,
+                        Rec::Get {
+                            ns,
+                            miss: ns > cfg.deadline.as_nanos(),
+                        },
+                    ),
+                    6..=8 => Step::Rec(node, Rec::Service(ns)),
+                    9 | 10 => Step::Rec(node, Rec::Admit),
+                    11 | 12 => Step::Rec(node, Rec::Dispatch),
+                    13 => Step::Rec(node, Rec::Reject(resource)),
+                    14 => Step::Rec(CLUSTER_NODE, Rec::Ebusy(resource)),
+                    // Codes 0, 1 and 2: closes, opens and HalfOpen moves.
+                    15..=17 => Step::Breaker(node, (r >> 50) % 3),
+                    _ => Step::Tick,
+                };
+                let at = SimTime::from_nanos(t);
+                apply(&mut compact, at, step);
+                apply(&mut reference, at, step);
+            }
+            let end = SimTime::from_nanos(t);
+            compact.finish(end);
+            reference.finish(end);
+
+            let digest = |f: &dyn Fn(&mut Fnv1a)| {
+                let mut h = Fnv1a::new();
+                f(&mut h);
+                h.finish()
+            };
+            assert_eq!(
+                digest(&|h| compact.fold_digest(h)),
+                digest(&|h| reference.fold_digest(h)),
+                "seed {seed}: fold_digest"
+            );
+            assert_eq!(
+                compact.export_json_with_bench(None),
+                reference.export_json_with_bench(None),
+                "seed {seed}: export_json"
+            );
+            assert_eq!(
+                compact.counter_events(),
+                reference.counter_events(),
+                "seed {seed}: counter_events"
+            );
+            assert!(!compact.alerts.is_empty(), "seed {seed}: burn spans read");
+
+            // Only a cell that saw a reject, an EBUSY or a breaker edge
+            // holds a side record.
+            let mut last = (u32::MAX, 0);
+            for (node, w, cell) in compact.timeline.cells() {
+                let c = cell.counts(node);
+                let rare =
+                    c.rejects_by_resource != [0; 8] || c.breaker_opens + c.breaker_closes > 0;
+                assert_eq!(
+                    cell.rare.is_some(),
+                    rare,
+                    "seed {seed}: node {node} window {w}"
+                );
+                if c == Counts::default() && cell.hist().total() == 0 {
+                    zero_cells += 1;
+                }
+                if last.0 == node && w > last.1 + 1 {
+                    gaps += 1;
+                }
+                last = (node, w);
+            }
+        }
+        assert!(zero_cells > 0, "no touched all-zero cell was driven");
+        assert!(gaps > 0, "no row skipped a window");
     }
 
     #[test]
