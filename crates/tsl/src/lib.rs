@@ -457,8 +457,8 @@ trait Timeline: Default {
     /// touched cell stays even when it counts nothing (a breaker move to
     /// HalfOpen).
     fn touch(&mut self, node: u32, w: u64) -> &mut Self::Cell;
-    /// The cell for window `w` on `node`'s row, if anything touched it.
-    fn get(&self, node: u32, w: u64) -> Option<&Self::Cell>;
+    /// The cluster row's cell for window `w`, if anything touched it.
+    fn cluster(&self, w: u64) -> Option<&Self::Cell>;
     /// Touched cells in `(node, window)` order: node rows in id order,
     /// then the cluster row (where the id `u32::MAX` sorts).
     fn cells(&self) -> impl Iterator<Item = (u32, u64, &Self::Cell)> + '_;
@@ -529,12 +529,8 @@ impl Timeline for Rows {
         row.cell(w)
     }
 
-    fn get(&self, node: u32, w: u64) -> Option<&Cell> {
-        if node == CLUSTER_NODE {
-            self.cluster.get(w)
-        } else {
-            self.nodes.get(usize::try_from(node).ok()?)?.get(w)
-        }
+    fn cluster(&self, w: u64) -> Option<&Cell> {
+        self.cluster.get(w)
     }
 
     fn cells(&self) -> impl Iterator<Item = (u32, u64, &Cell)> + '_ {
@@ -625,7 +621,7 @@ impl<T: Timeline> TslCore<T> {
         let mut gets = 0;
         let mut misses = 0;
         for w in lo..=hi {
-            if let Some(cell) = self.timeline.get(CLUSTER_NODE, w) {
+            if let Some(cell) = self.timeline.cluster(w) {
                 let c = cell.counts(CLUSTER_NODE);
                 gets += c.gets;
                 misses += c.misses;
@@ -1307,8 +1303,8 @@ mod tests {
             self.0.entry((node, w)).or_default()
         }
 
-        fn get(&self, node: u32, w: u64) -> Option<&WindowStats> {
-            self.0.get(&(node, w))
+        fn cluster(&self, w: u64) -> Option<&WindowStats> {
+            self.0.get(&(CLUSTER_NODE, w))
         }
 
         fn cells(&self) -> impl Iterator<Item = (u32, u64, &WindowStats)> + '_ {
