@@ -133,5 +133,4 @@ fn a_touched_timeline_cell_retains_at_most_the_budget() {
         "{per_cell} retained bytes per touched cell over {cells} cells \
          (budget {BUDGET_PER_CELL})"
     );
-    drop((off, on));
 }
